@@ -22,7 +22,10 @@ not round-trip.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NotFoundError, ParseError, ValidationError
 
@@ -30,6 +33,10 @@ KG_FORMAT = "qmkgf-kg"
 KG_VERSION = 1
 
 TripleKey = tuple[str, str, str]
+CompiledGraph = tuple[list[str], dict[str, int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# Weights must lie in (0, MAX_WEIGHT]: that rejects inf, nan and ints too
+# large to convert to a float.
+MAX_WEIGHT = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,10 @@ class KnowledgeGraph:
 
     Adjacency maps entity id -> list of indices into ``triples``; both
     maps are kept exactly consistent with the triple list at all times.
-    The graph is not thread-safe under mutation; build it first, then
-    share it read-only.
+    ``compiled()`` caches the graph as arrays for PageRank; adding an
+    entity or a triple, or merging one, drops that cache. The graph is
+    not thread-safe under mutation; build it first, then share it
+    read-only.
     """
 
     def __init__(self) -> None:
@@ -80,6 +89,7 @@ class KnowledgeGraph:
         self.out_adj: dict[str, list[int]] = {}
         self.in_adj: dict[str, list[int]] = {}
         self._by_key: dict[TripleKey, int] = {}
+        self._compiled: CompiledGraph | None = None
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -102,6 +112,7 @@ class KnowledgeGraph:
             return existing
         entity = Entity(id=entity_id, name=name if name is not None else entity_id)
         self.entities[entity_id] = entity
+        self._compiled = None
         self.out_adj.setdefault(entity_id, [])
         self.in_adj.setdefault(entity_id, [])
         return entity
@@ -119,9 +130,10 @@ class KnowledgeGraph:
         ):
             if not value or not value.strip():
                 raise ValidationError(f"triple {label} must be non-empty")
-        if not triple.weight > 0:
-            raise ValidationError(f"triple weight must be > 0, got {triple.weight}")
+        if not 0.0 < triple.weight <= MAX_WEIGHT:
+            raise ValidationError(f"triple weight must be finite and > 0, got {triple.weight!r}")
 
+        self._compiled = None
         existing_idx = self._by_key.get(triple.key)
         if existing_idx is not None:
             old = self.triples[existing_idx]
@@ -171,8 +183,19 @@ class KnowledgeGraph:
         found += [self.triples[i] for i in self.in_adj.get(a, []) if self.triples[i].head == b]
         return sorted(set(found), key=lambda t: t.key)
 
-    def out_weight(self, entity_id: str) -> float:
-        return sum(self.triples[i].weight for i in self.out_adj.get(entity_id, []))
+    def compiled(self) -> CompiledGraph:
+        """(sorted ids, id -> position, edge sources, edge targets, edge
+        weights divided by their source's out-weight, mask of nodes with
+        no out-edges), in triple order; cached until the next mutation."""
+        if self._compiled is None:
+            ids = sorted(self.entities)
+            pos = {e: i for i, e in enumerate(ids)}
+            src = np.array([pos[t.head] for t in self.triples], dtype=np.intp)
+            dst = np.array([pos[t.tail] for t in self.triples], dtype=np.intp)
+            weights = np.array([t.weight for t in self.triples], dtype=np.float64)
+            out_totals = np.bincount(src, weights=weights, minlength=len(ids))
+            self._compiled = (ids, pos, src, dst, weights / out_totals[src], out_totals == 0.0)
+        return self._compiled
 
 
 def ingest_extraction(
@@ -206,7 +229,9 @@ def _record_to_triple(record: object) -> Triple | None:
     if not all(isinstance(v, str) and v.strip() for v in (head, relation, tail)):
         return None
     weight = record.get("weight", 1.0)
-    if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not weight > 0:
+    if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+        return None
+    if not 0.0 < weight <= MAX_WEIGHT:
         return None
     source_chunk = record.get("source_chunk")
     if source_chunk is not None and not isinstance(source_chunk, str):

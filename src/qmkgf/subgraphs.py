@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NotFoundError, ValidationError
 from .kg import KnowledgeGraph, Triple
+from .vectors import cosine, smallest_first
 
 SimilarityProvider = Callable[[str, str], float]
 
@@ -186,8 +187,7 @@ def personalized_pagerank(
     cfg = cfg or PageRankConfig()
     if len(g.entities) == 0:
         raise ValidationError("graph must be non-empty")
-    ids = sorted(g.entities)
-    pos = {e: i for i, e in enumerate(ids)}
+    ids, pos, src, dst, norm_w, dangling = g.compiled()
     n = len(ids)
 
     pvec = np.zeros(n)
@@ -200,22 +200,12 @@ def personalized_pagerank(
     if abs(pvec.sum() - 1.0) > 1e-9:
         raise ValidationError("personalization vector must sum to 1")
 
-    src = np.array([pos[t.head] for t in g.triples], dtype=np.intp)
-    dst = np.array([pos[t.tail] for t in g.triples], dtype=np.intp)
-    weights = np.array([t.weight for t in g.triples])
-    out_totals = np.zeros(n)
-    np.add.at(out_totals, src, weights)
-    norm_w = weights / out_totals[src] if len(weights) else weights
-    dangling = out_totals == 0.0
-
     d = cfg.damping
     scores = pvec.copy()
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        incoming = np.zeros(n)
-        if len(src):
-            np.add.at(incoming, dst, scores[src] * norm_w)
+        incoming = np.bincount(dst, weights=scores[src] * norm_w, minlength=n)
         dangling_mass = float(scores[dangling].sum())
         new_scores = (1.0 - d) * pvec + d * (incoming + dangling_mass * pvec)
         delta = float(np.abs(new_scores - scores).sum())
@@ -224,7 +214,7 @@ def personalized_pagerank(
             converged = True
             break
     return PageRankResult(
-        scores={e: float(scores[pos[e]]) for e in ids},
+        scores=dict(zip(ids, scores.tolist())),
         converged=converged,
         iterations=iterations,
     )
@@ -239,12 +229,11 @@ def pagerank_subgraph(
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
     result = personalized_pagerank(g, personalization_vector(center), cfg)
-    ranked = sorted(
-        (e for e in result.scores if e != center),
-        key=lambda e: (-result.scores[e], e),
-    )
-    members = {center, *ranked[:k]}
-    triples = [t for t in g.triples if t.head in members and t.tail in members]
+    ids, pos, *_ = g.compiled()
+    ranks = -np.array([result.scores[e] for e in ids])
+    ranks[pos[center]] = np.inf
+    members = {center, *(ids[i] for i in smallest_first(ranks, min(k, len(ids) - 1)))}
+    triples = [g.triples[i] for m in members for i in g.out_adj[m] if g.triples[i].tail in members]
     sg = Subgraph(
         center=center,
         triples=sorted(set(triples), key=lambda t: t.key),
@@ -280,8 +269,6 @@ def similarity_from_index(index, embed: Callable[[str], np.ndarray]) -> Similari
     Entities missing from the index are embedded from their id text on
     the fly, so freshly added nodes still score.
     """
-    from .vectors import cosine
-
     def sim(a: str, b: str) -> float:
         va = index.entries[a] if a in index else embed(a)
         vb = index.entries[b] if b in index else embed(b)

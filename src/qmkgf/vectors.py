@@ -5,6 +5,10 @@ That is the right trade-off at the corpus sizes this package targets and
 keeps results exactly reproducible; ties are always broken by ascending
 id.
 
+Each index caches its entries frozen into (sorted ids, stacked matrix,
+row norms), built on the first search and reused by every later one;
+``VectorIndex.add`` drops the cache, so the next search rebuilds it.
+
 Persistence format (QVEC, little-endian):
 
     magic   4 bytes  b"QVEC"
@@ -53,6 +57,7 @@ class VectorIndex:
         self.dimension = dimension
         self.kind = kind
         self.entries: dict[str, np.ndarray] = {}
+        self._frozen: tuple[list[str], np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -64,6 +69,15 @@ class VectorIndex:
         if not key:
             raise ValidationError("index id must be non-empty")
         self.entries[key] = as_vector(values, self.dimension)
+        self._frozen = None
+
+    def frozen(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """(sorted ids, one row per id, row norms), cached until the next add."""
+        if self._frozen is None:
+            ids = self.ids()
+            matrix = np.stack([self.entries[i] for i in ids])
+            self._frozen = (ids, matrix, np.linalg.norm(matrix, axis=1))
+        return self._frozen
 
     def get(self, key: str) -> np.ndarray:
         return self.entries[key]
@@ -96,15 +110,22 @@ def top_k(index: VectorIndex, query, k: int) -> list[tuple[str, float]]:
     if qn == 0.0:
         raise UndefinedSimilarityError("cosine undefined for a zero query vector")
 
-    ids = index.ids()
-    matrix = np.stack([index.entries[i] for i in ids])
-    norms = np.linalg.norm(matrix, axis=1)
+    ids, matrix, norms = index.frozen()
     if np.any(norms == 0.0):
         bad = ids[int(np.argmin(norms))]
         raise UndefinedSimilarityError(f"stored vector {bad!r} is zero")
     scores = np.clip(matrix @ q / (norms * qn), -1.0, 1.0)
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    return [(ids[i], float(scores[i])) for i in order[:k]]
+    return [(ids[i], float(scores[i])) for i in smallest_first(-scores, k)]
+
+
+def smallest_first(values: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``min(k, len(values))`` smallest values, ascending,
+    ties by position: the first k of a stable sort, without sorting it all."""
+    candidates = np.arange(len(values))
+    if k < len(values):
+        kth = np.partition(values, k - 1)[k - 1]
+        candidates = np.flatnonzero(values <= kth)
+    return candidates[np.argsort(values[candidates], kind="stable")[:k]]
 
 
 def infonce_loss(query, pos, all_docs: Iterable, m: float) -> float:

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 
 import pytest
@@ -67,6 +69,16 @@ def test_add_triple_rejects_nonpositive_weight():
         g.add_triple(Triple("A", "r", "B", weight=0.0))
 
 
+@pytest.mark.parametrize(
+    "weight", [math.inf, math.nan, 10**400], ids=["inf", "nan", "401-digit-int"]
+)
+def test_add_triple_rejects_non_finite_weight(weight):
+    g = KnowledgeGraph()
+    with pytest.raises(ValidationError):
+        g.add_triple(Triple("A", "r", "B", weight=weight))
+    assert len(g) == 0
+
+
 def test_neighbors_out_direction():
     g = KnowledgeGraph()
     g.add_triple(Triple("A", "r", "B"))
@@ -132,6 +144,34 @@ def test_ingest_rejects_malformed_rows_without_aborting():
     _, report = ingest_extraction(g, rows)
     assert report.added == 1
     assert report.rejected == 4
+
+
+# JSON weights that json.loads accepts but that are not a finite float:
+# inf, nan, a literal that rounds to inf, and an int too large for a float.
+NON_FINITE_JSON_WEIGHTS = ["Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400]
+NON_FINITE_IDS = ["Infinity", "-Infinity", "NaN", "1e400", "401-digit-int"]
+
+
+def _triple_line(weight: str) -> str:
+    return '{"head": "A", "relation": "r", "tail": "B", "weight": %s}' % weight
+
+
+@pytest.mark.parametrize("weight", NON_FINITE_JSON_WEIGHTS, ids=NON_FINITE_IDS)
+def test_ingest_rejects_non_finite_weight(weight):
+    rows = [json.loads(_triple_line(weight)), {"head": "B", "relation": "r", "tail": "C"}]
+    g, report = ingest_extraction(KnowledgeGraph(), rows)
+    assert report.as_dict() == {"added": 1, "merged": 0, "rejected": 1}
+    assert [t.key for t in g.triples] == [("B", "r", "C")]
+
+
+@pytest.mark.parametrize("weight", NON_FINITE_JSON_WEIGHTS, ids=NON_FINITE_IDS)
+def test_load_rejects_non_finite_weight_naming_line(weight):
+    g = KnowledgeGraph()
+    g.add_triple(Triple("B", "r", "C"))
+    data = save(g) + (_triple_line(weight) + "\n").encode("utf-8")
+    with pytest.raises(ParseError) as exc:
+        load(data)
+    assert exc.value.line == 3
 
 
 def test_ingest_merges_identical_rows():

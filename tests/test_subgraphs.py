@@ -323,6 +323,51 @@ def test_pagerank_subgraph_matches_oracle_top_k():
     assert sum(sg.node_scores.values()) == pytest.approx(1.0, abs=1e-6)
 
 
+def _assert_ppr_matches_oracle(g: KnowledgeGraph, center: str) -> None:
+    cfg = PageRankConfig(max_iters=10000, tolerance=1e-13)
+    result = personalized_pagerank(g, personalization_vector(center), cfg)
+    oracle = dense_ppr_oracle(g, {center: 1.0}, 0.85)
+    assert result.scores.keys() == oracle.keys()
+    for e in oracle:
+        assert result.scores[e] == pytest.approx(oracle[e], abs=1e-10)
+    sg = pagerank_subgraph(g, center, 2, cfg)
+    expected = sorted((e for e in oracle if e != center), key=lambda e: (-oracle[e], e))[:2]
+    assert sg.members == {center, *expected}
+    assert sg.node_scores == result.scores
+
+
+def test_pagerank_follows_graph_changes_after_a_run():
+    g = KnowledgeGraph()
+    g.add_triple(Triple("A", "r", "B"))
+    g.add_triple(Triple("A", "r", "C"))
+    g.add_triple(Triple("C", "r", "A"))
+    _assert_ppr_matches_oracle(g, "A")
+    g.add_triple(Triple("B", "r", "D", weight=2.0))
+    _assert_ppr_matches_oracle(g, "A")
+    g.add_entity("isolated")
+    _assert_ppr_matches_oracle(g, "A")
+    _assert_ppr_matches_oracle(g, "isolated")
+    # A merge that raises A -r-> B's weight shifts A's out-edge shares.
+    before = personalized_pagerank(g, personalization_vector("A")).scores
+    g.add_triple(Triple("A", "r", "B", weight=5.0))
+    _assert_ppr_matches_oracle(g, "A")
+    assert personalized_pagerank(g, personalization_vector("A")).scores["B"] > before["B"]
+
+
+def test_pagerank_subgraph_tied_leaves_chosen_by_ascending_id():
+    g = KnowledgeGraph()
+    leaves = ["q", "c", "m", "a", "x"]
+    for leaf in leaves:
+        g.add_triple(Triple("e", "r", leaf))
+        g.add_triple(Triple(leaf, "r", "e"))
+    sg = pagerank_subgraph(g, "e", 2)
+    assert len({sg.node_scores[leaf] for leaf in leaves}) == 1
+    assert sg.members == {"e", "a", "c"}
+    assert sg.sorted_triples() == [
+        Triple("a", "r", "e"), Triple("c", "r", "e"), Triple("e", "r", "a"), Triple("e", "r", "c"),
+    ]
+
+
 def test_dump_subgraph_format():
     g = KnowledgeGraph()
     g.add_triple(Triple("a", "r", "b", weight=2.0))

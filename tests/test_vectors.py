@@ -109,6 +109,52 @@ def test_top_k_full_order_consistent_with_pairwise_cosine():
         assert cosine(index.get(id_a), query) >= cosine(index.get(id_b), query) - 1e-12
 
 
+def _sort_oracle(index: VectorIndex, query, k: int) -> list[tuple[str, float]]:
+    """Exhaustive top-k: score every stored row, sort all by (-score, id)."""
+    ids = sorted(index.entries)
+    matrix = np.stack([index.entries[i] for i in ids])
+    q = np.asarray(query, dtype=np.float64)
+    norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(q)
+    scores = np.clip(matrix @ q / norms, -1.0, 1.0)
+    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+    return [(ids[i], float(scores[i])) for i in order[:k]]
+
+
+def test_top_k_ties_across_k_boundary_match_sort_oracle():
+    rng = np.random.default_rng(14)
+    bases = rng.standard_normal((5, 6))
+    names = [f"d{i:02d}" for i in range(20)]
+    rng.shuffle(names)
+    index = VectorIndex(6)
+    # Four exact copies of each base vector under scattered ids, so every
+    # score is tied four ways and most k cut through a tied group.
+    for n, name in enumerate(names):
+        index.add(name, bases[n % 5])
+    for _ in range(10):
+        query = rng.standard_normal(6)
+        for k in range(1, len(index) + 2):
+            assert top_k(index, query, k) == _sort_oracle(index, query, k)
+
+
+def test_top_k_sees_vectors_added_after_a_search():
+    index = _index_from({"a": [1.0, 0.5], "b": [0.0, 1.0]})
+    query = [1.0, 0.0]
+    assert [h[0] for h in top_k(index, query, 3)] == ["a", "b"]
+    index.add("c", [1.0, 0.0])
+    assert top_k(index, query, 3) == _sort_oracle(index, query, 3)
+    assert [h[0] for h in top_k(index, query, 3)] == ["c", "a", "b"]
+    index.add("b", [2.0, 0.0])
+    assert top_k(index, query, 3) == _sort_oracle(index, query, 3)
+    assert [h[0] for h in top_k(index, query, 3)] == ["b", "c", "a"]
+
+
+def test_top_k_stored_zero_vector_raises_on_every_call():
+    index = _index_from({"a": [1.0, 0.0], "z": [0.0, 0.0]})
+    for _ in range(2):
+        with pytest.raises(UndefinedSimilarityError, match="'z'"):
+            top_k(index, [1.0, 0.0], 1)
+
+
 def test_infonce_single_candidate_is_zero():
     q = np.array([1.0, 0.0])
     pos = np.array([0.5, 0.5])
