@@ -6,6 +6,12 @@ client interface. The stub implementation is fully deterministic given
 its seed, so the whole pipeline runs offline and reproducibly; the HTTP
 adapter speaks the wire protocol below.
 
+``embed_many(texts)`` embeds many texts at once. Each HTTP client call is
+exactly one POST, so ``embed_many`` is one round trip for all its texts, and
+``embed(text)`` is ``embed_many([text])[0]``. An ``/embed`` reply must hold
+one non-empty list of finite numbers per text, all of one length, or the
+call raises ``ModelServiceError``.
+
 Wire protocol (JSON bodies, all POST):
 
     /embed    {"texts": [str]}                   -> {"vectors": [[float]]}
@@ -46,6 +52,8 @@ class ModelServiceClient(Protocol):
     """Operations the retrieval pipeline needs from model services."""
 
     def embed(self, text: str) -> np.ndarray: ...
+
+    def embed_many(self, texts: list[str]) -> list[np.ndarray]: ...
 
     def generate(self, prompt: str) -> str: ...
 
@@ -110,6 +118,9 @@ class StubModelClient:
             return self._token_vector("\x00empty").copy()
         return total / norm
 
+    def embed_many(self, texts: list[str]) -> list[np.ndarray]:
+        return [self.embed(t) for t in texts]
+
     def generate(self, prompt: str) -> str:
         return self.generate_table.get(prompt, prompt)
 
@@ -169,11 +180,22 @@ class HttpModelClient:
         return body
 
     def embed(self, text: str) -> np.ndarray:
-        body = self._post("/embed", {"texts": [text]})
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: list[str]) -> list[np.ndarray]:
+        body = self._post("/embed", {"texts": list(texts)})
         vectors = body.get("vectors")
-        if not isinstance(vectors, list) or len(vectors) != 1:
-            raise ModelServiceError("/embed response missing vectors")
-        return np.asarray(vectors[0], dtype=np.float64)
+        if not isinstance(vectors, list) or len(vectors) != len(texts):
+            raise ModelServiceError("/embed response vectors do not match texts")
+        if not all(isinstance(v, list) and v and set(map(type, v)) <= {int, float} for v in vectors):
+            raise ModelServiceError("/embed response vectors must be non-empty lists of numbers")
+        try:
+            matrix = np.array(vectors, dtype=np.float64)
+        except (ValueError, OverflowError) as exc:  # ragged, or an int beyond the float range
+            raise ModelServiceError(f"/embed response vectors are unusable: {exc}") from exc
+        if not np.isfinite(matrix).all():
+            raise ModelServiceError("/embed response vectors must be finite")
+        return list(matrix)
 
     def generate(self, prompt: str) -> str:
         body = self._post("/generate", {"prompt": prompt, "temperature": self.temperature})

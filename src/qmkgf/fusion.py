@@ -83,6 +83,17 @@ def triple_similarity(t: Triple, q_vec: np.ndarray, embedder: Embedder) -> float
     return cosine(np.asarray(embedder(t.text()), dtype=np.float64), q_vec)
 
 
+def triples_to_score(scored: list[ScoredSubgraph], strategy: str) -> list[Triple]:
+    """The triples, deduplicated by key, whose query similarity ``fuse``
+    computes under ``strategy``: those of the two lower-scored subgraphs for
+    ``rm_fusion``, of all three for ``top5_fusion``, none for ``all_fusion``."""
+    if strategy == ALL_FUSION:
+        return []
+    base = select_max(scored)
+    parts = [s.subgraph for s in scored if strategy == TOP5_FUSION or s is not base]
+    return _dedup(t for sg in parts for t in sg.triples)
+
+
 def fuse(
     scored: list[ScoredSubgraph],
     q_vec: np.ndarray,
@@ -99,30 +110,25 @@ def fuse(
     base = select_max(scored)
     others = [s.subgraph for s in scored if s.subgraph is not base.subgraph]
     base_triples = {t.key: t for t in base.subgraph.triples}
+    threshold = -1.0
+    if cfg.strategy == RM_FUSION:
+        threshold = _resolve_threshold(base.subgraph, q_vec, cfg, embedder)
+    to_score = triples_to_score(scored, cfg.strategy)
+    sims = {t.key: triple_similarity(t, q_vec, embedder) for t in to_score}
 
     if cfg.strategy == ALL_FUSION:
-        threshold = -1.0
         selected = _dedup(t for sg in others for t in sg.triples)
     elif cfg.strategy == TOP5_FUSION:
-        threshold = -1.0
         selected = []
         seen = set()
         for sg in [base.subgraph, *others]:
-            ranked = sorted(
-                _dedup(sg.triples),
-                key=lambda t: (-triple_similarity(t, q_vec, embedder), t.key),
-            )
+            ranked = sorted(_dedup(sg.triples), key=lambda t: (-sims[t.key], t.key))
             for t in ranked[:5]:
                 if t.key not in seen:
                     seen.add(t.key)
                     selected.append(t)
     else:  # RM_FUSION
-        threshold = _resolve_threshold(base.subgraph, q_vec, cfg, embedder)
-        selected = [
-            t
-            for t in _dedup(t for sg in others for t in sg.triples)
-            if triple_similarity(t, q_vec, embedder) >= threshold
-        ]
+        selected = [t for t in to_score if sims[t.key] >= threshold]
 
     merged = dict(base_triples)
     for t in selected:

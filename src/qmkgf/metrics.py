@@ -22,27 +22,17 @@ _CJK_RANGES = (
     (0x4E00, 0x9FFF),    # CJK unified
     (0xF900, 0xFAFF),    # CJK compatibility
 )
-
-
-def _is_cjk(ch: str) -> bool:
-    code = ord(ch)
-    return any(lo <= code <= hi for lo, hi in _CJK_RANGES)
+# One CJK character, captured, so that splitting a run on it keeps it.
+_CJK_RE = re.compile("([" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES) + "])")
 
 
 def tokenize(text: str) -> list[str]:
     tokens: list[str] = []
     for run in _WORD_RE.findall(text.lower()):
-        buf = ""
-        for ch in run:
-            if _is_cjk(ch):
-                if buf:
-                    tokens.append(buf)
-                    buf = ""
-                tokens.append(ch)
-            else:
-                buf += ch
-        if buf:
-            tokens.append(buf)
+        if _CJK_RE.search(run) is None:
+            tokens.append(run)
+        else:
+            tokens.extend(piece for piece in _CJK_RE.split(run) if piece)
     return tokens
 
 
@@ -54,8 +44,10 @@ def _f_measure(precision: float, recall: float) -> float:
 
 def rouge_1(candidate: str, reference: str) -> float:
     """Unigram F1 with counts clipped per reference multiplicity."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
+    return _rouge_1(tokenize(candidate), tokenize(reference))
+
+
+def _rouge_1(cand: list[str], ref: list[str]) -> float:
     if not cand or not ref:
         return 0.0
     overlap = sum((Counter(cand) & Counter(ref)).values())
@@ -79,8 +71,10 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
 
 def rouge_l(candidate: str, reference: str) -> float:
     """F1 over the longest common token subsequence."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
+    return _rouge_l(tokenize(candidate), tokenize(reference))
+
+
+def _rouge_l(cand: list[str], ref: list[str]) -> float:
     if not cand or not ref:
         return 0.0
     lcs = _lcs_length(cand, ref)
@@ -89,8 +83,10 @@ def rouge_l(candidate: str, reference: str) -> float:
 
 def bleu_1(candidate: str, reference: str) -> float:
     """Clipped unigram precision times the brevity penalty."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
+    return _bleu_1(tokenize(candidate), tokenize(reference))
+
+
+def _bleu_1(cand: list[str], ref: list[str]) -> float:
     if not cand:
         return 0.0
     overlap = sum((Counter(cand) & Counter(ref)).values())
@@ -152,8 +148,11 @@ def _align_chunks(cand: list[str], ref: list[str]) -> tuple[int, int]:
 def meteor(candidate: str, reference: str, alpha: float = 0.9, beta: float = 3.0,
            gamma: float = 0.5) -> float:
     """Exact-match unigram variant (no stemming or synonym resources)."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
+    return _meteor(tokenize(candidate), tokenize(reference), alpha, beta, gamma)
+
+
+def _meteor(cand: list[str], ref: list[str], alpha: float = 0.9, beta: float = 3.0,
+            gamma: float = 0.5) -> float:
     if not cand or not ref:
         return 0.0
     matches, chunks = _align_chunks(cand, ref)
@@ -168,8 +167,10 @@ def meteor(candidate: str, reference: str, alpha: float = 0.9, beta: float = 3.0
 
 def token_prf(candidate: str, reference: str) -> tuple[float, float, float]:
     """Token-multiset precision, recall, and F1."""
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
+    return _token_prf(tokenize(candidate), tokenize(reference))
+
+
+def _token_prf(cand: list[str], ref: list[str]) -> tuple[float, float, float]:
     if not cand or not ref:
         return (0.0, 0.0, 0.0)
     overlap = sum((Counter(cand) & Counter(ref)).values())
@@ -230,13 +231,14 @@ class MetricReport:
 def score_example(
     answer: str, reference: str, ranked_ids: list[str], gold_ids: set[str], k: int
 ) -> MetricReport:
-    p, r, f1 = token_prf(answer, reference)
+    cand, ref = tokenize(answer), tokenize(reference)
+    p, r, f1 = _token_prf(cand, ref)
     hit, mrr, recall_k, ndcg = retrieval_metrics(ranked_ids, gold_ids, k)
     return MetricReport(
-        rouge1=rouge_1(answer, reference),
-        rougeL=rouge_l(answer, reference),
-        bleu1=bleu_1(answer, reference),
-        meteor=meteor(answer, reference),
+        rouge1=_rouge_1(cand, ref),
+        rougeL=_rouge_l(cand, ref),
+        bleu1=_bleu_1(cand, ref),
+        meteor=_meteor(cand, ref),
         precision=p,
         recall=r,
         f1=f1,

@@ -12,6 +12,12 @@ the trace is byte-reproducible.
 
 Queries from which no graph entity can be resolved fall back to plain
 retrieve + rerank on the bare query (flagged in the trace).
+
+Embeddings go through a memo that lives for one query only. Each stage
+sends the texts the memo lacks in one ``client.embed_many`` call: the query
+and extracted entities, every candidate subgraph's serialization, the
+triples fusion scores, then the expansion items. So a query makes at most
+four embedding round trips, and a fallback query one.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import GenerationError, ModelServiceError, NotFoundError, ParseError, ValidationError
-from .fusion import FusionConfig, FusionResult, ScoredSubgraph, fuse
+from .fusion import FusionConfig, FusionResult, ScoredSubgraph, fuse, triples_to_score
 from .kg import KnowledgeGraph, Triple
-from .reward import AttentionParams, score as rm_score
+from .reward import AttentionParams, score as rm_score, serialize_subgraph
 from .subgraphs import (
     FUSED,
     PageRankConfig,
@@ -83,6 +89,25 @@ class QmkgfResult:
     answer: str
     ranked: RankedChunks
     trace: dict
+
+
+class _QueryEmbeddings:
+    """One query's text -> vector memo: ``prefetch`` sends the texts it lacks
+    in one ``client.embed_many`` call; a lookup it cannot answer sends one."""
+
+    def __init__(self, client):
+        self.client = client
+        self.vectors: dict[str, np.ndarray] = {}
+
+    def prefetch(self, texts) -> None:
+        missing = list(dict.fromkeys(t for t in texts if t not in self.vectors))
+        if missing:
+            self.vectors.update(zip(missing, self.client.embed_many(missing)))
+
+    def __call__(self, text: str) -> np.ndarray:
+        if text not in self.vectors:
+            self.prefetch([text])
+        return self.vectors[text]
 
 
 def load_corpus(path: str) -> dict[str, Chunk]:
@@ -203,11 +228,11 @@ def rerank_chunks(query: str, doc: list[Chunk], client, k: int) -> RankedChunks:
         if len(scores) != len(ordered):
             raise ModelServiceError("rerank returned wrong number of scores")
     except ModelServiceError:
-        q_vec = np.asarray(client.embed(query), dtype=np.float64)
+        embedded = client.embed_many([query, *(c.text for c in ordered)])
+        q_vec, *vecs = (np.asarray(v, dtype=np.float64) for v in embedded)
         qn = np.linalg.norm(q_vec)
         scores = []
-        for chunk in ordered:
-            vec = np.asarray(client.embed(chunk.text), dtype=np.float64)
+        for vec in vecs:
             denom = qn * np.linalg.norm(vec)
             scores.append(float(q_vec @ vec / denom) if denom > 0 else 0.0)
         used_fallback = True
@@ -264,12 +289,14 @@ def run_qmkgf(
 
     entities = extract_query_entities(query, client)
     trace["entities"] = entities
+    embed = _QueryEmbeddings(client)
+    embed.prefetch([query, *(entities if len(indices.entities) else [])])
 
     mapped: list[dict] = []
     for entity_text in entities:
         if len(indices.entities) == 0:
             break
-        entity_id, sim = map_entity(entity_text, indices.entities, client.embed)
+        entity_id, sim = map_entity(entity_text, indices.entities, embed)
         mapped.append({"extracted": entity_text, "entity": entity_id, "score": sim})
     # Keep one pipeline per distinct mapped entity, in extraction order.
     centers: list[str] = []
@@ -283,8 +310,8 @@ def run_qmkgf(
         trace["fallback"] = True
         trace["per_entity"] = []
     else:
-        q_vec = np.asarray(client.embed(query), dtype=np.float64)
-        sim = similarity_from_index(indices.entities, client.embed)
+        q_vec = np.asarray(embed(query), dtype=np.float64)
+        sim = similarity_from_index(indices.entities, embed)
         pr_cfg = PageRankConfig(
             damping=cfg.damping,
             max_iters=cfg.pagerank_max_iters,
@@ -295,19 +322,21 @@ def run_qmkgf(
             threshold_policy="fixed" if cfg.tau is not None else "derived",
             tau=cfg.tau,
         )
+        candidates = [
+            [one_hop_subgraph(kg, c, cfg.K, sim), multi_hop_subgraph(kg, c, cfg.K, sim),
+             pagerank_subgraph(kg, c, cfg.K, pr_cfg)]
+            for c in centers
+        ]
+        embed.prefetch(serialize_subgraph(sg) for parts in candidates for sg in parts)
+        scored_parts = [
+            [ScoredSubgraph(subgraph=sg, score=rm_score(query, sg, params, embed)) for sg in parts]
+            for parts in candidates
+        ]
+        embed.prefetch(t.text() for s in scored_parts for t in triples_to_score(s, cfg.strategy))
         per_entity = []
         fused_parts: list[Subgraph] = []
-        for center in centers:
-            candidates = [
-                one_hop_subgraph(kg, center, cfg.K, sim),
-                multi_hop_subgraph(kg, center, cfg.K, sim),
-                pagerank_subgraph(kg, center, cfg.K, pr_cfg),
-            ]
-            scored = [
-                ScoredSubgraph(subgraph=sg, score=rm_score(query, sg, params, client.embed))
-                for sg in candidates
-            ]
-            result: FusionResult = fuse(scored, q_vec, fusion_cfg, client.embed)
+        for center, scored in zip(centers, scored_parts):
+            result: FusionResult = fuse(scored, q_vec, fusion_cfg, embed)
             fused_parts.append(result.fused)
             per_entity.append(
                 {
@@ -329,8 +358,9 @@ def run_qmkgf(
 
     eq = expand_query(query, fused)
     trace["expanded_items"] = eq.items
+    embed.prefetch(eq.items)
 
-    doc = retrieve(eq, indices.documents, indices.chunks, client.embed, cfg.per_item_k)
+    doc = retrieve(eq, indices.documents, indices.chunks, embed, cfg.per_item_k)
     trace["doc_ids"] = [chunk.id for chunk in doc]
 
     ranked = rerank_chunks(query, doc, client, cfg.k)

@@ -208,14 +208,6 @@ class RMExample:
     target: float
 
 
-def embed_example(ex: RMTrainingExample, embedder: Embedder) -> RMExample:
-    return RMExample(
-        query_vec=np.asarray(embedder(ex.query), dtype=np.float64),
-        kgs=np.asarray(embedder(ex.subgraph_text), dtype=np.float64),
-        target=ex.target,
-    )
-
-
 def _forward_with_cache(params: AttentionParams, ex: RMExample) -> dict:
     q, k, v = project_qkv(ex.query_vec, ex.kgs, params)
     if k.ndim == 1:

@@ -76,7 +76,11 @@ class VectorIndex:
         if self._frozen is None:
             ids = self.ids()
             matrix = np.stack([self.entries[i] for i in ids])
-            self._frozen = (ids, matrix, np.linalg.norm(matrix, axis=1))
+            norms = np.linalg.norm(matrix, axis=1)
+            if not np.isfinite(norms).all():
+                bad = ids[int(np.argmin(np.isfinite(norms)))]
+                raise ValidationError(f"stored vector {bad!r} is too large: its norm overflows")
+            self._frozen = (ids, matrix, norms)
         return self._frozen
 
     def get(self, key: str) -> np.ndarray:
@@ -94,6 +98,8 @@ def cosine(a, b) -> float:
         raise ValidationError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
     na = np.linalg.norm(va)
     nb = np.linalg.norm(vb)
+    if not (np.isfinite(na) and np.isfinite(nb)):
+        raise ValidationError("vector too large: its norm overflows")
     if na == 0.0 or nb == 0.0:
         raise UndefinedSimilarityError("cosine undefined for a zero vector")
     return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
@@ -107,6 +113,8 @@ def top_k(index: VectorIndex, query, k: int) -> list[tuple[str, float]]:
         return []
     q = as_vector(query, index.dimension)
     qn = np.linalg.norm(q)
+    if not np.isfinite(qn):
+        raise ValidationError("query vector too large: its norm overflows")
     if qn == 0.0:
         raise UndefinedSimilarityError("cosine undefined for a zero query vector")
 

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -12,7 +14,9 @@ from qmkgf.clients import (
     StubModelClient,
 )
 from qmkgf.errors import ModelServiceError
+from qmkgf.pipeline import run_qmkgf
 from qmkgf.vectors import cosine
+from test_pipeline import _toy_world
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +99,27 @@ def test_extraction_prompts_have_text_slot():
 # HTTP client against a live in-process server
 # ---------------------------------------------------------------------------
 
+def _send_json(handler: BaseHTTPRequestHandler, body) -> None:
+    data = json.dumps(body).encode()
+    handler.send_response(200)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(data)))
+    handler.end_headers()
+    handler.wfile.write(data)
+
+
 class _Handler(BaseHTTPRequestHandler):
     calls: list = []
     fail_rerank = False
+    embed_reply = None  # when set, the /embed reply body, whatever was sent
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
         _Handler.calls.append((self.path, payload))
-        if self.path == "/embed":
+        if self.path == "/embed" and _Handler.embed_reply is not None:
+            body = _Handler.embed_reply
+        elif self.path == "/embed":
             body = {"vectors": [[float(len(t)), 1.0] for t in payload["texts"]]}
         elif self.path == "/generate":
             body = {"text": f"echo:{payload['prompt']}@t={payload['temperature']}"}
@@ -122,29 +138,36 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(404)
             self.end_headers()
             return
-        data = json.dumps(body).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        _send_json(self, body)
 
     def log_message(self, *args):
         pass
 
 
-@pytest.fixture()
-def http_client():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+@contextmanager
+def _serving(handler):
+    """Base URL of an in-process server running ``handler``."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    # A short poll interval lets shutdown() return without a half-second wait.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
-    _Handler.calls = []
-    _Handler.fail_rerank = False
     try:
-        yield HttpModelClient(f"http://127.0.0.1:{server.server_port}", temperature=0.0)
+        yield f"http://127.0.0.1:{server.server_port}"
     finally:
         server.shutdown()
+        server.server_close()
         thread.join()
+
+
+@pytest.fixture()
+def http_client():
+    _Handler.calls = []
+    _Handler.fail_rerank = False
+    _Handler.embed_reply = None
+    with _serving(_Handler) as url:
+        yield HttpModelClient(url, temperature=0.0)
 
 
 def test_http_embed_wire_format(http_client):
@@ -153,6 +176,43 @@ def test_http_embed_wire_format(http_client):
     path, payload = _Handler.calls[-1]
     assert path == "/embed"
     assert payload == {"texts": ["hello"]}
+
+
+def test_http_embed_many_is_one_request(http_client):
+    vecs = http_client.embed_many(["a", "bb", "ccc"])
+    np.testing.assert_array_equal(np.stack(vecs), [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
+    assert _Handler.calls == [("/embed", {"texts": ["a", "bb", "ccc"]})]
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        {},                                           # no vectors
+        {"vectors": "1.0, 2.0"},                      # not a list
+        {"vectors": [[1.0, 2.0]]},                    # one vector for two texts
+        {"vectors": [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]},
+        {"vectors": [[1.0, float("nan")], [1.0, 2.0]]},
+        {"vectors": [[1.0, 2.0], [float("inf"), 2.0]]},
+        {"vectors": [[1.0, 2.0], [-float("inf"), 2.0]]},
+        {"vectors": [["1.0", 2.0], [1.0, 2.0]]},      # a string entry
+        {"vectors": [[1.0, 2.0], [True, 2.0]]},       # a boolean entry
+        {"vectors": [[1.0, None], [1.0, 2.0]]},
+        {"vectors": [[1.0, 2.0], [10**400, 2.0]]},   # overflows a float
+        {"vectors": [[], []]},                        # empty vectors
+        {"vectors": [1.0, 2.0]},                      # vectors not lists
+        {"vectors": [{"x": 1.0}, [1.0, 2.0]]},
+        {"vectors": [[1.0, 2.0], [1.0, 2.0, 3.0]]},   # different lengths
+    ],
+)
+def test_http_bad_embed_reply_is_a_service_error(http_client, reply):
+    _Handler.embed_reply = reply
+    with pytest.raises(ModelServiceError):
+        http_client.embed_many(["a", "b"])
+
+
+def test_http_embed_accepts_integer_entries(http_client):
+    _Handler.embed_reply = {"vectors": [[1, 2.5]]}
+    np.testing.assert_array_equal(http_client.embed("a"), [1.0, 2.5])
 
 
 def test_http_generate_sends_temperature(http_client):
@@ -189,3 +249,64 @@ def test_http_unreachable_server_raises():
     client = HttpModelClient("http://127.0.0.1:9", timeout=0.2)
     with pytest.raises(ModelServiceError):
         client.embed("x")
+
+
+# ---------------------------------------------------------------------------
+# service round trips of a whole query over HTTP
+# ---------------------------------------------------------------------------
+
+class _StubHandler(BaseHTTPRequestHandler):
+    """Replies as ``stub`` does and records every request."""
+
+    stub: StubModelClient
+    requests: list = []
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        _StubHandler.requests.append((self.path, payload))
+        stub = _StubHandler.stub
+        if self.path == "/embed":
+            body = {"vectors": [stub.embed(t).tolist() for t in payload["texts"]]}
+        elif self.path == "/generate":
+            body = {"text": stub.generate(payload["prompt"])}
+        elif self.path == "/rerank":
+            body = {"scores": stub.rerank(payload["query"], payload["texts"])}
+        elif payload["mode"] == "entities":
+            body = {"entities": stub.extract_entities(payload["text"])}
+        else:
+            body = {"records": stub.extract_triples(payload["text"])}
+        _send_json(self, body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("strategy", ["rm_fusion", "top5_fusion", "all_fusion"])
+def test_http_query_round_trips(strategy):
+    g, indices, params, cfg, stub = _toy_world()
+    stub.entity_table["hilltown and quarry news"] = ["hilltown", "quarry"]
+    cfg = dataclasses.replace(cfg, strategy=strategy)
+    queries = [
+        ("what fish live near hilltown", False),
+        ("hilltown and quarry news", False),
+        ("tell me about nothing", True),
+    ]
+    _StubHandler.stub = stub
+    with _serving(_StubHandler) as url:
+        http = HttpModelClient(url)
+        http.session.trust_env = False
+        for query, fallback in queries:
+            _StubHandler.requests = []
+            got = run_qmkgf(query, g, indices, params, cfg, http)
+            sent = _StubHandler.requests
+            want = run_qmkgf(query, g, indices, params, cfg, stub)
+            assert got.trace["fallback"] is fallback
+            # extract, embed batches, rerank, generate
+            if fallback:
+                assert len(sent) == 4
+            else:
+                assert len(sent) <= 7
+            embedded = [t for path, body in sent if path == "/embed" for t in body["texts"]]
+            assert len(embedded) == len(set(embedded))
+            assert (got.ranked.ids(), got.answer) == (want.ranked.ids(), want.answer)
+            assert json.dumps(got.trace, sort_keys=True) == json.dumps(want.trace, sort_keys=True)

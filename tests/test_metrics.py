@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -25,6 +26,46 @@ def test_tokenize_lowercases_and_splits_on_non_alnum():
 
 def test_tokenize_splits_cjk_per_character():
     assert tokenize("北京欢迎你 hello") == ["北", "京", "欢", "迎", "你", "hello"]
+
+
+_ORACLE_CJK_RANGES = ((0x3040, 0x30FF), (0x3400, 0x4DBF), (0x4E00, 0x9FFF), (0xF900, 0xFAFF))
+
+
+def _per_character_tokenize(text: str) -> list[str]:
+    """Reference tokenizer: classifies every character of every word run."""
+    tokens: list[str] = []
+    for run in re.findall(r"[^\W_]+", text.lower()):
+        buf = ""
+        for ch in run:
+            if any(lo <= ord(ch) <= hi for lo, hi in _ORACLE_CJK_RANGES):
+                if buf:
+                    tokens.append(buf)
+                    buf = ""
+                tokens.append(ch)
+            else:
+                buf += ch
+        if buf:
+            tokens.append(buf)
+    return tokens
+
+
+def test_tokenize_matches_per_character_oracle_over_the_bmp():
+    chars = [chr(c) for c in range(0x20, 0x10000) if not 0xD800 <= c <= 0xDFFF]
+    text = "".join(chars)
+    assert tokenize(text) == _per_character_tokenize(text)
+    for ch in chars:
+        framed = f"ab{ch}cd {ch}"
+        assert tokenize(framed) == _per_character_tokenize(framed), hex(ord(ch))
+    rng = random.Random(5)
+    pool = chars + list("abc 北京ア") * 200
+    for _ in range(500):
+        text = "".join(rng.choices(pool, k=rng.randint(0, 30)))
+        assert tokenize(text) == _per_character_tokenize(text)
+
+
+def test_tokenize_cjk_range_non_word_characters_are_not_tokens():
+    # U+30A0 and U+30FB lie in the katakana range but are not word characters.
+    assert tokenize("\u30a0ア\u30fbイ\u30fb") == ["ア", "イ"]
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +303,21 @@ def test_all_metrics_in_unit_interval():
     )
     for name, value in report.as_dict().items():
         assert 0.0 <= value <= 1.0, name
+
+
+def test_score_example_equals_the_public_metrics():
+    rng = random.Random(11)
+    vocab = ["the", "Cat", "sat", "mat", "北", "京", "x1", "on"]
+    for _ in range(100):
+        answer = " ".join(rng.choices(vocab, k=rng.randint(0, 9)))
+        reference = " ".join(rng.choices(vocab, k=rng.randint(0, 9)))
+        report = score_example(answer, reference, ["c1"], {"c1"}, 5)
+        p, r, f1 = token_prf(answer, reference)
+        assert (report.precision, report.recall, report.f1) == (p, r, f1)
+        assert report.rouge1 == rouge_1(answer, reference)
+        assert report.rougeL == rouge_l(answer, reference)
+        assert report.bleu1 == bleu_1(answer, reference)
+        assert report.meteor == meteor(answer, reference)
 
 
 def test_aggregate_reports_means():

@@ -242,10 +242,27 @@ def test_rerank_falls_back_to_cosine_on_client_failure():
         def rerank(self, query, texts):
             raise ModelServiceError("rerank down")
 
-    chunks = list(_chunks("alpha words", "beta words").values())
-    ranked = rerank_chunks("alpha", chunks, FailingRerank(dim=DIM), 2)
+        def embed_many(self, texts):
+            self.embed_batches.append(list(texts))
+            return super().embed_many(texts)
+
+    chunks = list(_chunks("alpha words", "beta words", "gamma alpha").values())
+    client = FailingRerank(dim=DIM)
+    client.embed_batches = []
+    ranked = rerank_chunks("alpha", chunks, client, 2)
     assert ranked.used_fallback
     assert ranked.ids()[0] == "c0"  # shares the token with the query
+    # One round trip for the query and every candidate.
+    assert client.embed_batches == [["alpha", "alpha words", "beta words", "gamma alpha"]]
+    # The same cosines, bit for bit, as embedding each text on its own.
+    q_vec = client.embed("alpha")
+    cosines = {
+        c.id: float(q_vec @ v / (np.linalg.norm(q_vec) * np.linalg.norm(v)))
+        for c in chunks
+        for v in [client.embed(c.text)]
+    }
+    oracle = sorted(cosines.items(), key=lambda pair: (-pair[1], pair[0]))[:2]
+    assert [(c.id, s) for c, s in ranked.items] == oracle
 
 
 # ---------------------------------------------------------------------------

@@ -328,3 +328,34 @@ def test_index_validates_dimension_and_finiteness():
         index.add("a", [1.0, 2.0])
     with pytest.raises(ValidationError):
         index.add("a", [1.0, float("nan"), 3.0])
+
+
+# Entries above about 1e154 are finite, but their squared norm overflows.
+_HUGE = [1e200, 1e200]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cosine_rejects_a_norm_that_overflows():
+    with pytest.raises(ValidationError):
+        cosine(_HUGE, [1.0, 1.0])
+    with pytest.raises(ValidationError):
+        cosine([1.0, 1.0], _HUGE)
+    # Just below the overflow, the cosine is still defined and exact.
+    assert cosine([1e150, 1e150], [1e150, 1e150]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_top_k_rejects_a_query_norm_that_overflows():
+    index = _index_from({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    with pytest.raises(ValidationError):
+        top_k(index, _HUGE, 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_top_k_rejects_a_stored_norm_that_overflows_on_every_call():
+    index = _index_from({"a": [1.0, 0.0], "huge": _HUGE})
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="huge"):
+            top_k(index, [1.0, 1.0], 2)
+    index.add("huge", [1.0, 1.0])
+    assert top_k(index, [1.0, 1.0], 1)[0][0] == "huge"
