@@ -20,7 +20,7 @@ from . import reward, subgraphs, vectors
 from .clients import HttpModelClient, StubModelClient
 from .config import PipelineConfig, load_config
 from .errors import NotFoundError, ParseError, QmkgfError, ValidationError
-from .fusion import FusionConfig, ScoredSubgraph, fuse
+from .fusion import STRATEGIES, ScoredSubgraph, fuse
 
 logger = logging.getLogger(__name__)
 
@@ -194,33 +194,15 @@ def cmd_inspect_subgraph(args: argparse.Namespace) -> int:
     if args.entity not in graph:
         raise NotFoundError(f"unknown entity: {args.entity!r}")
     sim = subgraphs.similarity_from_index(indices.entities, client.embed)
-    pr_cfg = subgraphs.PageRankConfig(
-        damping=cfg.damping,
-        max_iters=cfg.pagerank_max_iters,
-        tolerance=cfg.pagerank_tolerance,
-    )
-    if args.kind == "onehop":
-        sg = subgraphs.one_hop_subgraph(graph, args.entity, cfg.K, sim)
-    elif args.kind == "multihop":
-        sg = subgraphs.multi_hop_subgraph(graph, args.entity, cfg.K, sim)
-    elif args.kind == "pagerank":
-        sg = subgraphs.pagerank_subgraph(graph, args.entity, cfg.K, pr_cfg)
-    else:  # fused view anchored on the entity itself as the query
-        candidates = [
-            subgraphs.one_hop_subgraph(graph, args.entity, cfg.K, sim),
-            subgraphs.multi_hop_subgraph(graph, args.entity, cfg.K, sim),
-            subgraphs.pagerank_subgraph(graph, args.entity, cfg.K, pr_cfg),
-        ]
+    candidates = pipe.candidate_subgraphs(graph, args.entity, cfg, sim)
+    if args.kind == "fused":  # fused view anchored on the entity itself as the query
         scored = [
             ScoredSubgraph(sg, reward.score(args.entity, sg, params, client.embed))
             for sg in candidates
         ]
-        fusion_cfg = FusionConfig(
-            strategy=cfg.strategy,
-            threshold_policy="fixed" if cfg.tau is not None else "derived",
-            tau=cfg.tau,
-        )
-        sg = fuse(scored, client.embed(args.entity), fusion_cfg, client.embed).fused
+        sg = fuse(scored, client.embed(args.entity), pipe.fusion_config(cfg), client.embed).fused
+    else:
+        sg = next(c for c in candidates if c.path_kind == args.kind)
     sys.stdout.write(subgraphs.dump_subgraph(sg))
     return 0
 
@@ -234,9 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--K", type=int, default=None, help="subgraph size")
     common.add_argument("--heads", type=int, default=None)
     common.add_argument("--dim", type=int, default=None)
-    common.add_argument(
-        "--strategy", choices=["rm_fusion", "all_fusion", "top5_fusion"], default=None
-    )
+    common.add_argument("--strategy", choices=STRATEGIES, default=None)
     common.add_argument("--tau", type=float, default=None)
     common.add_argument("--per-item-k", dest="per_item_k", type=int, default=None)
     common.add_argument("--service-url", dest="service_url", default=None)

@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .fusion import STRATEGIES
 
 ENV_CONFIG = "QMKGF_CONFIG"
 
@@ -49,7 +50,7 @@ class PipelineConfig:
             raise ValidationError("temperature must be >= 0")
         if not self.m > 0:
             raise ValidationError("m must be > 0")
-        if self.strategy not in ("rm_fusion", "all_fusion", "top5_fusion"):
+        if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
         if self.tau is not None and not -1.0 <= self.tau <= 1.0:
             raise ValidationError("tau must be in [-1, 1]")

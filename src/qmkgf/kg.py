@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -318,12 +319,17 @@ def _parse_json_line(raw: str, lineno: int) -> dict:
     return value
 
 
-def load_extraction_file(path: str) -> list[dict]:
-    """Read a line-delimited extraction-record file (no header)."""
-    records = []
+def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, object) for each non-blank line of a JSONL file.
+
+    Raises ParseError naming the line on invalid JSON or a non-object row.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            records.append(_parse_json_line(raw, lineno))
-    return records
+            if raw.strip():
+                yield lineno, _parse_json_line(raw, lineno)
+
+
+def load_extraction_file(path: str) -> list[dict]:
+    """Read a line-delimited extraction-record file (no header)."""
+    return [row for _, row in read_jsonl(path)]

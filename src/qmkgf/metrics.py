@@ -8,11 +8,13 @@ values in [0, 1].
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass, fields
+
+from .errors import ParseError
+from .kg import read_jsonl
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -272,23 +274,13 @@ def format_report_table(rows: list[tuple[str, MetricReport]]) -> str:
 
 def load_eval_file(path: str) -> list[dict]:
     """Read line-delimited {"query", "reference", "gold_chunks"} rows."""
-    from .errors import ParseError
-
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if (
-                not isinstance(row, dict)
-                or not isinstance(row.get("query"), str)
-                or not isinstance(row.get("reference"), str)
-                or not isinstance(row.get("gold_chunks"), list)
-            ):
-                raise ParseError("expected {query, reference, gold_chunks} record", line=lineno)
-            rows.append(row)
+    for lineno, row in read_jsonl(path):
+        if (
+            not isinstance(row.get("query"), str)
+            or not isinstance(row.get("reference"), str)
+            or not isinstance(row.get("gold_chunks"), list)
+        ):
+            raise ParseError("expected {query, reference, gold_chunks} record", line=lineno)
+        rows.append(row)
     return rows

@@ -22,7 +22,6 @@ four embedding round trips, and a fallback query one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from .config import PipelineConfig
 from .errors import GenerationError, ModelServiceError, NotFoundError, ParseError, ValidationError
 from .fusion import FusionConfig, FusionResult, ScoredSubgraph, fuse, triples_to_score
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple, read_jsonl
 from .reward import AttentionParams, score as rm_score, serialize_subgraph
 from .subgraphs import (
     FUSED,
@@ -113,24 +112,16 @@ class _QueryEmbeddings:
 def load_corpus(path: str) -> dict[str, Chunk]:
     """Read a line-delimited {"id", "text"} corpus file."""
     chunks: dict[str, Chunk] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if (
-                not isinstance(row, dict)
-                or not isinstance(row.get("id"), str)
-                or not isinstance(row.get("text"), str)
-                or not row["text"]
-            ):
-                raise ParseError("expected {id, text} with non-empty text", line=lineno)
-            if row["id"] in chunks:
-                raise ParseError(f"duplicate chunk id {row['id']!r}", line=lineno)
-            chunks[row["id"]] = Chunk(id=row["id"], text=row["text"])
+    for lineno, row in read_jsonl(path):
+        if (
+            not isinstance(row.get("id"), str)
+            or not isinstance(row.get("text"), str)
+            or not row["text"]
+        ):
+            raise ParseError("expected {id, text} with non-empty text", line=lineno)
+        if row["id"] in chunks:
+            raise ParseError(f"duplicate chunk id {row['id']!r}", line=lineno)
+        chunks[row["id"]] = Chunk(id=row["id"], text=row["text"])
     return chunks
 
 
@@ -276,6 +267,29 @@ def _union_fused(parts: list[Subgraph], center: str) -> Subgraph:
     return Subgraph(center=center, triples=triples, members=members, path_kind=FUSED)
 
 
+def candidate_subgraphs(kg: KnowledgeGraph, center: str, cfg: PipelineConfig, sim) -> list[Subgraph]:
+    """The one-hop, multi-hop and PageRank candidates around ``center``."""
+    pr_cfg = PageRankConfig(
+        damping=cfg.damping,
+        max_iters=cfg.pagerank_max_iters,
+        tolerance=cfg.pagerank_tolerance,
+    )
+    return [
+        one_hop_subgraph(kg, center, cfg.K, sim),
+        multi_hop_subgraph(kg, center, cfg.K, sim),
+        pagerank_subgraph(kg, center, cfg.K, pr_cfg),
+    ]
+
+
+def fusion_config(cfg: PipelineConfig) -> FusionConfig:
+    """A fixed threshold when ``cfg.tau`` is set, else one derived per subgraph set."""
+    return FusionConfig(
+        strategy=cfg.strategy,
+        threshold_policy="fixed" if cfg.tau is not None else "derived",
+        tau=cfg.tau,
+    )
+
+
 def run_qmkgf(
     query: str,
     kg: KnowledgeGraph,
@@ -312,21 +326,8 @@ def run_qmkgf(
     else:
         q_vec = np.asarray(embed(query), dtype=np.float64)
         sim = similarity_from_index(indices.entities, embed)
-        pr_cfg = PageRankConfig(
-            damping=cfg.damping,
-            max_iters=cfg.pagerank_max_iters,
-            tolerance=cfg.pagerank_tolerance,
-        )
-        fusion_cfg = FusionConfig(
-            strategy=cfg.strategy,
-            threshold_policy="fixed" if cfg.tau is not None else "derived",
-            tau=cfg.tau,
-        )
-        candidates = [
-            [one_hop_subgraph(kg, c, cfg.K, sim), multi_hop_subgraph(kg, c, cfg.K, sim),
-             pagerank_subgraph(kg, c, cfg.K, pr_cfg)]
-            for c in centers
-        ]
+        fusion_cfg = fusion_config(cfg)
+        candidates = [candidate_subgraphs(kg, c, cfg, sim) for c in centers]
         embed.prefetch(serialize_subgraph(sg) for parts in candidates for sg in parts)
         scored_parts = [
             [ScoredSubgraph(subgraph=sg, score=rm_score(query, sg, params, embed)) for sg in parts]

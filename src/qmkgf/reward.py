@@ -2,11 +2,11 @@
 
 The query and serialized-subgraph embeddings are projected to Q/K/V,
 run through multi-head scaled dot-product attention, and squashed to a
-scalar in (0, 1) by a linear head plus sigmoid. With a single K/V
-position the softmax collapses to 1 and the query projections carry no
-gradient; that degenerate single-position form is the default. A
-multi-position mode (one K/V row per triple) is available behind the
-``multi_position`` flag on the forward/training entry points.
+scalar in (0, 1) by a linear head plus sigmoid. Scoring and training
+embed the serialized subgraph as a single K/V position, where the
+softmax collapses to 1 and the query projections carry no gradient, so
+the query does not change the score. The forward and backward passes
+also take (n, d) K/V rows, which the gradient checks exercise.
 
 Per-head logits are scaled by sqrt(d/h), the head dimension.
 
@@ -17,7 +17,6 @@ W_O, the d linear-head weights, and the scalar bias.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -25,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .kg import read_jsonl
 from .subgraphs import Subgraph
 
 QRMW_MAGIC = b"QRMW"
@@ -120,10 +120,40 @@ def project_qkv(
     return q_vec @ params.w_q, kgs @ params.w_k, kgs @ params.w_v
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x)
-    e = np.exp(shifted)
-    return e / e.sum()
+def _forward(params: AttentionParams, q_vec: np.ndarray, kgs: np.ndarray) -> dict:
+    """Multi-head attention over all heads at once, then the linear head.
+
+    ``kgs`` with shape (d,) is one K/V position; shape (n, d) attends over
+    n positions. Q is viewed as (h, dh) and K, V as (n, h, dh), so the
+    logits, the softmax along the position axis and the head outputs are
+    whole-array operations. Returns the cache the backward pass reads.
+    Raises ValidationError when the reward logit is not finite.
+    """
+    params.validate()
+    h = params.heads
+    dh = params.dim // h
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, k, v = project_qkv(q_vec, kgs, params)
+        q = q.reshape(h, dh)
+        k = k.reshape(-1, h, dh)
+        v = v.reshape(-1, h, dh)
+        logits = (k * q).sum(axis=2) / np.sqrt(dh)
+        e = np.exp(logits - logits.max(axis=0))
+        weights = e / e.sum(axis=0)
+        heads_out = (weights[:, :, None] * v).sum(axis=0).reshape(-1)
+        attn = heads_out @ params.w_o
+        z = float(params.head_w @ attn + params.head_b)
+    if not np.isfinite(z):
+        raise ValidationError("input vector too large: the reward logit is not finite")
+    return {
+        "q": q,
+        "k": k,
+        "v": v,
+        "weights": weights,
+        "heads_out": heads_out,
+        "attn": attn,
+        "p": _sigmoid(z),
+    }
 
 
 def attention_forward(
@@ -134,22 +164,7 @@ def attention_forward(
     ``kgs`` with shape (d,) is treated as one K/V position; shape (n, d)
     attends over n positions.
     """
-    params.validate()
-    q, k, v = project_qkv(q_vec, kgs, params)
-    if k.ndim == 1:
-        k = k[None, :]
-        v = v[None, :]
-    d = params.dim
-    h = params.heads
-    dh = d // h
-    out = np.empty(d)
-    scale = np.sqrt(dh)
-    for i in range(h):
-        sl = slice(i * dh, (i + 1) * dh)
-        logits = k[:, sl] @ q[sl] / scale
-        weights = _softmax(logits)
-        out[sl] = weights @ v[:, sl]
-    return out @ params.w_o
+    return _forward(params, q_vec, kgs)["attn"]
 
 
 def score(
@@ -157,14 +172,9 @@ def score(
     sg: Subgraph,
     params: AttentionParams,
     embedder: Embedder,
-    multi_position: bool = False,
 ) -> float:
     """Reward in (0, 1): sigmoid(linear(attention(q, kgs)))."""
-    q_vec = np.asarray(embedder(query), dtype=np.float64)
-    kgs = _embed_subgraph(sg, embedder, multi_position)
-    attn = attention_forward(q_vec, kgs, params)
-    z = float(params.head_w @ attn + params.head_b)
-    return _sigmoid(z)
+    return _forward(params, embedder(query), embedder(serialize_subgraph(sg)))["p"]
 
 
 def _sigmoid(z: float) -> float:
@@ -172,14 +182,6 @@ def _sigmoid(z: float) -> float:
         return float(1.0 / (1.0 + np.exp(-z)))
     e = np.exp(z)
     return float(e / (1.0 + e))
-
-
-def _embed_subgraph(sg: Subgraph, embedder: Embedder, multi_position: bool) -> np.ndarray:
-    if multi_position and sg.triples:
-        return np.stack(
-            [np.asarray(embedder(t.text()), dtype=np.float64) for t in sg.sorted_triples()]
-        )
-    return np.asarray(embedder(serialize_subgraph(sg)), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -208,81 +210,35 @@ class RMExample:
     target: float
 
 
-def _forward_with_cache(params: AttentionParams, ex: RMExample) -> dict:
-    q, k, v = project_qkv(ex.query_vec, ex.kgs, params)
-    if k.ndim == 1:
-        k = k[None, :]
-        v = v[None, :]
-    d = params.dim
-    h = params.heads
-    dh = d // h
-    heads_out = np.empty(d)
-    weights_per_head = []
-    scale = np.sqrt(dh)
-    for i in range(h):
-        sl = slice(i * dh, (i + 1) * dh)
-        logits = k[:, sl] @ q[sl] / scale
-        w = _softmax(logits)
-        weights_per_head.append(w)
-        heads_out[sl] = w @ v[:, sl]
-    attn = heads_out @ params.w_o
-    z = float(params.head_w @ attn + params.head_b)
-    p = _sigmoid(z)
-    return {
-        "q": q,
-        "k": k,
-        "v": v,
-        "weights": weights_per_head,
-        "heads_out": heads_out,
-        "attn": attn,
-        "z": z,
-        "p": p,
-    }
-
-
 def rm_example_grads(
     params: AttentionParams, ex: RMExample
 ) -> tuple[float, dict[str, np.ndarray | float]]:
     """Squared error of one example and its gradients per parameter group."""
-    cache = _forward_with_cache(params, ex)
+    cache = _forward(params, ex.query_vec, ex.kgs)
     p = cache["p"]
     loss = (p - ex.target) ** 2
 
     dz = 2.0 * (p - ex.target) * p * (1.0 - p)
-    d_head_w = dz * cache["attn"]
-    d_head_b = dz
     d_attn = dz * params.head_w
-    d_w_o = np.outer(cache["heads_out"], d_attn)
-    d_heads_out = params.w_o @ d_attn
-
-    d = params.dim
-    h = params.heads
-    dh = d // h
+    q, k, v, w = cache["q"], cache["k"], cache["v"], cache["weights"]
+    n, h, dh = k.shape
     scale = np.sqrt(dh)
-    k, v, q = cache["k"], cache["v"], cache["q"]
-    n = k.shape[0]
-    dq = np.zeros(d)
-    dk = np.zeros((n, d))
-    dv = np.zeros((n, d))
-    for i in range(h):
-        sl = slice(i * dh, (i + 1) * dh)
-        w = cache["weights"][i]
-        d_head = d_heads_out[sl]
-        dv[:, sl] = np.outer(w, d_head)
-        dw = v[:, sl] @ d_head
-        # softmax backward: dl = w * (dw - w.dw)
-        dl = w * (dw - float(w @ dw))
-        dq[sl] = (k[:, sl].T @ dl) / scale
-        dk[:, sl] = np.outer(dl, q[sl]) / scale
+    d_heads = (params.w_o @ d_attn).reshape(h, dh)
+    dw = (v * d_heads).sum(axis=2)
+    # softmax backward along the position axis: dl = w * (dw - w.dw)
+    dl = w * (dw - (w * dw).sum(axis=0))
+    dq = (k * dl[:, :, None]).sum(axis=0).reshape(-1) / scale
+    dk = (dl[:, :, None] * q).reshape(n, -1) / scale
+    dv = (w[:, :, None] * d_heads).reshape(n, -1)
 
-    kgs = ex.kgs if ex.kgs.ndim == 2 else ex.kgs[None, :]
+    kgs = np.atleast_2d(ex.kgs)
     grads: dict[str, np.ndarray | float] = {
         "w_q": np.outer(ex.query_vec, dq),
         "w_k": kgs.T @ dk,
         "w_v": kgs.T @ dv,
-        "w_o": d_w_o,
-        "head_w": d_head_w,
-        "head_b": float(d_head_b),
+        "w_o": np.outer(cache["heads_out"], d_attn),
+        "head_w": dz * cache["attn"],
+        "head_b": float(dz),
     }
     return loss, grads
 
@@ -323,7 +279,6 @@ def train_rm(
     embedder: Embedder,
     seed: int = 0,
     heads: int = DEFAULT_HEADS,
-    multi_position: bool = False,
     callback: Callable[[int, float], None] | None = None,
 ) -> AttentionParams:
     """Full-batch gradient descent on the mean squared error.
@@ -334,7 +289,14 @@ def train_rm(
     """
     if not examples:
         raise ValidationError("training set must be non-empty")
-    embedded = [_embed_training_example(ex, embedder, multi_position) for ex in examples]
+    embedded = [
+        RMExample(
+            query_vec=np.asarray(embedder(ex.query), dtype=np.float64),
+            kgs=np.asarray(embedder(ex.subgraph_text), dtype=np.float64),
+            target=ex.target,
+        )
+        for ex in examples
+    ]
     dim = embedded[0].query_vec.shape[0]
     params = init_params(dim, heads=heads, seed=seed)
     if epochs == 0:
@@ -363,21 +325,6 @@ def train_rm(
     return best
 
 
-def _embed_training_example(
-    ex: RMTrainingExample, embedder: Embedder, multi_position: bool
-) -> RMExample:
-    q_vec = np.asarray(embedder(ex.query), dtype=np.float64)
-    if multi_position:
-        segments = [s for s in ex.subgraph_text.split("; ") if s]
-        if segments:
-            kgs = np.stack([np.asarray(embedder(s), dtype=np.float64) for s in segments])
-        else:
-            kgs = np.asarray(embedder(ex.subgraph_text), dtype=np.float64)
-    else:
-        kgs = np.asarray(embedder(ex.subgraph_text), dtype=np.float64)
-    return RMExample(query_vec=q_vec, kgs=kgs, target=ex.target)
-
-
 # ---------------------------------------------------------------------------
 # Gradient verification
 # ---------------------------------------------------------------------------
@@ -388,8 +335,7 @@ def numeric_grads(
     """Central finite differences of the example loss for every parameter."""
 
     def loss_at(p: AttentionParams) -> float:
-        cache = _forward_with_cache(p, ex)
-        return (cache["p"] - ex.target) ** 2
+        return (_forward(p, ex.query_vec, ex.kgs)["p"] - ex.target) ** 2
 
     out: dict[str, np.ndarray | float] = {}
     for name in ("w_q", "w_k", "w_v", "w_o", "head_w"):
@@ -489,30 +435,22 @@ def load_params(data: bytes) -> AttentionParams:
 def load_rm_training_file(path: str) -> list[RMTrainingExample]:
     """Read line-delimited {"query": str, "subgraph": str, "score": number} rows."""
     examples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if (
-                not isinstance(row, dict)
-                or not isinstance(row.get("query"), str)
-                or not isinstance(row.get("subgraph"), str)
-                or isinstance(row.get("score"), bool)
-                or not isinstance(row.get("score"), (int, float))
-            ):
-                raise ParseError("expected {query, subgraph, score} record", line=lineno)
-            try:
-                examples.append(
-                    RMTrainingExample(
-                        query=row["query"],
-                        subgraph_text=row["subgraph"],
-                        target=float(row["score"]),
-                    )
+    for lineno, row in read_jsonl(path):
+        if (
+            not isinstance(row.get("query"), str)
+            or not isinstance(row.get("subgraph"), str)
+            or isinstance(row.get("score"), bool)
+            or not isinstance(row.get("score"), (int, float))
+        ):
+            raise ParseError("expected {query, subgraph, score} record", line=lineno)
+        try:
+            examples.append(
+                RMTrainingExample(
+                    query=row["query"],
+                    subgraph_text=row["subgraph"],
+                    target=float(row["score"]),
                 )
-            except ValidationError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+            )
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
     return examples

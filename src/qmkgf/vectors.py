@@ -20,7 +20,6 @@ Persistence format (QVEC, little-endian):
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -28,6 +27,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ParseError, UndefinedSimilarityError, ValidationError
+from .kg import read_jsonl
 
 QVEC_MAGIC = b"QVEC"
 QVEC_VERSION = 1
@@ -76,7 +76,8 @@ class VectorIndex:
         if self._frozen is None:
             ids = self.ids()
             matrix = np.stack([self.entries[i] for i in ids])
-            norms = np.linalg.norm(matrix, axis=1)
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(matrix, axis=1)
             if not np.isfinite(norms).all():
                 bad = ids[int(np.argmin(np.isfinite(norms)))]
                 raise ValidationError(f"stored vector {bad!r} is too large: its norm overflows")
@@ -96,8 +97,9 @@ def cosine(a, b) -> float:
     vb = as_vector(b)
     if va.shape[0] != vb.shape[0]:
         raise ValidationError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
+    with np.errstate(over="ignore"):
+        na = np.linalg.norm(va)
+        nb = np.linalg.norm(vb)
     if not (np.isfinite(na) and np.isfinite(nb)):
         raise ValidationError("vector too large: its norm overflows")
     if na == 0.0 or nb == 0.0:
@@ -112,7 +114,8 @@ def top_k(index: VectorIndex, query, k: int) -> list[tuple[str, float]]:
     if len(index) == 0:
         return []
     q = as_vector(query, index.dimension)
-    qn = np.linalg.norm(q)
+    with np.errstate(over="ignore"):
+        qn = np.linalg.norm(q)
     if not np.isfinite(qn):
         raise ValidationError("query vector too large: its norm overflows")
     if qn == 0.0:
@@ -281,22 +284,14 @@ def train_adapter(
 def load_adapter_training_file(path: str) -> list[dict]:
     """Read line-delimited {"query": str, "pos": [str], "neg": [str]} records."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                row = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if (
-                not isinstance(row, dict)
-                or not isinstance(row.get("query"), str)
-                or not isinstance(row.get("pos"), list)
-                or not isinstance(row.get("neg"), list)
-            ):
-                raise ParseError("expected {query, pos, neg} record", line=lineno)
-            records.append(row)
+    for lineno, row in read_jsonl(path):
+        if (
+            not isinstance(row.get("query"), str)
+            or not isinstance(row.get("pos"), list)
+            or not isinstance(row.get("neg"), list)
+        ):
+            raise ParseError("expected {query, pos, neg} record", line=lineno)
+        records.append(row)
     return records
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from qmkgf.config import ENV_CONFIG, PipelineConfig, load_config, parse_config_file
 from qmkgf.errors import ValidationError
+from qmkgf.fusion import STRATEGIES
 
 
 def test_shipped_defaults():
@@ -88,3 +89,10 @@ def test_validate_heads_must_divide_dim():
 def test_validate_tau_range():
     with pytest.raises(ValidationError):
         load_config(None, {"stub": True, "tau": 1.5})
+
+
+def test_validate_accepts_exactly_the_fusion_strategies():
+    for name in STRATEGIES:
+        assert load_config(None, {"stub": True, "strategy": name}).strategy == name
+    with pytest.raises(ValidationError):
+        load_config(None, {"stub": True, "strategy": "max_fusion"})

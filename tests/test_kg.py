@@ -265,6 +265,37 @@ def test_load_extraction_file_invalid_json_names_line(tmp_path):
     assert exc.value.line == 2
 
 
+def _jsonl_readers():
+    from qmkgf.kg import load_extraction_file
+    from qmkgf.metrics import load_eval_file
+    from qmkgf.pipeline import load_corpus
+    from qmkgf.reward import load_rm_training_file
+    from qmkgf.vectors import load_adapter_training_file
+
+    return [
+        (load_corpus, lambda i: {"id": f"c{i}", "text": "some text"}),
+        (load_extraction_file, lambda i: {"head": "A", "relation": "r", "tail": f"B{i}"}),
+        (load_rm_training_file, lambda i: {"query": "q", "subgraph": "A r B", "score": 0.5}),
+        (load_adapter_training_file, lambda i: {"query": "q", "pos": ["p"], "neg": []}),
+        (load_eval_file, lambda i: {"query": "q", "reference": "r", "gold_chunks": []}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "reader, row", _jsonl_readers(), ids=lambda v: getattr(v, "__name__", "")
+)
+def test_jsonl_readers_skip_blank_lines_and_name_the_bad_line(tmp_path, reader, row):
+    path = tmp_path / "rows.jsonl"
+    first, second = json.dumps(row(1)), json.dumps(row(2))
+    path.write_text(f"{first}\n  \n{second}\n")
+    assert len(reader(str(path))) == 2
+    for bad, message in (("{broken", "invalid JSON"), ("[1, 2]", "JSON object"), ("7", "JSON object")):
+        path.write_text(f"{first}\n\n{bad}\n")
+        with pytest.raises(ParseError, match=message) as exc:
+            reader(str(path))
+        assert exc.value.line == 3
+
+
 def test_source_chunk_kept_from_first_row():
     g = KnowledgeGraph()
     g.add_triple(Triple("A", "r", "B", weight=1.0, source_chunk="c1"))

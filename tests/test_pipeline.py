@@ -16,8 +16,10 @@ from qmkgf.pipeline import (
     build_document_index,
     build_entity_index,
     build_prompt,
+    candidate_subgraphs,
     expand_query,
     extract_query_entities,
+    fusion_config,
     generate_answer,
     map_entity,
     rerank_chunks,
@@ -25,7 +27,7 @@ from qmkgf.pipeline import (
     run_qmkgf,
 )
 from qmkgf.reward import init_params
-from qmkgf.subgraphs import Subgraph
+from qmkgf.subgraphs import PageRankConfig, Subgraph, pagerank_subgraph, similarity_from_index
 from qmkgf.vectors import VectorIndex, cosine, top_k
 
 DIM = 64
@@ -411,3 +413,16 @@ def test_run_qmkgf_trace_records_all_stages():
     entry = trace["per_entity"][0]
     assert set(entry["scores"]) == {"onehop", "multihop", "pagerank"}
     assert entry["base_kind"] in {"onehop", "multihop", "pagerank"}
+
+
+def test_candidate_subgraphs_and_fusion_config_follow_the_config():
+    g, indices, _, _, client = _toy_world()
+    sim = similarity_from_index(indices.entities, client.embed)
+    cfg = PipelineConfig(stub=True, K=2, damping=0.5, pagerank_max_iters=3)
+    candidates = candidate_subgraphs(g, "hilltown", cfg, sim)
+    assert [sg.path_kind for sg in candidates] == ["onehop", "multihop", "pagerank"]
+    expected = pagerank_subgraph(g, "hilltown", 2, PageRankConfig(0.5, 3, cfg.pagerank_tolerance))
+    assert candidates[2].node_scores == expected.node_scores
+    assert fusion_config(cfg).threshold_policy == "derived"
+    fixed = fusion_config(PipelineConfig(stub=True, tau=0.3, strategy="top5_fusion"))
+    assert (fixed.threshold_policy, fixed.tau, fixed.strategy) == ("fixed", 0.3, "top5_fusion")

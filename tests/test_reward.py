@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,18 @@ def test_attention_softmax_rows_sum_to_one_multi_position():
         assert weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_single_position_attention_is_exactly_the_value_path():
+    # The softmax weight of one position is exactly 1.0, so the head-batched
+    # forward returns (kgs W_V) W_O bit for bit at the shipped d=64, h=32.
+    rng = np.random.default_rng(4)
+    for seed in range(10):
+        params = init_params(64, heads=32, seed=seed)
+        q, kgs = rng.standard_normal(64), rng.standard_normal(64)
+        np.testing.assert_array_equal(
+            attention_forward(q, kgs, params), (kgs @ params.w_v) @ params.w_o
+        )
+
+
 def test_heads_must_divide_dim():
     params = _identity_params(4, heads=3)
     with pytest.raises(ValidationError):
@@ -234,6 +248,22 @@ def test_grad_check_multi_position_rows():
             target=float(rng.uniform(0, 1)),
         )
         assert grad_check(params, ex, 1e-5) < 1e-4
+
+
+def test_non_finite_reward_logit_raises_without_warnings():
+    # Entries of 1e160 overflow the attention logit to inf; the softmax would
+    # then turn the score into NaN, which must surface as an input error.
+    params = init_params(4, heads=2)
+    huge = np.full(4, 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="too large"):
+            score("q", _subgraph(("A", "r", "B")), params, lambda text: huge)
+        for kgs in (huge, np.stack([huge, -huge])):
+            with pytest.raises(ValidationError, match="too large"):
+                rm_example_grads(params, RMExample(query_vec=huge, kgs=kgs, target=0.5))
+        with pytest.raises(ValidationError, match="too large"):
+            train_rm(_toy_examples(), epochs=1, lr=0.1, embedder=lambda text: huge, heads=2)
 
 
 def test_grad_check_detects_perturbed_gradient():

@@ -334,7 +334,6 @@ def test_index_validates_dimension_and_finiteness():
 _HUGE = [1e200, 1e200]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cosine_rejects_a_norm_that_overflows():
     with pytest.raises(ValidationError):
         cosine(_HUGE, [1.0, 1.0])
@@ -344,14 +343,12 @@ def test_cosine_rejects_a_norm_that_overflows():
     assert cosine([1e150, 1e150], [1e150, 1e150]) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_top_k_rejects_a_query_norm_that_overflows():
     index = _index_from({"a": [1.0, 0.0], "b": [0.0, 1.0]})
     with pytest.raises(ValidationError):
         top_k(index, _HUGE, 2)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_top_k_rejects_a_stored_norm_that_overflows_on_every_call():
     index = _index_from({"a": [1.0, 0.0], "huge": _HUGE})
     for _ in range(2):
