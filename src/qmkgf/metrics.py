@@ -102,19 +102,25 @@ def _align_chunks(cand: list[str], ref: list[str]) -> tuple[int, int]:
 
     Greedy: repeatedly take the longest common contiguous token run
     between the unmatched parts (leftmost in candidate, then reference,
-    on ties), each run counting as one chunk; leftover tokens are then
-    paired by type as single-token chunks. Total matches always equal
-    the clipped-count maximum.
+    on ties), each run counting as one chunk, until no unmatched token
+    pair agrees. Total matches always equal the clipped-count maximum.
     """
     cand_free = [True] * len(cand)
     ref_free = [True] * len(ref)
+    # Only starts where the tokens agree can begin a run; visiting them
+    # in (i, j) order keeps the leftmost-then-reference tie rule.
+    ref_positions: dict[str, list[int]] = {}
+    for j, token in enumerate(ref):
+        ref_positions.setdefault(token, []).append(j)
     chunks = 0
     matches = 0
     while True:
         best_len = 0
         best = None
         for i in range(len(cand)):
-            for j in range(len(ref)):
+            if not cand_free[i]:
+                continue
+            for j in ref_positions.get(cand[i], ()):
                 length = 0
                 while (
                     i + length < len(cand)
@@ -127,24 +133,14 @@ def _align_chunks(cand: list[str], ref: list[str]) -> tuple[int, int]:
                 if length > best_len:
                     best_len = length
                     best = (i, j)
-        if best is None or best_len == 0:
-            break
+        if best is None:
+            return matches, chunks
         i, j = best
         for off in range(best_len):
             cand_free[i + off] = False
             ref_free[j + off] = False
         chunks += 1
         matches += best_len
-    # Pair leftovers of the same type (covers crossing alignments the
-    # contiguous pass cannot reach).
-    leftover_ref = Counter(t for t, free in zip(ref, ref_free) if free)
-    for i, token in enumerate(cand):
-        if cand_free[i] and leftover_ref.get(token, 0) > 0:
-            leftover_ref[token] -= 1
-            cand_free[i] = False
-            chunks += 1
-            matches += 1
-    return matches, chunks
 
 
 def meteor(candidate: str, reference: str, alpha: float = 0.9, beta: float = 3.0,

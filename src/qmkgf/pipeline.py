@@ -38,6 +38,7 @@ from .subgraphs import (
     multi_hop_subgraph,
     one_hop_subgraph,
     pagerank_subgraph,
+    ranked_neighbors,
     similarity_from_index,
 )
 from .vectors import VectorIndex, top_k
@@ -274,9 +275,10 @@ def candidate_subgraphs(kg: KnowledgeGraph, center: str, cfg: PipelineConfig, si
         max_iters=cfg.pagerank_max_iters,
         tolerance=cfg.pagerank_tolerance,
     )
+    ranked = ranked_neighbors(kg, center, sim)
     return [
-        one_hop_subgraph(kg, center, cfg.K, sim),
-        multi_hop_subgraph(kg, center, cfg.K, sim),
+        one_hop_subgraph(kg, center, cfg.K, sim, ranked),
+        multi_hop_subgraph(kg, center, cfg.K, sim, ranked),
         pagerank_subgraph(kg, center, cfg.K, pr_cfg),
     ]
 

@@ -51,20 +51,27 @@ class AttentionParams:
     def dim(self) -> int:
         return self.w_q.shape[0]
 
-    def validate(self) -> None:
+    def check_shapes(self) -> None:
+        """The cheap structural half of ``validate``, run on every forward."""
         d = self.dim
         for name in ("w_q", "w_k", "w_v", "w_o"):
             m = getattr(self, name)
             if m.shape != (d, d):
                 raise ValidationError(f"{name} must be {d}x{d}, got {m.shape}")
-            if not np.all(np.isfinite(m)):
-                raise ValidationError(f"{name} has non-finite entries")
         if self.head_w.shape != (d,):
             raise ValidationError(f"head_w must have shape ({d},)")
-        if not np.all(np.isfinite(self.head_w)) or not np.isfinite(self.head_b):
-            raise ValidationError("linear head has non-finite entries")
         if self.heads < 1 or d % self.heads != 0:
             raise ValidationError(f"heads ({self.heads}) must divide dim ({d})")
+
+    def validate(self) -> None:
+        """Shapes plus finite entries; run when parameters are created,
+        loaded, saved or updated by a training step."""
+        self.check_shapes()
+        for name in ("w_q", "w_k", "w_v", "w_o"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValidationError(f"{name} has non-finite entries")
+        if not np.all(np.isfinite(self.head_w)) or not np.isfinite(self.head_b):
+            raise ValidationError("linear head has non-finite entries")
 
     def copy(self) -> "AttentionParams":
         return AttentionParams(
@@ -127,9 +134,10 @@ def _forward(params: AttentionParams, q_vec: np.ndarray, kgs: np.ndarray) -> dic
     n positions. Q is viewed as (h, dh) and K, V as (n, h, dh), so the
     logits, the softmax along the position axis and the head outputs are
     whole-array operations. Returns the cache the backward pass reads.
-    Raises ValidationError when the reward logit is not finite.
+    Raises ValidationError when the reward logit is not finite, which
+    also catches parameters made non-finite after their validation.
     """
-    params.validate()
+    params.check_shapes()
     h = params.heads
     dh = params.dim // h
     with np.errstate(over="ignore", invalid="ignore"):
@@ -144,7 +152,9 @@ def _forward(params: AttentionParams, q_vec: np.ndarray, kgs: np.ndarray) -> dic
         attn = heads_out @ params.w_o
         z = float(params.head_w @ attn + params.head_b)
     if not np.isfinite(z):
-        raise ValidationError("input vector too large: the reward logit is not finite")
+        raise ValidationError(
+            "input vector too large or parameters non-finite: the reward logit is not finite"
+        )
     return {
         "q": q,
         "k": k,
@@ -316,6 +326,7 @@ def train_rm(
             head_b=params.head_b - lr * grads["head_b"],
             heads=params.heads,
         )
+        params.validate()
         loss, grads = rm_loss_and_grads(params, embedded)
         if loss <= best_loss:
             best_loss = loss

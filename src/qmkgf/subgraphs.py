@@ -10,14 +10,14 @@ orientation here); PageRank itself follows edge direction and weights.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import NotFoundError, ValidationError
 from .kg import KnowledgeGraph, Triple
-from .vectors import cosine, smallest_first
+from .vectors import as_vector, cosine_from_norms, smallest_first, vector_norm
 
 SimilarityProvider = Callable[[str, str], float]
 
@@ -34,7 +34,7 @@ class Subgraph:
     triples: list[Triple]
     members: set[str]
     path_kind: str
-    node_scores: dict[str, float] | None = None
+    node_scores: Mapping[str, float] | None = None
 
     def validate(self) -> None:
         """Check structural invariants; raises ValidationError on breach."""
@@ -88,14 +88,39 @@ class PageRankConfig:
             raise ValidationError("tolerance must be > 0")
 
 
+class PageRankScores(Mapping):
+    """Read-only id -> score view over the converged score array.
+
+    Iterates over the ids in ascending order; ``array`` holds the scores
+    by position in that order.
+    """
+
+    __slots__ = ("_ids", "_pos", "array")
+
+    def __init__(self, ids: list[str], pos: dict[str, int], array: np.ndarray) -> None:
+        self._ids = ids
+        self._pos = pos
+        array.flags.writeable = False
+        self.array = array
+
+    def __getitem__(self, entity: str) -> float:
+        return float(self.array[self._pos[entity]])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
 @dataclass
 class PageRankResult:
-    scores: dict[str, float]
+    scores: PageRankScores
     converged: bool
     iterations: int
 
 
-def _ranked_neighbors(
+def ranked_neighbors(
     g: KnowledgeGraph, center: str, sim: SimilarityProvider
 ) -> list[str]:
     """Distinct neighbors of center (both directions, self excluded),
@@ -105,14 +130,21 @@ def _ranked_neighbors(
 
 
 def one_hop_subgraph(
-    g: KnowledgeGraph, center: str, k: int, sim: SimilarityProvider
+    g: KnowledgeGraph, center: str, k: int, sim: SimilarityProvider,
+    ranked: list[str] | None = None,
 ) -> Subgraph:
-    """Center plus its top-k most similar immediate neighbors."""
+    """Center plus its top-k most similar immediate neighbors.
+
+    ``ranked`` is ``ranked_neighbors(g, center, sim)`` when the caller
+    already has it.
+    """
     if center not in g:
         raise NotFoundError(f"unknown entity: {center!r}")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    chosen = _ranked_neighbors(g, center, sim)[:k]
+    if ranked is None:
+        ranked = ranked_neighbors(g, center, sim)
+    chosen = ranked[:k]
     triples: list[Triple] = []
     for nb in chosen:
         triples.extend(g.triples_between(center, nb))
@@ -127,7 +159,8 @@ def one_hop_subgraph(
 
 
 def multi_hop_subgraph(
-    g: KnowledgeGraph, center: str, k: int, sim: SimilarityProvider
+    g: KnowledgeGraph, center: str, k: int, sim: SimilarityProvider,
+    ranked: list[str] | None = None,
 ) -> Subgraph:
     """Two-hop expansion through the two neighbors most similar to center.
 
@@ -136,13 +169,15 @@ def multi_hop_subgraph(
     are kept. Included triples are exactly the ones lying on a
     center-bridge-leaf path, at both hop levels. A center with a single
     neighbor expands through that one bridge; an isolated center yields
-    the degenerate single-node subgraph.
+    the degenerate single-node subgraph. ``ranked`` is as for
+    ``one_hop_subgraph``.
     """
     if center not in g:
         raise NotFoundError(f"unknown entity: {center!r}")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    ranked = _ranked_neighbors(g, center, sim)
+    if ranked is None:
+        ranked = ranked_neighbors(g, center, sim)
     bridges = ranked[:2]
     if not bridges:
         return Subgraph(center=center, triples=[], members={center}, path_kind=MULTIHOP)
@@ -194,27 +229,35 @@ def personalized_pagerank(
     for entity, mass in p.items():
         if entity not in pos:
             raise ValidationError(f"personalization entity {entity!r} not in graph")
-        if mass < 0:
+        if not mass >= 0:
             raise ValidationError("personalization entries must be >= 0")
         pvec[pos[entity]] = mass
     if abs(pvec.sum() - 1.0) > 1e-9:
         raise ValidationError("personalization vector must sum to 1")
 
+    # Off the support of p the update (1-d)*0 + d*(x + m*0) is exactly
+    # d*x (x >= 0 and finite), so only the support takes the full formula.
     d = cfg.damping
+    support = np.flatnonzero(pvec)
+    p_support = pvec[support]
+    teleport = (1.0 - d) * p_support
+    dangling_nodes = np.flatnonzero(dangling)
     scores = pvec.copy()
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         incoming = np.bincount(dst, weights=scores[src] * norm_w, minlength=n)
-        dangling_mass = float(scores[dangling].sum())
-        new_scores = (1.0 - d) * pvec + d * (incoming + dangling_mass * pvec)
+        dangling_mass = float(scores[dangling_nodes].sum())
+        # Not in place: an edgeless graph's bincount is int64 zeros.
+        new_scores = d * incoming
+        new_scores[support] = teleport + d * (incoming[support] + dangling_mass * p_support)
         delta = float(np.abs(new_scores - scores).sum())
         scores = new_scores
         if delta < cfg.tolerance:
             converged = True
             break
     return PageRankResult(
-        scores=dict(zip(ids, scores.tolist())),
+        scores=PageRankScores(ids, pos, scores),
         converged=converged,
         iterations=iterations,
     )
@@ -230,7 +273,7 @@ def pagerank_subgraph(
         raise ValidationError(f"k must be >= 0, got {k}")
     result = personalized_pagerank(g, personalization_vector(center), cfg)
     ids, pos, *_ = g.compiled()
-    ranks = -np.array([result.scores[e] for e in ids])
+    ranks = -result.scores.array
     ranks[pos[center]] = np.inf
     members = {center, *(ids[i] for i in smallest_first(ranks, min(k, len(ids) - 1)))}
     triples = [g.triples[i] for m in members for i in g.out_adj[m] if g.triples[i].tail in members]
@@ -267,11 +310,20 @@ def similarity_from_index(index, embed: Callable[[str], np.ndarray]) -> Similari
     """Similarity provider backed by an entity VectorIndex.
 
     Entities missing from the index are embedded from their id text on
-    the fly, so freshly added nodes still score.
+    the fly, so freshly added nodes still score. Each entity's vector
+    (validated by ``VectorIndex.add`` or here) and its norm are computed
+    once per provider.
     """
+    memo: dict[str, tuple[np.ndarray, np.float64]] = {}
+
+    def normed(e: str) -> tuple[np.ndarray, np.float64]:
+        hit = memo.get(e)
+        if hit is None:
+            v = index.entries[e] if e in index else as_vector(embed(e))
+            hit = memo[e] = (v, vector_norm(v))
+        return hit
+
     def sim(a: str, b: str) -> float:
-        va = index.entries[a] if a in index else embed(a)
-        vb = index.entries[b] if b in index else embed(b)
-        return cosine(va, vb)
+        return cosine_from_norms(*normed(a), *normed(b))
 
     return sim

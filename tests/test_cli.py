@@ -1,8 +1,11 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from qmkgf.cli import main
+from qmkgf.kg import KnowledgeGraph, Triple, save as save_kg
 from qmkgf.kg import load as load_kg
 from qmkgf.reward import load_params
 from qmkgf.vectors import load_index
@@ -238,3 +241,42 @@ def test_inspect_subgraph_fused(artifacts, capsys):
     assert rc == 0
     header = json.loads(capsys.readouterr().out.split("\n")[0])
     assert header["path_kind"] == "fused"
+
+
+def _pagerank_world(tmp_path):
+    """Artifacts over a seeded 40-entity graph with sinks and an isolated node."""
+    rng = random.Random(606)
+    names = [f"Place{i:02d}" for i in range(40)]
+    g = KnowledgeGraph()
+    g.add_entity("Lonely")
+    for _ in range(110):
+        head, tail = rng.choice(names[:30]), rng.choice(names)
+        g.add_triple(Triple(head, f"rel{rng.randint(0, 3)}", tail, weight=rng.uniform(0.1, 5.0)))
+    kg_path = tmp_path / "pr_kg.jsonl"
+    kg_path.write_bytes(save_kg(g))
+    corpus = tmp_path / "pr_corpus.jsonl"
+    _write_corpus(corpus, [{"id": "c1", "text": "Place01 borders Place02"}])
+    out_dir = tmp_path / "pr_artifacts"
+    assert main(["index", str(kg_path), str(corpus), str(out_dir), "--stub"]) == 0
+    return out_dir
+
+
+# sha256 of `inspect-subgraph <entity> --kind pagerank` stdout, captured from
+# the full-vector power loop that returned a dict of scores. Place35 has no
+# out-edges and Lonely no edges at all.
+PAGERANK_DUMP_SHA256 = {
+    "Place00": "8cc676df77e7c40ea1c8ee53ccecc33363996dad736fa26255292daf37981eaf",
+    "Place17": "16d07a743027ad5203990f7afa119cc35490e939bce7a25785578ad2e9a37367",
+    "Place35": "30a94d00db9459782fa161628074079eb2223f9f5bef2852ae27bfc179ee5ce4",
+    "Lonely": "736c19ca8fd8a8f686b537c42283b3596ce19fb2a1562d94c9ce00cd237f0212",
+}
+
+
+def test_inspect_subgraph_pagerank_bytes_are_unchanged(tmp_path, capsys):
+    artifacts = _pagerank_world(tmp_path)
+    capsys.readouterr()
+    for entity, digest in PAGERANK_DUMP_SHA256.items():
+        rc = main(["inspect-subgraph", entity, "--kind", "pagerank", "--artifacts",
+                   str(artifacts), "--stub"])
+        assert rc == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, entity

@@ -1,11 +1,13 @@
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from qmkgf.metrics import (
     MetricReport,
+    _align_chunks,
     aggregate_reports,
     bleu_1,
     format_report_table,
@@ -218,6 +220,73 @@ def test_meteor_in_unit_interval_random():
         ref = " ".join(rng.choices(vocab, k=rng.randint(1, 12)))
         value = meteor(cand, ref)
         assert 0.0 <= value <= 1.0
+
+
+def _all_pairs_align_chunks(cand: list[str], ref: list[str]) -> tuple[int, int]:
+    """Reference alignment: scans every (candidate, reference) start pair for
+    the longest free run, then pairs leftover tokens by type."""
+    cand_free = [True] * len(cand)
+    ref_free = [True] * len(ref)
+    chunks = 0
+    matches = 0
+    while True:
+        best_len = 0
+        best = None
+        for i in range(len(cand)):
+            for j in range(len(ref)):
+                length = 0
+                while (
+                    i + length < len(cand)
+                    and j + length < len(ref)
+                    and cand_free[i + length]
+                    and ref_free[j + length]
+                    and cand[i + length] == ref[j + length]
+                ):
+                    length += 1
+                if length > best_len:
+                    best_len = length
+                    best = (i, j)
+        if best is None or best_len == 0:
+            break
+        i, j = best
+        for off in range(best_len):
+            cand_free[i + off] = False
+            ref_free[j + off] = False
+        chunks += 1
+        matches += best_len
+    leftover_ref = Counter(t for t, free in zip(ref, ref_free) if free)
+    for i, token in enumerate(cand):
+        if cand_free[i] and leftover_ref.get(token, 0) > 0:
+            leftover_ref[token] -= 1
+            cand_free[i] = False
+            chunks += 1
+            matches += 1
+    return matches, chunks
+
+
+def test_align_chunks_matches_all_pairs_oracle_on_random_tokens():
+    rng = random.Random(31)
+    for _ in range(400):
+        vocab = [f"t{i}" for i in range(rng.randint(1, 8))]
+        cand = rng.choices(vocab, k=rng.randint(0, 40))
+        ref = rng.choices(vocab, k=rng.randint(0, 15))
+        assert _align_chunks(cand, ref) == _all_pairs_align_chunks(cand, ref), (cand, ref)
+
+
+def test_align_chunks_matches_all_pairs_oracle_on_adversarial_tokens():
+    a, b, c = "a", "b", "c"
+    cases = [
+        ([], []), ([a], []), ([], [a]), ([a] * 30, [a] * 7), ([a] * 7, [a] * 30),
+        ([a, b] * 12, [b, a] * 5), ([a, b, c], [c, b, a]), ([a, b, a, b, a], [b, a, b]),
+        ([a, b, c, a, b, c, a], [c, a, b, c]), ([a, a, b, a, a, b], [a, b, a, a]),
+        # equal-length runs at several starts: ties go leftmost in cand, then ref
+        ([a, b, c, a, b], [c, a, b, a, b, c]), ([b, a, b, a], [a, b, a, b]),
+        ([f"w{i % 9}" for i in range(100)], [f"w{(3 * i) % 9}" for i in range(7)]),
+    ]
+    for cand, ref in cases:
+        assert _align_chunks(cand, ref) == _all_pairs_align_chunks(cand, ref), (cand, ref)
+    assert _align_chunks([a, b, c], [c, b, a]) == (3, 3)
+    assert _align_chunks([a] * 30, [a] * 7) == (7, 1)
 
 
 # ---------------------------------------------------------------------------

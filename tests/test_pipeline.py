@@ -27,7 +27,14 @@ from qmkgf.pipeline import (
     run_qmkgf,
 )
 from qmkgf.reward import init_params
-from qmkgf.subgraphs import PageRankConfig, Subgraph, pagerank_subgraph, similarity_from_index
+from qmkgf.subgraphs import (
+    PageRankConfig,
+    Subgraph,
+    multi_hop_subgraph,
+    one_hop_subgraph,
+    pagerank_subgraph,
+    similarity_from_index,
+)
 from qmkgf.vectors import VectorIndex, cosine, top_k
 
 DIM = 64
@@ -413,6 +420,34 @@ def test_run_qmkgf_trace_records_all_stages():
     entry = trace["per_entity"][0]
     assert set(entry["scores"]) == {"onehop", "multihop", "pagerank"}
     assert entry["base_kind"] in {"onehop", "multihop", "pagerank"}
+
+
+def test_candidate_subgraphs_rank_the_centre_neighbours_once():
+    client = _client()
+    g = KnowledgeGraph()
+    for i in range(6):
+        g.add_triple(Triple("hub", "r", f"n{i}"))
+        g.add_triple(Triple(f"n{i}", "s", f"m{i}"))
+        g.add_triple(Triple(f"m{i}", "t", f"n{(i + 1) % 6}"))
+    base = similarity_from_index(build_entity_index(g, client.embed, DIM), client.embed)
+    calls = []
+
+    def sim(a, b):
+        calls.append((a, b))
+        return base(a, b)
+
+    cfg = PipelineConfig(stub=True, K=3)
+    candidates = candidate_subgraphs(g, "hub", cfg, sim)
+    together = len(calls)
+    calls.clear()
+    pr_cfg = PageRankConfig(cfg.damping, cfg.pagerank_max_iters, cfg.pagerank_tolerance)
+    assert candidates == [
+        one_hop_subgraph(g, "hub", 3, sim),
+        multi_hop_subgraph(g, "hub", 3, sim),
+        pagerank_subgraph(g, "hub", 3, pr_cfg),
+    ]
+    # The builders on their own each rank the six neighbours of the hub.
+    assert together == len(calls) - 6
 
 
 def test_candidate_subgraphs_and_fusion_config_follow_the_config():

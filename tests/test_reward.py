@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -266,6 +267,49 @@ def test_non_finite_reward_logit_raises_without_warnings():
             train_rm(_toy_examples(), epochs=1, lr=0.1, embedder=lambda text: huge, heads=2)
 
 
+def test_invalid_params_raise_before_any_score_is_returned():
+    # Finiteness is checked where parameters are made, loaded and updated;
+    # shapes on every forward, and the finite-logit check catches entries
+    # made non-finite afterwards.
+    base = init_params(8, heads=2, seed=4)
+    embed = _bag_embedder(8)
+    sg = _subgraph(("A", "r", "B"))
+    for bad in (
+        dataclasses.replace(base, w_o=np.eye(4)),
+        dataclasses.replace(base, w_k=np.ones((8, 7))),
+        dataclasses.replace(base, head_w=np.ones(3)),
+        dataclasses.replace(base, heads=3),
+    ):
+        with pytest.raises(ValidationError):
+            score("q", sg, bad, embed)
+        with pytest.raises(ValidationError):
+            bad.validate()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("w_q", "w_k", "w_v", "w_o", "head_w", "head_b"):
+            for value in (np.nan, np.inf, -np.inf):
+                bad = base.copy()
+                if name == "head_b":
+                    bad.head_b = value
+                else:
+                    getattr(bad, name).flat[5] = value
+                with pytest.raises(ValidationError):
+                    score("q", sg, bad, embed)
+                with pytest.raises(ValidationError):
+                    rm_example_grads(bad, _random_example(8, 2))
+                with pytest.raises(ValidationError, match="non-finite"):
+                    bad.validate()
+                with pytest.raises(ValidationError, match="non-finite"):
+                    save_params(bad)
+
+
+def test_load_params_rejects_non_finite_weights():
+    raw = bytearray(save_params(init_params(4, heads=2, seed=1)))
+    raw[16:20] = np.array([np.inf], dtype="<f4").tobytes()
+    with pytest.raises(ValidationError, match="w_q has non-finite"):
+        load_params(bytes(raw))
+
+
 def test_grad_check_detects_perturbed_gradient():
     params = init_params(8, heads=2, seed=3)
     ex = _random_example(8, 33)
@@ -295,6 +339,12 @@ def _toy_examples() -> list[RMTrainingExample]:
         RMTrainingExample("who rules stonefort", "stonefort ruled_by ironcouncil; ironcouncil elects wardens", 1.0),
         RMTrainingExample("who rules stonefort", "meadow bees gather pollen", 0.0),
     ]
+
+
+def test_training_step_to_non_finite_params_raises_naming_the_group():
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValidationError, match="has non-finite entries"):
+            train_rm(_toy_examples(), epochs=2, lr=np.inf, embedder=_bag_embedder(), heads=2)
 
 
 def test_train_zero_epochs_returns_seeded_init():

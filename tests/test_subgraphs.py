@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from qmkgf.errors import NotFoundError, ValidationError
+from qmkgf.errors import NotFoundError, UndefinedSimilarityError, ValidationError
 from qmkgf.kg import KnowledgeGraph, Triple
 from qmkgf.subgraphs import (
     PageRankConfig,
@@ -14,7 +14,10 @@ from qmkgf.subgraphs import (
     pagerank_subgraph,
     personalization_vector,
     personalized_pagerank,
+    ranked_neighbors,
+    similarity_from_index,
 )
+from qmkgf.vectors import VectorIndex, cosine
 
 
 def _hash_sim(a: str, b: str) -> float:
@@ -391,3 +394,197 @@ def test_subgraph_validate_rejects_breaches():
     )
     with pytest.raises(ValidationError):
         stray.validate()  # a-b not reachable from x
+
+
+# ---------------------------------------------------------------------------
+# exact-work PageRank against the full-vector power loop
+# ---------------------------------------------------------------------------
+
+def full_update_ppr(g: KnowledgeGraph, p: dict, cfg: PageRankConfig):
+    """Bitwise oracle: the power loop that updates every node with the full
+    formula, sums dangling mass through a boolean mask and returns a dict.
+    Returns (scores, converged, iterations)."""
+    ids, pos, src, dst, norm_w, dangling = g.compiled()
+    n = len(ids)
+    pvec = np.zeros(n)
+    for entity, mass in p.items():
+        pvec[pos[entity]] = mass
+    d = cfg.damping
+    scores = pvec.copy()
+    converged = False
+    iterations = 0
+    for iterations in range(1, cfg.max_iters + 1):
+        incoming = np.bincount(dst, weights=scores[src] * norm_w, minlength=n)
+        dangling_mass = float(scores[dangling].sum())
+        new_scores = (1.0 - d) * pvec + d * (incoming + dangling_mass * pvec)
+        delta = float(np.abs(new_scores - scores).sum())
+        scores = new_scores
+        if delta < cfg.tolerance:
+            converged = True
+            break
+    return dict(zip(ids, scores.tolist())), converged, iterations
+
+
+def _assert_bitwise_equal_to_full_update(g: KnowledgeGraph, p: dict, cfg: PageRankConfig) -> None:
+    expected, converged, iterations = full_update_ppr(g, p, cfg)
+    result = personalized_pagerank(g, p, cfg)
+    assert {e: s.hex() for e, s in result.scores.items()} == {
+        e: s.hex() for e, s in expected.items()
+    }
+    assert (result.converged, result.iterations) == (converged, iterations)
+
+
+def _random_personalization(rng: random.Random, g: KnowledgeGraph, size: int) -> dict:
+    chosen = rng.sample(sorted(g.entities), min(size, len(g.entities)))
+    if len(chosen) == 1:
+        return {chosen[0]: 1.0}
+    # Dyadic masses sum to exactly 1.0.
+    masses = [0.5 ** (i + 1) for i in range(len(chosen) - 1)]
+    masses.append(masses[-1])
+    return dict(zip(chosen, masses))
+
+
+def test_ppr_is_bitwise_equal_to_full_update_oracle():
+    rng = random.Random(4242)
+    dangling_graphs = 0
+    for trial in range(120):
+        g = _random_graph(rng, max_nodes=14, max_edges=30)
+        dangling_graphs += int(g.compiled()[5].any())
+        p = _random_personalization(rng, g, rng.randint(1, 4))
+        cfg = PageRankConfig(
+            damping=rng.choice([0.5, 0.85, 0.95]),
+            max_iters=rng.choice([1, 3, 100]),
+            tolerance=rng.choice([1e-8, 1e-13]),
+        )
+        _assert_bitwise_equal_to_full_update(g, p, cfg)
+    assert dangling_graphs > 30
+
+
+def test_ppr_dangling_nodes_and_multi_entry_p_bitwise():
+    g = KnowledgeGraph()
+    g.add_triple(Triple("A", "r", "B", weight=2.0))
+    g.add_triple(Triple("A", "r", "sink1"))
+    g.add_triple(Triple("B", "r", "sink2", weight=0.5))
+    g.add_triple(Triple("B", "r", "A"))
+    g.add_entity("isolated")
+    cfg = PageRankConfig(max_iters=1000, tolerance=1e-13)
+    for p in ({"A": 1.0}, {"sink1": 1.0}, {"isolated": 1.0},
+              {"A": 0.5, "sink2": 0.25, "isolated": 0.25}, {"A": 0.5, "B": 0.5, "sink1": 0.0}):
+        _assert_bitwise_equal_to_full_update(g, p, cfg)
+
+
+@pytest.mark.parametrize("names", [["solo"], ["a", "b", "c"]])
+def test_ppr_edgeless_graphs_bitwise(names):
+    # bincount over no edges returns int64 zeros; the update must still
+    # produce float scores equal to the full formula's.
+    g = KnowledgeGraph()
+    for name in names:
+        g.add_entity(name)
+    cfg = PageRankConfig()
+    _assert_bitwise_equal_to_full_update(g, {names[0]: 1.0}, cfg)
+    if len(names) == 3:
+        _assert_bitwise_equal_to_full_update(g, {"a": 0.5, "c": 0.5}, cfg)
+    result = personalized_pagerank(g, {names[0]: 1.0}, cfg)
+    assert result.scores.array.dtype == np.float64
+    sg = pagerank_subgraph(g, names[0], 2, cfg)
+    assert sg.members == set(names)
+    assert sg.triples == []
+
+
+def test_ppr_rejects_nan_personalization_mass():
+    g = KnowledgeGraph()
+    g.add_triple(Triple("A", "r", "B"))
+    with pytest.raises(ValidationError):
+        personalized_pagerank(g, {"A": float("nan"), "B": 1.0})
+
+
+def test_ppr_scores_are_a_read_only_sorted_mapping():
+    g = KnowledgeGraph()
+    for h, t in (("m", "b"), ("b", "z"), ("z", "m"), ("m", "a")):
+        g.add_triple(Triple(h, "r", t))
+    cfg = PageRankConfig(max_iters=200, tolerance=1e-12)
+    result = personalized_pagerank(g, {"m": 1.0}, cfg)
+    expected, _, _ = full_update_ppr(g, {"m": 1.0}, cfg)
+    scores = result.scores
+    assert len(scores) == 4
+    assert list(scores) == ["a", "b", "m", "z"]
+    assert scores == expected and expected == scores
+    assert dict(scores) == expected
+    assert all(type(s) is float for s in scores.values())
+    assert "m" in scores and "ghost" not in scores
+    with pytest.raises(KeyError):
+        scores["ghost"]
+    with pytest.raises(TypeError):
+        scores["m"] = 0.0  # type: ignore[index]
+    with pytest.raises(ValueError):
+        scores.array[0] = 0.0
+    # A later mutation of the graph does not change an earlier result.
+    g.add_triple(Triple("a", "r", "new"))
+    assert dict(scores) == expected and len(scores) == 4
+
+
+def test_pagerank_subgraph_dump_bytes_match_dict_scores():
+    rng = random.Random(99)
+    cfg = PageRankConfig(max_iters=100, tolerance=1e-8)
+    for _ in range(15):
+        g = _random_graph(rng, max_nodes=12, max_edges=25)
+        center = rng.choice(sorted(g.entities))
+        sg = pagerank_subgraph(g, center, 3, cfg)
+        expected, _, _ = full_update_ppr(g, {center: 1.0}, cfg)
+        as_dict = Subgraph(sg.center, sg.triples, sg.members, sg.path_kind, node_scores=expected)
+        assert dump_subgraph(sg).encode() == dump_subgraph(as_dict).encode()
+
+
+# ---------------------------------------------------------------------------
+# ranking once and the similarity memo
+# ---------------------------------------------------------------------------
+
+def test_builders_given_ranked_neighbors_match_their_own_ranking():
+    rng = random.Random(77)
+    for _ in range(20):
+        g = _random_graph(rng, max_nodes=12, max_edges=30)
+        center = rng.choice(sorted(g.entities))
+        ranked = ranked_neighbors(g, center, _hash_sim)
+        for build in (one_hop_subgraph, multi_hop_subgraph):
+            assert build(g, center, 3, _hash_sim, ranked) == build(g, center, 3, _hash_sim)
+
+
+def _index_of(vectors: dict) -> VectorIndex:
+    index = VectorIndex(len(next(iter(vectors.values()))), kind="entity")
+    for key, vec in vectors.items():
+        index.add(key, vec)
+    return index
+
+
+def test_similarity_from_index_is_bitwise_cosine():
+    rng = np.random.default_rng(8)
+    vectors = {f"e{i}": rng.standard_normal(16) * rng.uniform(1e-3, 1e3) for i in range(12)}
+    vectors["twin"] = vectors["e0"] * 3.0
+    embedded = {"fresh": rng.standard_normal(16)}
+    calls = []
+
+    def embed(text):
+        calls.append(text)
+        return embedded[text]
+
+    sim = similarity_from_index(_index_of(vectors), embed)
+    everything = {**vectors, **embedded}
+    for a in everything:
+        for b in everything:
+            assert sim(a, b).hex() == cosine(everything[a], everything[b]).hex()
+    assert calls == ["fresh"]
+
+
+def test_similarity_from_index_raises_on_every_use_of_a_bad_vector():
+    vectors = {"ok": np.ones(3), "zero": np.zeros(3), "huge": np.full(3, 1e200)}
+    embedded = {"short": np.ones(2), "nan": np.array([1.0, float("nan"), 0.0])}
+    sim = similarity_from_index(_index_of(vectors), embedded.__getitem__)
+    for _ in range(2):
+        with pytest.raises(UndefinedSimilarityError):
+            sim("ok", "zero")
+        with pytest.raises(ValidationError, match="overflows"):
+            sim("huge", "ok")
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            sim("ok", "short")
+        with pytest.raises(ValidationError, match="finite"):
+            sim("nan", "ok")

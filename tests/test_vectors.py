@@ -31,6 +31,13 @@ def test_cosine_direct_arithmetic_oracle():
     assert cosine([1.0, 2.0], [2.0, 1.0]) == pytest.approx(4.0 / 5.0, abs=1e-12)
 
 
+def test_cosine_is_clipped_into_unit_interval():
+    # dot(v, v) / (|v| |v|) rounds to 1.0000000000000002 for this vector.
+    v = [-0.7322673547034516, -0.5442589828573099, -0.31630015636915454]
+    assert cosine(v, v) == 1.0
+    assert cosine(v, [-x for x in v]) == -1.0
+
+
 def test_cosine_zero_vector_rejected():
     with pytest.raises(UndefinedSimilarityError):
         cosine([0.0, 0.0], [1.0, 0.0])
