@@ -5,8 +5,9 @@ Each query runs the same stages: extract potential entities, map them to
 graph entities through the entity vector index, build the three
 candidate subgraphs per mapped entity, score them with the attention
 reward model, fuse, expand the query with the fused graph's entities /
-relations / triples, retrieve per expansion item, rerank the union, and
-hand the top chunks to the generation client. Every stage's output is
+relations / triples, retrieve the top hits of the query and of every
+expansion item in one pass over the document index, rerank their union,
+and hand the top chunks to the generation client. Every stage's output is
 recorded in a JSON-friendly trace; with stub clients and a fixed seed
 the trace is byte-reproducible.
 
@@ -41,7 +42,7 @@ from .subgraphs import (
     ranked_neighbors,
     similarity_from_index,
 )
-from .vectors import VectorIndex, top_k
+from .vectors import VectorIndex, top_k, top_k_union
 
 SEPARATOR = "[SEP]"
 
@@ -188,19 +189,19 @@ def retrieve(
     embedder,
     per_item_k: int,
 ) -> list[Chunk]:
-    """Union (by chunk id) of top-k hits for the base query and every item."""
+    """Union (by chunk id) of the top-k hits of the base query and of every
+    item, in id order: all of them are embedded, then scored against the
+    document index in blocks, each exactly as ``top_k`` would score it."""
     if len(doc_index) == 0:
         raise ValidationError("document index is empty")
     if per_item_k < 1:
         raise ValidationError(f"per_item_k must be >= 1, got {per_item_k}")
-    collected: set[str] = set()
-    for text in [eq.base, *eq.items]:
-        for chunk_id, _ in top_k(doc_index, embedder(text), per_item_k):
-            collected.add(chunk_id)
-    missing = collected - set(chunks)
+    vectors = [embedder(text) for text in [eq.base, *eq.items]]
+    collected = top_k_union(doc_index, vectors, per_item_k)
+    missing = [cid for cid in collected if cid not in chunks]
     if missing:
-        raise NotFoundError(f"chunks missing from corpus: {sorted(missing)}")
-    return [chunks[cid] for cid in sorted(collected)]
+        raise NotFoundError(f"chunks missing from corpus: {missing}")
+    return [chunks[cid] for cid in collected]
 
 
 def rerank_chunks(query: str, doc: list[Chunk], client, k: int) -> RankedChunks:

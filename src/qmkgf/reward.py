@@ -17,6 +17,7 @@ W_O, the d linear-head weights, and the scalar bias.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -299,6 +300,10 @@ def train_rm(
     """
     if not examples:
         raise ValidationError("training set must be non-empty")
+    if epochs < 0:
+        raise ValidationError(f"epochs must be >= 0, got {epochs}")
+    if not 0.0 < lr < math.inf:
+        raise ValidationError(f"learning rate must be finite and > 0, got {lr!r}")
     embedded = [
         RMExample(
             query_vec=np.asarray(embedder(ex.query), dtype=np.float64),

@@ -182,20 +182,16 @@ def multi_hop_subgraph(
     if not bridges:
         return Subgraph(center=center, triples=[], members={center}, path_kind=MULTIHOP)
 
-    candidates: set[str] = set()
-    for bridge in bridges:
-        candidates |= {n for n, _ in g.neighbors(bridge, "both")}
-    candidates -= {center, *bridges}
+    adjacent = [g.neighbors(bridge, "both") for bridge in bridges]
+    candidates = {n for pairs in adjacent for n, _ in pairs} - {center, *bridges}
     second_hop = sorted(candidates, key=lambda e: (-sim(center, e), e))[:k]
 
-    triples: list[Triple] = []
-    for bridge in bridges:
-        triples.extend(g.triples_between(center, bridge))
-        for leaf in second_hop:
-            triples.extend(g.triples_between(bridge, leaf))
+    # A bridge's triples to the center or to a chosen leaf are the path triples.
+    ends = {center, *second_hop}
+    triples = {t for pairs in adjacent for n, t in pairs if n in ends}
     sg = Subgraph(
         center=center,
-        triples=sorted(set(triples), key=lambda t: t.key),
+        triples=sorted(triples, key=lambda t: t.key),
         members={center, *bridges, *second_hop},
         path_kind=MULTIHOP,
     )

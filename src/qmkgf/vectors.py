@@ -8,6 +8,10 @@ id.
 Each index caches its entries frozen into (sorted ids, stacked matrix,
 row norms), built on the first search and reused by every later one;
 ``VectorIndex.add`` drops the cache, so the next search rebuilds it.
+``top_k`` is the one-query case of ``cosine_block``, which scores a block
+of queries against that matrix; ``top_k_union`` selects from such blocks
+the ids in any query's top k, each query's scores and ties exactly as
+``top_k`` gives them.
 
 Persistence format (QVEC, little-endian):
 
@@ -34,6 +38,12 @@ QVEC_MAGIC = b"QVEC"
 QVEC_VERSION = 1
 
 DEFAULT_INFONCE_TEMPERATURE = 0.05
+
+# ``top_k_union`` scores as many queries at a time as fit in this many bytes
+# (at least one). Blocks below glibc's default mmap threshold (128 KiB) reuse
+# heap memory; larger ones were mapped afresh for every query, which raised
+# doc_heavy's peak RSS by about 2 MiB.
+BLOCK_BYTES = 128_000
 
 
 def as_vector(values, dimension: int | None = None) -> np.ndarray:
@@ -123,29 +133,108 @@ def top_k(index: VectorIndex, query, k: int) -> list[tuple[str, float]]:
         raise ValidationError(f"k must be >= 1, got {k}")
     if len(index) == 0:
         return []
-    q = as_vector(query, index.dimension)
+    ids, scores = cosine_block(index, [query])
+    return [(ids[i], float(scores[0, i])) for i in smallest_first(-scores[0], k)]
+
+
+def top_k_union(index: VectorIndex, queries: list, k: int) -> list[str]:
+    """Sorted ids in the top k of at least one query: the union of each
+    query's ``top_k`` ids, scored a block of queries at a time."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    if len(index) == 0 or not queries:
+        return []
+    rows = max(1, BLOCK_BYTES // (8 * len(index)))
+    hit = np.zeros(len(index), dtype=bool)
+    for start in range(0, len(queries), rows):
+        ids, scores = cosine_block(index, queries[start : start + rows])
+        np.negative(scores, out=scores)
+        hit |= smallest_mask(scores, k).any(axis=0)
+    return [ids[i] for i in np.flatnonzero(hit)]
+
+
+def cosine_block(index: VectorIndex, queries: list) -> tuple[list[str], np.ndarray]:
+    """Sorted ids and the clipped cosine of every stored vector to each
+    query, one row per query.
+
+    No bit of a row depends on the other queries: its scores come from one
+    ``matrix @ q`` and its norm from ``sqrt(q.dot(q))`` (which is what
+    ``np.linalg.norm`` computes for a vector), never from a matrix product
+    over the block, which orders its sums differently. A failing block
+    raises what checking its queries one at a time raises first, with the
+    stored vectors checked after the first query.
+    """
+    block, qnorms = _query_block(queries, index.dimension)
+    if block is None:
+        _checked_query(queries[0], index.dimension)
+        _checked_rows(index)
+        for query in queries[1:]:
+            _checked_query(query, index.dimension)
+        raise AssertionError("a query failed the block checks but passes alone")
+    ids, matrix, norms = _checked_rows(index)
+    scores = np.empty((len(block), len(ids)))
+    for row, q, qn in zip(scores, block, qnorms):
+        np.matmul(matrix, q, out=row)
+        row /= norms * qn
+    np.clip(scores, -1.0, 1.0, out=scores)
+    return ids, scores
+
+
+def _query_block(queries: list, dimension: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The queries stacked and their norms, or (None, None) if any fails
+    ``_checked_query``."""
+    try:
+        block = np.array(queries, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None, None
+    if block.ndim != 2 or block.shape[1] != dimension or not np.isfinite(block).all():
+        return None, None
+    with np.errstate(over="ignore"):
+        qnorms = np.sqrt([q.dot(q) for q in block])
+    if not (np.isfinite(qnorms).all() and qnorms.all()):
+        return None, None
+    return block, qnorms
+
+
+def _checked_query(query, dimension: int) -> None:
+    q = as_vector(query, dimension)
     qn = vector_norm(q)
     if not np.isfinite(qn):
         raise ValidationError("query vector too large: its norm overflows")
     if qn == 0.0:
         raise UndefinedSimilarityError("cosine undefined for a zero query vector")
 
+
+def _checked_rows(index: VectorIndex) -> tuple[list[str], np.ndarray, np.ndarray]:
     ids, matrix, norms = index.frozen()
     if np.any(norms == 0.0):
         bad = ids[int(np.argmin(norms))]
         raise UndefinedSimilarityError(f"stored vector {bad!r} is zero")
-    scores = np.clip(matrix @ q / (norms * qn), -1.0, 1.0)
-    return [(ids[i], float(scores[i])) for i in smallest_first(-scores, k)]
+    return ids, matrix, norms
+
+
+def smallest_mask(values: np.ndarray, k: int) -> np.ndarray:
+    """Mask of each row's ``min(k, row length)`` smallest values; of the
+    values tied at the k-th, the ones at the lowest positions."""
+    n = values.shape[1]
+    if k >= n:
+        return np.ones(values.shape, dtype=bool)
+    if k == 0:
+        return np.zeros(values.shape, dtype=bool)
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1 : k]
+    mask = values <= kth
+    if (mask.sum(axis=1) > k).any():
+        tied = values == kth
+        room = k - (values < kth).sum(axis=1, keepdims=True)
+        mask &= ~tied | (np.cumsum(tied, axis=1) <= room)
+    return mask
 
 
 def smallest_first(values: np.ndarray, k: int) -> np.ndarray:
     """Positions of the ``min(k, len(values))`` smallest values, ascending,
     ties by position: the first k of a stable sort, without sorting it all."""
-    candidates = np.arange(len(values))
-    if k < len(values):
-        kth = np.partition(values, k - 1)[k - 1]
-        candidates = np.flatnonzero(values <= kth)
-    return candidates[np.argsort(values[candidates], kind="stable")[:k]]
+    candidates = np.flatnonzero(smallest_mask(values[np.newaxis], k)[0])
+    return candidates[np.argsort(values[candidates], kind="stable")]
 
 
 def infonce_loss(query, pos, all_docs: Iterable, m: float) -> float:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import warnings
 
 import pytest
 
@@ -126,6 +127,25 @@ def test_train_rm_seed_fixed_identical_bytes(tmp_path):
     main(["train-rm", str(training), str(out_a), *args])
     main(["train-rm", str(training), str(out_b), *args])
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "-2"], "epochs must be >= 0, got -2"),
+    (["--lr", "inf"], "learning rate must be finite and > 0, got inf"),
+    (["--lr", "nan"], "learning rate must be finite and > 0, got nan"),
+    (["--lr", "0"], "learning rate must be finite and > 0, got 0.0"),
+])
+def test_train_rm_rejects_bad_epochs_or_lr_without_warnings(tmp_path, capsys, flags, message):
+    training = tmp_path / "rm.jsonl"
+    _write_training(training)
+    out = tmp_path / "rm.qrmw"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train-rm", str(training), str(out), "--stub", "--dim", "16", "--heads", "4",
+                   *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_train_rm_empty_file_is_error(tmp_path):

@@ -3,9 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from qmkgf import pipeline
 from qmkgf.clients import StubModelClient
 from qmkgf.config import PipelineConfig
-from qmkgf.errors import GenerationError, ModelServiceError, ValidationError
+from qmkgf.errors import (
+    GenerationError,
+    ModelServiceError,
+    NotFoundError,
+    UndefinedSimilarityError,
+    ValidationError,
+)
 from qmkgf.kg import KnowledgeGraph, Triple
 from qmkgf.pipeline import (
     NO_CONTEXT_MARKER,
@@ -207,6 +214,44 @@ def test_retrieve_monotone_superset_of_base():
     assert expanded >= base
 
 
+def test_retrieve_matches_the_per_item_top_k_loop_with_ties_and_duplicates():
+    # Chunk texts repeat, so their vectors and scores tie exactly, and the
+    # per-item cut falls inside tied groups.
+    client = _client(seed=3)
+    texts = ["alpha harbour", "beta quarry", "gamma orchard", "delta mill"]
+    chunks = {f"c{i:02d}": Chunk(f"c{i:02d}", texts[(7 * i) % 4]) for i in range(16)}
+    doc_index = build_document_index(chunks, client.embed, DIM)
+    items = ["alpha quarry", "gamma", "alpha quarry", "delta harbour mill", "beta"]
+    for per_item_k in (1, 2, 3, 5, 16, 40):
+        for eq in (ExpandedQuery("harbour"), ExpandedQuery("harbour", items=items)):
+            expected = set()
+            for text in [eq.base, *eq.items]:
+                expected |= {cid for cid, _ in top_k(doc_index, client.embed(text), per_item_k)}
+            got = retrieve(eq, doc_index, chunks, client.embed, per_item_k)
+            assert [c.id for c in got] == sorted(expected)
+
+
+def test_retrieve_raises_the_first_failing_item_error():
+    client = _client()
+    chunks, doc_index = _mini_corpus(client)
+    vectors = {"base": client.embed("stars"), "ok": client.embed("cliffs"),
+               "zero": np.zeros(DIM), "short": np.ones(DIM - 1)}
+    eq = ExpandedQuery("base", items=["ok", "zero", "short"])
+    with pytest.raises(UndefinedSimilarityError, match="zero query vector"):
+        retrieve(eq, doc_index, chunks, vectors.__getitem__, 2)
+    eq = ExpandedQuery("base", items=["ok", "short", "zero"])
+    with pytest.raises(ValidationError, match=f"expected dimension {DIM}, got {DIM - 1}"):
+        retrieve(eq, doc_index, chunks, vectors.__getitem__, 2)
+
+
+def test_retrieve_reports_hits_missing_from_the_corpus():
+    client = _client()
+    chunks, doc_index = _mini_corpus(client)
+    del chunks["c1"], chunks["c3"]
+    with pytest.raises(NotFoundError, match=r"\['c1', 'c3'\]"):
+        retrieve(ExpandedQuery("stars"), doc_index, chunks, client.embed, 4)
+
+
 def test_retrieve_empty_index_rejected():
     client = _client()
     with pytest.raises(ValidationError):
@@ -400,6 +445,25 @@ def test_run_qmkgf_multi_entity_union():
     assert any("quarry" in item for item in items)
     assert any("hilltown" in item for item in items)
     assert fused_keys  # both pipelines contributed triples
+
+
+def test_run_qmkgf_reaches_top_k_and_retrieve_through_the_pipeline_globals(monkeypatch):
+    # The benchmark's vectors.top_k and pipeline.retrieve spans patch these
+    # module globals; a pipeline that bypasses them leaves the spans silent.
+    calls = {"top_k": 0, "retrieve": 0}
+    for name in calls:
+        original = getattr(pipeline, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    g, indices, params, cfg, client = _toy_world()
+    result = pipeline.run_qmkgf("what fish live near hilltown", g, indices, params, cfg, client)
+    assert not result.trace["fallback"]
+    assert calls["top_k"] >= 1
+    assert calls["retrieve"] == 1
 
 
 def test_run_qmkgf_trace_records_all_stages():

@@ -342,9 +342,30 @@ def _toy_examples() -> list[RMTrainingExample]:
 
 
 def test_training_step_to_non_finite_params_raises_naming_the_group():
+    # The largest finite learning rate times a w_v gradient above 1 (the
+    # embeddings are scaled up for that) overflows the first update.
+    bag = _bag_embedder()
     with np.errstate(all="ignore"):
-        with pytest.raises(ValidationError, match="has non-finite entries"):
-            train_rm(_toy_examples(), epochs=2, lr=np.inf, embedder=_bag_embedder(), heads=2)
+        with pytest.raises(ValidationError, match="w_v has non-finite entries"):
+            train_rm(_toy_examples(), epochs=2, lr=np.finfo(np.float64).max,
+                     embedder=lambda text: 100.0 * bag(text), heads=2)
+
+
+@pytest.mark.parametrize("epochs, lr, message", [
+    (-1, 0.1, "epochs must be >= 0"),
+    (3, np.inf, "learning rate must be finite"),
+    (3, np.nan, "learning rate must be finite"),
+    (3, 0.0, "learning rate must be finite and > 0"),
+    (0, -0.5, "learning rate must be finite and > 0"),
+])
+def test_train_rejects_bad_epochs_or_learning_rate_before_embedding(epochs, lr, message):
+    def embedder(text):
+        raise AssertionError("embedded before the arguments were checked")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            train_rm(_toy_examples(), epochs=epochs, lr=lr, embedder=embedder, heads=2)
 
 
 def test_train_zero_epochs_returns_seeded_init():

@@ -201,6 +201,27 @@ def test_multi_hop_matches_oracle_on_random_graphs():
         sg.validate()
 
 
+def test_multi_hop_triples_are_exactly_the_path_triples_on_random_graphs():
+    """Every triple joining the center to a bridge or a bridge to a chosen
+    leaf, in key order, found by scanning the whole triple list."""
+    rng = random.Random(2718)
+    for _ in range(80):
+        g = _random_graph(rng, max_edges=60)
+        center = rng.choice(sorted(g.entities))
+        k = rng.randint(1, 6)
+        sg = multi_hop_subgraph(g, center, k, _hash_sim)
+        neighbors = {t.tail for t in g.triples if t.head == center}
+        neighbors |= {t.head for t in g.triples if t.tail == center}
+        neighbors.discard(center)
+        bridges = set(sorted(neighbors, key=lambda e: (-_hash_sim(center, e), e))[:2])
+        leaves = sg.members - bridges - {center}
+        on_path = [
+            t for t in g.triples
+            if any({t.head, t.tail} == {b, end} for b in bridges for end in leaves | {center})
+        ]
+        assert sg.triples == sorted(on_path, key=lambda t: t.key)
+
+
 # ---------------------------------------------------------------------------
 # personalization + pagerank
 # ---------------------------------------------------------------------------

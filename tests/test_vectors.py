@@ -1,19 +1,24 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from qmkgf import vectors
 from qmkgf.errors import ParseError, UndefinedSimilarityError, ValidationError
 from qmkgf.vectors import (
     AdapterTrainingRecord,
     VectorIndex,
     adapter_loss_and_grad,
     adapter_mean_loss,
+    as_vector,
     cosine,
+    cosine_block,
     infonce_loss,
     load_index,
     save_index,
     top_k,
+    top_k_union,
     train_adapter,
 )
 
@@ -160,6 +165,156 @@ def test_top_k_stored_zero_vector_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(UndefinedSimilarityError, match="'z'"):
             top_k(index, [1.0, 0.0], 1)
+
+
+# Block sizes in bytes: one query per block, a few per block, and the default.
+@pytest.fixture(params=[1, 400, vectors.BLOCK_BYTES])
+def block_bytes(request, monkeypatch):
+    monkeypatch.setattr(vectors, "BLOCK_BYTES", request.param)
+    return request.param
+
+
+def _union_oracle(index: VectorIndex, queries: list, k: int) -> list[str]:
+    """The union of every query's exhaustive top-k, in id order."""
+    return sorted({key for q in queries for key, _ in _sort_oracle(index, q, k)})
+
+
+def _tied_index(rng, n_bases: int = 5, copies: int = 4, dim: int = 6) -> VectorIndex:
+    """Exact copies of a few base vectors under scattered ids, so every
+    score is tied ``copies`` ways and most k cut through a tied group."""
+    bases = rng.standard_normal((n_bases, dim))
+    names = [f"d{i:02d}" for i in range(n_bases * copies)]
+    rng.shuffle(names)
+    index = VectorIndex(dim)
+    for n, name in enumerate(names):
+        index.add(name, bases[n % n_bases])
+    return index
+
+
+def test_top_k_union_matches_per_query_sort_oracle_with_ties_at_the_boundary(block_bytes):
+    rng = np.random.default_rng(21)
+    index = _tied_index(rng)
+    for _ in range(10):
+        queries = list(rng.standard_normal((int(rng.integers(2, 9)), 6)))
+        for k in range(1, len(index) + 2):
+            assert top_k_union(index, queries, k) == _union_oracle(index, queries, k)
+
+
+def test_top_k_union_matches_per_query_sort_oracle_on_random_indices(block_bytes):
+    rng = np.random.default_rng(22)
+    for _ in range(30):
+        dim = int(rng.integers(1, 12))
+        index = VectorIndex(dim)
+        for i in range(int(rng.integers(1, 60))):
+            index.add(f"v{i:03d}", rng.standard_normal(dim))
+        queries = list(rng.standard_normal((int(rng.integers(1, 12)), dim)))
+        k = int(rng.integers(1, len(index) + 3))
+        assert top_k_union(index, queries, k) == _union_oracle(index, queries, k)
+
+
+def test_top_k_union_k_at_least_the_index_size_returns_every_id():
+    rng = np.random.default_rng(23)
+    index = _tied_index(rng)
+    queries = list(rng.standard_normal((3, 6)))
+    for k in (len(index), len(index) + 1, 10 * len(index)):
+        assert top_k_union(index, queries, k) == index.ids()
+
+
+def test_top_k_union_duplicate_and_single_queries(block_bytes):
+    rng = np.random.default_rng(24)
+    index = _tied_index(rng)
+    a, b = rng.standard_normal((2, 6))
+    for k in (1, 3, 6):
+        assert top_k_union(index, [a, a, b, a], k) == _union_oracle(index, [a, b], k)
+        assert top_k_union(index, [b], k) == sorted(key for key, _ in top_k(index, b, k))
+    assert top_k_union(index, [], 3) == []
+    assert top_k_union(VectorIndex(6), [a], 3) == []
+    with pytest.raises(ValidationError, match="k must be >= 1"):
+        top_k_union(index, [a], 0)
+
+
+def test_cosine_block_rows_are_bitwise_the_lone_query_scores():
+    # A matrix product over the whole block would sum in another order and
+    # differ from the per-query scores in the last bits.
+    rng = np.random.default_rng(25)
+    index = VectorIndex(64)
+    for i in range(200):
+        index.add(f"v{i:03d}", rng.standard_normal(64))
+    queries = list(rng.standard_normal((30, 64)))
+    ids, scores = cosine_block(index, queries)
+    assert ids == index.ids()
+    matrix = np.stack([index.get(i) for i in ids])
+    norms = np.linalg.norm(matrix, axis=1)
+    for q, row in zip(queries, scores):
+        expected = np.clip(matrix @ q / (norms * np.linalg.norm(q)), -1.0, 1.0)
+        assert np.array_equal(row, expected)
+
+
+def _raised(call) -> tuple[type, str]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as exc:
+            call()
+    return exc.type, str(exc.value)
+
+
+def _per_query_loop(index: VectorIndex, queries: list, k: int) -> None:
+    """The checks the per-item ``top_k`` loop made before scoring, written
+    out: each query's own, then the stored vectors'."""
+    for q in queries:
+        v = as_vector(q, index.dimension)
+        with np.errstate(over="ignore"):
+            qn = np.linalg.norm(v)
+        if not np.isfinite(qn):
+            raise ValidationError("query vector too large: its norm overflows")
+        if qn == 0.0:
+            raise UndefinedSimilarityError("cosine undefined for a zero query vector")
+        ids, _, norms = index.frozen()
+        if np.any(norms == 0.0):
+            raise UndefinedSimilarityError(f"stored vector {ids[int(np.argmin(norms))]!r} is zero")
+
+
+_BAD_QUERIES = {
+    "zero": [0.0, 0.0, 0.0],
+    "norm overflows": [1e200, 1e200, 1.0],
+    "not finite": [1.0, float("nan"), 0.0],
+    "infinite": [1.0, float("-inf"), 0.0],
+    "wrong dimension": [1.0, 0.0],
+    "not 1-d": [[1.0, 0.0, 0.0]],
+    "not numeric": ["a", "b", "c"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_QUERIES))
+def test_top_k_union_raises_what_the_per_query_loop_raises(kind, block_bytes):
+    index = _index_from({"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "c": [0.0, 0.0, 1.0]})
+    good = [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [0.5, 0.5, 0.5]]
+    for j in (1, 2, 3):
+        # Two bad queries: the first in query order decides.
+        queries = [*good[:j], _BAD_QUERIES[kind], *good[j:], _BAD_QUERIES["zero"]]
+        expected = _raised(lambda: _per_query_loop(index, queries, 2))
+        assert _raised(lambda: top_k_union(index, queries, 2)) == expected
+        assert expected[0] in (ValidationError, UndefinedSimilarityError, ValueError)
+    bad = [_BAD_QUERIES[kind]]
+    assert _raised(lambda: top_k(index, bad[0], 2)) == _raised(lambda: _per_query_loop(index, bad, 2))
+
+
+@pytest.mark.parametrize("stored, match", [([0.0, 0.0, 0.0], "'z' is zero"),
+                                           ([1e200, 1e200, 0.0], "'z' is too large")])
+def test_top_k_union_checks_stored_vectors_after_the_first_query_on_every_call(
+    stored, match, block_bytes
+):
+    index = _index_from({"a": [1.0, 0.0, 0.0], "z": stored})
+    good, bad = [1.0, 2.0, 3.0], [1.0, 0.0]
+    for queries in ([good, good], [good, bad], [bad, good], [good, *_BAD_QUERIES.values()]):
+        expected = _raised(lambda: _per_query_loop(index, queries, 1))
+        for _ in range(2):
+            assert _raised(lambda: top_k_union(index, queries, 1)) == expected
+            assert _raised(lambda: top_k(index, queries[0], 1)) == _raised(
+                lambda: _per_query_loop(index, queries[:1], 1))
+    # A stored-vector failure wins over every query but the first.
+    assert match in _raised(lambda: top_k_union(index, [good, bad], 1))[1]
+    assert "expected dimension" in _raised(lambda: top_k_union(index, [bad, good], 1))[1]
 
 
 def test_infonce_single_candidate_is_zero():
