@@ -78,10 +78,11 @@ class KnowledgeGraph:
 
     Adjacency maps entity id -> list of indices into ``triples``; both
     maps are kept exactly consistent with the triple list at all times.
-    ``compiled()`` caches the graph as arrays for PageRank; adding an
-    entity or a triple, or merging one, drops that cache. The graph is
-    not thread-safe under mutation; build it first, then share it
-    read-only.
+    ``compiled()`` caches the graph as arrays for PageRank, and
+    ``candidate_memo`` holds what callers derive per entity (the
+    pipeline's candidate subgraphs); adding an entity or a triple, or
+    merging one, drops both. The graph is not thread-safe under
+    mutation; build it first, then share it read-only.
     """
 
     def __init__(self) -> None:
@@ -91,6 +92,7 @@ class KnowledgeGraph:
         self.in_adj: dict[str, list[int]] = {}
         self._by_key: dict[TripleKey, int] = {}
         self._compiled: CompiledGraph | None = None
+        self.candidate_memo: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -113,7 +115,7 @@ class KnowledgeGraph:
             return existing
         entity = Entity(id=entity_id, name=name if name is not None else entity_id)
         self.entities[entity_id] = entity
-        self._compiled = None
+        self._compiled = self.candidate_memo = None
         self.out_adj.setdefault(entity_id, [])
         self.in_adj.setdefault(entity_id, [])
         return entity
@@ -134,7 +136,7 @@ class KnowledgeGraph:
         if not 0.0 < triple.weight <= MAX_WEIGHT:
             raise ValidationError(f"triple weight must be finite and > 0, got {triple.weight!r}")
 
-        self._compiled = None
+        self._compiled = self.candidate_memo = None
         existing_idx = self._by_key.get(triple.key)
         if existing_idx is not None:
             old = self.triples[existing_idx]

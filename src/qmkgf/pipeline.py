@@ -14,6 +14,12 @@ the trace is byte-reproducible.
 Queries from which no graph entity can be resolved fall back to plain
 retrieve + rerank on the bare query (flagged in the trace).
 
+The candidate subgraphs depend on the graph, the entity index and the
+subgraph settings, not on the query, so ``memoized_candidates`` builds each
+centre's once per graph and keeps them on the graph until it changes (at
+most one entry per graph entity). Everything downstream of them (reward
+scores, fusion, expansion, retrieval) runs afresh for every query.
+
 Embeddings go through a memo that lives for one query only. Each stage
 sends the texts the memo lacks in one ``client.embed_many`` call: the query
 and extracted entities, every candidate subgraph's serialization, the
@@ -23,7 +29,7 @@ four embedding round trips, and a fallback query one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +48,7 @@ from .subgraphs import (
     ranked_neighbors,
     similarity_from_index,
 )
-from .vectors import VectorIndex, top_k, top_k_union
+from .vectors import VectorIndex, cosine, top_k, top_k_union
 
 SEPARATOR = "[SEP]"
 
@@ -221,13 +227,8 @@ def rerank_chunks(query: str, doc: list[Chunk], client, k: int) -> RankedChunks:
         if len(scores) != len(ordered):
             raise ModelServiceError("rerank returned wrong number of scores")
     except ModelServiceError:
-        embedded = client.embed_many([query, *(c.text for c in ordered)])
-        q_vec, *vecs = (np.asarray(v, dtype=np.float64) for v in embedded)
-        qn = np.linalg.norm(q_vec)
-        scores = []
-        for vec in vecs:
-            denom = qn * np.linalg.norm(vec)
-            scores.append(float(q_vec @ vec / denom) if denom > 0 else 0.0)
+        q_vec, *vecs = client.embed_many([query, *(c.text for c in ordered)])
+        scores = [cosine(q_vec, vec) for vec in vecs]
         used_fallback = True
     ranked = sorted(zip(ordered, scores), key=lambda pair: (-pair[1], pair[0].id))
     return RankedChunks(
@@ -284,6 +285,34 @@ def candidate_subgraphs(kg: KnowledgeGraph, center: str, cfg: PipelineConfig, si
     ]
 
 
+def memoized_candidates(
+    kg: KnowledgeGraph, centers: list[str], entities: VectorIndex, cfg: PipelineConfig, embed
+) -> list[list[Subgraph]]:
+    """``candidate_subgraphs`` of each centre, ranked by similarity over
+    ``entities``, built once per graph.
+
+    The memo lives on ``kg``, which drops it on every mutation. It belongs
+    to the entity index's current ``frozen()`` snapshot and the subgraph
+    settings; a call with another owner starts it afresh. It holds one
+    entry per centre, without the PageRank ``node_scores``, and every call
+    returns those entries, so callers share them and must not mutate them.
+    ``embed`` only embeds graph entities missing from the index, which
+    shipped indices never lack.
+    """
+    snapshot = entities.frozen()
+    params = (cfg.K, cfg.damping, cfg.pagerank_max_iters, cfg.pagerank_tolerance)
+    memo = kg.candidate_memo
+    if memo is None or memo[0] is not snapshot or memo[1] != params:
+        memo = kg.candidate_memo = (snapshot, params, {})
+    entries: dict[str, list[Subgraph]] = memo[2]
+    sim = similarity_from_index(entities, embed)
+    for center in centers:
+        if center not in entries:
+            built = candidate_subgraphs(kg, center, cfg, sim)
+            entries[center] = [replace(sg, node_scores=None) for sg in built]
+    return [entries[center] for center in centers]
+
+
 def fusion_config(cfg: PipelineConfig) -> FusionConfig:
     """A fixed threshold when ``cfg.tau`` is set, else one derived per subgraph set."""
     return FusionConfig(
@@ -328,9 +357,8 @@ def run_qmkgf(
         trace["per_entity"] = []
     else:
         q_vec = np.asarray(embed(query), dtype=np.float64)
-        sim = similarity_from_index(indices.entities, embed)
         fusion_cfg = fusion_config(cfg)
-        candidates = [candidate_subgraphs(kg, c, cfg, sim) for c in centers]
+        candidates = memoized_candidates(kg, centers, indices.entities, cfg, embed)
         embed.prefetch(serialize_subgraph(sg) for parts in candidates for sg in parts)
         scored_parts = [
             [ScoredSubgraph(subgraph=sg, score=rm_score(query, sg, params, embed)) for sg in parts]

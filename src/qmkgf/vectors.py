@@ -357,6 +357,10 @@ def train_adapter(
     untouched. Returns the best iterate seen, which keeps the final
     training loss at or below the initial loss for any learning rate.
     """
+    if epochs < 0:
+        raise ValidationError(f"epochs must be >= 0, got {epochs}")
+    if not 0.0 < lr < math.inf:
+        raise ValidationError(f"learning rate must be finite and > 0, got {lr!r}")
     if not records:
         raise ValidationError("training set must be non-empty")
     for rec in records:

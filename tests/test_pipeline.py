@@ -1,4 +1,7 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -358,6 +361,27 @@ def test_generate_failure_carries_prompt():
     assert "Question: why?" in exc.value.prompt
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("query, a, b, c, error", [
+    # Chunk a is parallel to the query, but the query's norm overflows.
+    (1e200, 1.0, 1e200, 0.0, ValidationError),
+    (1.0, 1.0, 1e200, 1.0, ValidationError),
+    (1.0, 1.0, 2.0, 0.0, UndefinedSimilarityError),
+])
+def test_rerank_fallback_rejects_overflowing_or_zero_embeddings(query, a, b, c, error):
+    class Replies(StubModelClient):
+        def rerank(self, query, texts):
+            raise ModelServiceError("rerank down")
+
+        def embed_many(self, texts):
+            fills = {"q": query, "text a": a, "text b": b, "text c": c}
+            return [np.full(4, fills[t]) for t in texts]
+
+    chunks = [Chunk("a", "text a"), Chunk("b", "text b"), Chunk("c", "text c")]
+    with pytest.raises(error):
+        rerank_chunks("q", chunks, Replies(dim=4), 3)
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------
@@ -525,3 +549,153 @@ def test_candidate_subgraphs_and_fusion_config_follow_the_config():
     assert fusion_config(cfg).threshold_policy == "derived"
     fixed = fusion_config(PipelineConfig(stub=True, tau=0.3, strategy="top5_fusion"))
     assert (fixed.threshold_policy, fixed.tau, fixed.strategy) == ("fixed", 0.3, "top5_fusion")
+
+
+# ---------------------------------------------------------------------------
+# per-graph candidate memo
+# ---------------------------------------------------------------------------
+
+REPEAT_QUERIES = {
+    "what fish live near hilltown": ["hilltown"],
+    "hilltown and quarry news": ["hilltown", "quarry"],
+    "quarry first then hilltown": ["quarry", "hilltown"],
+    "which roads leave hilltown": ["hilltown"],
+    "tell me about nothing": [],
+}
+
+
+def _repeat_world():
+    """The toy world plus a wider neighbourhood around 'hilltown', which
+    every query but one reaches; K=2 leaves the similarity ranking and
+    PageRank a choice."""
+    g, indices, params, cfg, client = _toy_world()
+    for name in ("ashgrove", "brookside", "cedarfield"):
+        g.add_triple(Triple("hilltown", "borders", name))
+        g.add_triple(Triple(name, "feeds", "farlake"))
+    g.add_triple(Triple("farlake", "feeds", "quarry"))
+    client.entity_table.update(REPEAT_QUERIES)
+    indices.entities = build_entity_index(g, client.embed, DIM)
+    cfg.K = 2
+    return g, indices, params, cfg, client
+
+
+def _copy_graph(g: KnowledgeGraph) -> KnowledgeGraph:
+    """The same graph, rebuilt call by call in the same order, that has
+    never answered a query."""
+    fresh = KnowledgeGraph()
+    for entity in g.entities.values():
+        fresh.add_entity(entity.id, entity.name)
+    for triple in g.triples:
+        fresh.add_triple(triple)
+    return fresh
+
+
+def _trace(query, g, indices, params, cfg, client) -> str:
+    return json.dumps(run_qmkgf(query, g, indices, params, cfg, client).trace, sort_keys=True)
+
+
+@pytest.mark.parametrize("strategy", ["rm_fusion", "all_fusion", "top5_fusion"])
+def test_run_qmkgf_warm_memo_traces_equal_a_fresh_graph(strategy):
+    g, indices, params, cfg, client = _repeat_world()
+    cfg.strategy = strategy
+    for _ in range(2):
+        for query in REPEAT_QUERIES:
+            fresh = _copy_graph(g)
+            assert _trace(query, g, indices, params, cfg, client) == _trace(
+                query, fresh, indices, params, cfg, client
+            ), query
+    assert g.candidate_memo is not None
+
+
+def _change(g, indices, cfg, client, change):
+    if change == "add_triple":
+        g.add_triple(Triple("hilltown", "hosts", "granite"))
+    elif change == "add_entity":
+        # Isolated, and first by id among the nodes PageRank scores zero.
+        g.add_entity("aaa_outpost")
+    elif change == "index_add":
+        indices.entities.add("cedarfield", client.embed("hilltown fish"))
+    elif change == "K":
+        cfg.K = 3
+    elif change == "damping":
+        cfg.damping = 0.2
+
+
+@pytest.mark.parametrize("change", ["add_triple", "add_entity", "index_add", "K", "damping"])
+def test_run_qmkgf_after_a_change_matches_a_fresh_graph(change):
+    g, indices, params, cfg, client = _repeat_world()
+    for query in REPEAT_QUERIES:
+        run_qmkgf(query, g, indices, params, cfg, client)
+    before = dict(g.candidate_memo[2])
+    _change(g, indices, cfg, client, change)
+    after = [_trace(q, g, indices, params, cfg, client) for q in REPEAT_QUERIES]
+    fresh = _copy_graph(g)
+    assert after == [_trace(q, fresh, indices, params, cfg, client) for q in REPEAT_QUERIES]
+    assert g.candidate_memo[2] != before  # the change reaches the candidates
+
+
+def test_memo_entries_equal_fresh_candidates_without_scores():
+    g, indices, params, cfg, client = _repeat_world()
+    for strategy in ("rm_fusion", "all_fusion", "top5_fusion"):
+        cfg.strategy = strategy
+        for query in REPEAT_QUERIES:
+            run_qmkgf(query, g, indices, params, cfg, client)
+    snapshot, _, entries = g.candidate_memo
+    assert snapshot is indices.entities.frozen()
+    assert set(entries) == {"hilltown", "quarry"}
+    sim = similarity_from_index(indices.entities, client.embed)
+    owned = {id(t) for t in g.triples}
+    for center, parts in entries.items():
+        fresh = candidate_subgraphs(g, center, cfg, sim)
+        assert fresh[2].node_scores is not None
+        assert all(sg.node_scores is None for sg in parts)
+        assert parts == [replace(sg, node_scores=None) for sg in fresh]
+        # The graph's own triples, not copies.
+        assert all(id(t) in owned for sg in parts for t in sg.triples)
+    # Merging a triple replaces it in the graph and empties the memo.
+    g.add_triple(Triple("hilltown", "borders", "ashgrove", weight=4.0))
+    assert g.candidate_memo is None
+
+
+def test_threads_sharing_a_graph_get_the_traces_of_a_fresh_graph():
+    g, indices, params, cfg, client = _repeat_world()
+    expected = {
+        q: _trace(q, _copy_graph(g), indices, params, cfg, client) for q in REPEAT_QUERIES
+    }
+    queries = list(REPEAT_QUERIES) * 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(_trace, q, g, indices, params, cfg, client) for q in queries
+            ]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expected[q] for q in queries]
+    sim = similarity_from_index(indices.entities, client.embed)
+    for center, parts in g.candidate_memo[2].items():
+        assert parts == [replace(sg, node_scores=None)
+                         for sg in candidate_subgraphs(g, center, cfg, sim)]
+
+
+def test_run_qmkgf_builds_a_centre_once_through_the_pipeline_globals(monkeypatch):
+    # The benchmark's subgraph spans patch these module globals, and its
+    # never-fired check needs a miss to reach them.
+    calls = {"one_hop_subgraph": 0, "multi_hop_subgraph": 0, "pagerank_subgraph": 0}
+    for name in calls:
+        original = getattr(pipeline, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    g, indices, params, cfg, client = _repeat_world()
+    pipeline.run_qmkgf("what fish live near hilltown", g, indices, params, cfg, client)
+    assert calls == dict.fromkeys(calls, 1)
+    pipeline.run_qmkgf("which roads leave hilltown", g, indices, params, cfg, client)
+    assert calls == dict.fromkeys(calls, 1)
+    pipeline.run_qmkgf("hilltown and quarry news", g, indices, params, cfg, client)
+    assert calls == dict.fromkeys(calls, 2)

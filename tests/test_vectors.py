@@ -421,6 +421,22 @@ def test_train_adapter_rejects_empty_or_incomplete_input():
         train_adapter([bad], epochs=1, lr=0.1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("epochs, lr, message", [
+    (-3, 0.1, "epochs must be >= 0"),
+    (3, np.inf, "learning rate must be finite"),
+    (3, np.nan, "learning rate must be finite"),
+    (3, 0.0, "learning rate must be finite and > 0"),
+    (0, -0.5, "learning rate must be finite and > 0"),
+])
+def test_train_adapter_rejects_bad_epochs_or_learning_rate_before_any_work(epochs, lr, message):
+    losses = []
+    records = _random_records(np.random.default_rng(3), 1)
+    with pytest.raises(ValidationError, match=message):
+        train_adapter(records, epochs=epochs, lr=lr, callback=lambda e, loss: losses.append(loss))
+    assert losses == []
+
+
 def test_adapter_gradient_matches_finite_differences():
     """Central-difference oracle over every matrix entry, rel err < 1e-4."""
     rng = np.random.default_rng(42)
