@@ -48,14 +48,6 @@ from .subgraphs import (
     personalization_vector,
     personalized_pagerank,
 )
-from .vectors import (
-    AdapterParams,
-    AdapterTrainingRecord,
-    VectorIndex,
-    cosine,
-    infonce_loss,
-    top_k,
-    train_adapter,
-)
+from .vectors import VectorIndex, cosine, top_k
 
 __version__ = "0.1.0"

@@ -1,16 +1,17 @@
-"""Model-service clients: the protocol, a deterministic stub, and an HTTP adapter.
+"""Model-service clients: the protocol, a deterministic stub, and an HTTP client.
 
 Everything that would normally hit a hosted model (embedding,
 generation, reranking, entity/triple extraction) goes through a single
 client interface. The stub implementation is fully deterministic given
 its seed, so the whole pipeline runs offline and reproducibly; the HTTP
-adapter speaks the wire protocol below.
+client speaks the wire protocol below.
 
 ``embed_many(texts)`` embeds many texts at once. Each HTTP client call is
 exactly one POST, so ``embed_many`` is one round trip for all its texts, and
 ``embed(text)`` is ``embed_many([text])[0]``. An ``/embed`` reply must hold
-one non-empty list of finite numbers per text, all of one length, or the
-call raises ``ModelServiceError``.
+one non-empty list of finite numbers per text, all of one length, and a
+``/rerank`` reply one finite number per text, or the call raises
+``ModelServiceError``.
 
 Wire protocol (JSON bodies, all POST):
 
@@ -154,8 +155,25 @@ class StubModelClient:
         ]
 
 
+def _all_numbers(values: list) -> bool:
+    """Whether every entry is a JSON number: an int or a float, not a bool."""
+    return set(map(type, values)) <= {int, float}
+
+
+def _finite_array(path: str, what: str, values: list) -> np.ndarray:
+    """``values`` as float64, or ``ModelServiceError`` when they are ragged,
+    beyond the float range or not finite."""
+    try:
+        array = np.array(values, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise ModelServiceError(f"{path} response {what} are unusable: {exc}") from exc
+    if not np.isfinite(array).all():
+        raise ModelServiceError(f"{path} response {what} must be finite")
+    return array
+
+
 class HttpModelClient:
-    """Adapter for a model service speaking the module-level wire protocol."""
+    """Client for a model service speaking the module-level wire protocol."""
 
     def __init__(self, base_url: str, temperature: float = 0.0, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
@@ -187,15 +205,9 @@ class HttpModelClient:
         vectors = body.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise ModelServiceError("/embed response vectors do not match texts")
-        if not all(isinstance(v, list) and v and set(map(type, v)) <= {int, float} for v in vectors):
+        if not all(isinstance(v, list) and v and _all_numbers(v) for v in vectors):
             raise ModelServiceError("/embed response vectors must be non-empty lists of numbers")
-        try:
-            matrix = np.array(vectors, dtype=np.float64)
-        except (ValueError, OverflowError) as exc:  # ragged, or an int beyond the float range
-            raise ModelServiceError(f"/embed response vectors are unusable: {exc}") from exc
-        if not np.isfinite(matrix).all():
-            raise ModelServiceError("/embed response vectors must be finite")
-        return list(matrix)
+        return list(_finite_array("/embed", "vectors", vectors))
 
     def generate(self, prompt: str) -> str:
         body = self._post("/generate", {"prompt": prompt, "temperature": self.temperature})
@@ -209,7 +221,9 @@ class HttpModelClient:
         scores = body.get("scores")
         if not isinstance(scores, list) or len(scores) != len(texts):
             raise ModelServiceError("/rerank response scores do not match texts")
-        return [float(s) for s in scores]
+        if not _all_numbers(scores):
+            raise ModelServiceError("/rerank response scores must be numbers")
+        return _finite_array("/rerank", "scores", scores).tolist()
 
     def extract_entities(self, text: str) -> list[str]:
         body = self._post("/extract", {"text": text, "mode": "entities"})

@@ -30,7 +30,6 @@ class PipelineConfig:
     pagerank_max_iters: int = 100
     pagerank_tolerance: float = 1e-8
     temperature: float = 0.0        # generation temperature
-    m: float = 0.05                 # contrastive-loss temperature
     strategy: str = "rm_fusion"
     tau: float | None = None        # fixed fusion threshold override
     seed: int = 0
@@ -48,8 +47,6 @@ class PipelineConfig:
             raise ValidationError("pagerank_max_iters >= 1 and tolerance > 0 required")
         if self.temperature < 0.0:
             raise ValidationError("temperature must be >= 0")
-        if not self.m > 0:
-            raise ValidationError("m must be > 0")
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
         if self.tau is not None and not -1.0 <= self.tau <= 1.0:

@@ -37,16 +37,11 @@ class ScoredSubgraph:
 @dataclass
 class FusionConfig:
     strategy: str = RM_FUSION
-    threshold_policy: str = "derived"  # "derived" (from the max subgraph) or "fixed"
-    tau: float | None = None
+    tau: float | None = None  # a fixed rm_fusion threshold; None derives it per subgraph set
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown fusion strategy {self.strategy!r}")
-        if self.threshold_policy not in ("derived", "fixed"):
-            raise ValidationError(f"unknown threshold policy {self.threshold_policy!r}")
-        if self.threshold_policy == "fixed" and self.tau is None:
-            raise ValidationError("fixed threshold policy requires tau")
         if self.tau is not None and not -1.0 <= self.tau <= 1.0:
             raise ValidationError(f"tau must be in [-1, 1], got {self.tau}")
 
@@ -112,7 +107,9 @@ def fuse(
     base_triples = {t.key: t for t in base.subgraph.triples}
     threshold = -1.0
     if cfg.strategy == RM_FUSION:
-        threshold = _resolve_threshold(base.subgraph, q_vec, cfg, embedder)
+        threshold = cfg.tau
+        if threshold is None:
+            threshold = compute_threshold(base.subgraph, q_vec, embedder)
     to_score = triples_to_score(scored, cfg.strategy)
     sims = {t.key: triple_similarity(t, q_vec, embedder) for t in to_score}
 
@@ -151,20 +148,6 @@ def fuse(
         threshold_used=threshold,
         selected=selected,
     )
-
-
-def _resolve_threshold(
-    base: Subgraph, q_vec: np.ndarray, cfg: FusionConfig, embedder: Embedder
-) -> float:
-    if cfg.threshold_policy == "fixed":
-        assert cfg.tau is not None
-        return cfg.tau
-    try:
-        return compute_threshold(base, q_vec, embedder)
-    except ThresholdError:
-        if cfg.tau is not None:
-            return cfg.tau
-        raise
 
 
 def _dedup(triples) -> list[Triple]:

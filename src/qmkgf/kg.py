@@ -180,12 +180,6 @@ class KnowledgeGraph:
                 pairs.add((t.head, t))
         return sorted(pairs, key=lambda p: (p[0], p[1].key))
 
-    def triples_between(self, a: str, b: str) -> list[Triple]:
-        """All triples connecting a and b in either direction."""
-        found = [self.triples[i] for i in self.out_adj.get(a, []) if self.triples[i].tail == b]
-        found += [self.triples[i] for i in self.in_adj.get(a, []) if self.triples[i].head == b]
-        return sorted(set(found), key=lambda t: t.key)
-
     def compiled(self) -> CompiledGraph:
         """(sorted ids, id -> position, edge sources, edge targets, edge
         weights divided by their source's out-weight, mask of nodes with

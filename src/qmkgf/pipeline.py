@@ -315,11 +315,7 @@ def memoized_candidates(
 
 def fusion_config(cfg: PipelineConfig) -> FusionConfig:
     """A fixed threshold when ``cfg.tau`` is set, else one derived per subgraph set."""
-    return FusionConfig(
-        strategy=cfg.strategy,
-        threshold_policy="fixed" if cfg.tau is not None else "derived",
-        tau=cfg.tau,
-    )
+    return FusionConfig(cfg.strategy, cfg.tau)
 
 
 def run_qmkgf(

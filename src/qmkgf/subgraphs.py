@@ -145,12 +145,12 @@ def one_hop_subgraph(
     if ranked is None:
         ranked = ranked_neighbors(g, center, sim)
     chosen = ranked[:k]
-    triples: list[Triple] = []
-    for nb in chosen:
-        triples.extend(g.triples_between(center, nb))
+    # The center's triples to a chosen neighbour are the path triples.
+    leaves = set(chosen)
+    triples = {t for n, t in g.neighbors(center, "both") if n in leaves}
     sg = Subgraph(
         center=center,
-        triples=sorted(set(triples), key=lambda t: t.key),
+        triples=sorted(triples, key=lambda t: t.key),
         members={center, *chosen},
         path_kind=ONEHOP,
     )

@@ -1,4 +1,4 @@
-"""Dense-vector storage, cosine top-k search, and contrastive training.
+"""Dense-vector storage and cosine top-k search.
 
 The index is a flat (exhaustive) store: every query scans all entries.
 That is the right trade-off at the corpus sizes this package targets and
@@ -20,24 +20,21 @@ Persistence format (QVEC, little-endian):
     dim     uint32
     count   uint32
     then per record: id_len uint32, id utf-8 bytes, dim float32 values
+
+The ids are distinct and nothing follows the last record.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import ParseError, UndefinedSimilarityError, ValidationError
-from .kg import read_jsonl
 
 QVEC_MAGIC = b"QVEC"
 QVEC_VERSION = 1
-
-DEFAULT_INFONCE_TEMPERATURE = 0.05
 
 # ``top_k_union`` scores as many queries at a time as fit in this many bytes
 # (at least one). Blocks below glibc's default mmap threshold (128 KiB) reuse
@@ -237,166 +234,6 @@ def smallest_first(values: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(values[candidates], kind="stable")]
 
 
-def infonce_loss(query, pos, all_docs: Iterable, m: float) -> float:
-    """Contrastive loss -log( exp(cos(q,p)/m) / sum_j exp(cos(q,d_j)/m) ).
-
-    ``pos`` must be one of ``all_docs`` (compared by value); ``m`` is the
-    temperature. Computed via log-sum-exp so large 1/m stays stable.
-    """
-    if not m > 0:
-        raise ValidationError(f"temperature m must be > 0, got {m}")
-    q = as_vector(query)
-    p = as_vector(pos)
-    docs = [as_vector(d, q.shape[0]) for d in all_docs]
-    if not docs:
-        raise ValidationError("all_docs must be non-empty")
-    if not any(np.array_equal(p, d) for d in docs):
-        raise ValidationError("pos must be a member of all_docs")
-
-    sims = np.array([cosine(q, d) for d in docs]) / m
-    pos_sim = cosine(q, p) / m
-    c = float(np.max(sims))
-    lse = c + float(np.log(np.sum(np.exp(sims - c))))
-    return float(lse - pos_sim)
-
-
-# ---------------------------------------------------------------------------
-# Linear adapter: trainable matrix applied to frozen external embeddings
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AdapterParams:
-    """d x d adapter matrix plus the contrastive temperature it was trained at."""
-
-    matrix: np.ndarray
-    temperature: float = DEFAULT_INFONCE_TEMPERATURE
-
-    def apply(self, vec) -> np.ndarray:
-        return self.matrix @ as_vector(vec, self.matrix.shape[0])
-
-
-@dataclass
-class AdapterTrainingRecord:
-    query: np.ndarray
-    pos: list[np.ndarray]
-    neg: list[np.ndarray]
-
-
-def _cosine_grads(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """cos(u, v) and its gradients w.r.t. u and v."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise UndefinedSimilarityError("cosine undefined for a zero vector")
-    uh = u / nu
-    vh = v / nv
-    c = float(np.dot(uh, vh))
-    gu = (vh - c * uh) / nu
-    gv = (uh - c * vh) / nv
-    return c, gu, gv
-
-
-def adapter_loss_and_grad(
-    matrix: np.ndarray, records: list[AdapterTrainingRecord], m: float
-) -> tuple[float, np.ndarray]:
-    """Mean contrastive loss of adapter-transformed vectors and dLoss/dMatrix.
-
-    One loss term per (record, positive); candidates for each term are
-    that record's positives plus negatives.
-    """
-    total = 0.0
-    grad = np.zeros_like(matrix)
-    n_terms = 0
-    for rec in records:
-        q = matrix @ rec.query
-        docs = [(d, matrix @ d) for d in rec.pos + rec.neg]
-        sims = []
-        grads_q = []
-        grads_d = []
-        for raw, transformed in docs:
-            c, gq, gd = _cosine_grads(q, transformed)
-            sims.append(c)
-            grads_q.append(gq)
-            grads_d.append(gd)
-        sims_arr = np.array(sims) / m
-        c_max = float(np.max(sims_arr))
-        softmax = np.exp(sims_arr - c_max)
-        softmax /= softmax.sum()
-        lse = c_max + float(np.log(np.sum(np.exp(sims_arr - c_max))))
-
-        for pos_idx in range(len(rec.pos)):
-            total += lse - sims_arr[pos_idx]
-            n_terms += 1
-            # dL/ds_j = (softmax_j - 1[j == pos]) / m, then chain through
-            # s_j = cos(W q, W d_j).
-            for j, (raw, _) in enumerate(docs):
-                w = (softmax[j] - (1.0 if j == pos_idx else 0.0)) / m
-                if w == 0.0:
-                    continue
-                grad += w * (np.outer(grads_q[j], rec.query) + np.outer(grads_d[j], raw))
-    if n_terms == 0:
-        raise ValidationError("no (query, pos) pairs in training records")
-    return total / n_terms, grad / n_terms
-
-
-def adapter_mean_loss(matrix: np.ndarray, records: list[AdapterTrainingRecord], m: float) -> float:
-    loss, _ = adapter_loss_and_grad(matrix, records, m)
-    return loss
-
-
-def train_adapter(
-    records: list[AdapterTrainingRecord],
-    epochs: int,
-    lr: float,
-    m: float = DEFAULT_INFONCE_TEMPERATURE,
-    callback: Callable[[int, float], None] | None = None,
-) -> AdapterParams:
-    """Fit the adapter matrix by full-batch gradient descent.
-
-    Starts from the identity, so zero epochs leaves similarities
-    untouched. Returns the best iterate seen, which keeps the final
-    training loss at or below the initial loss for any learning rate.
-    """
-    if epochs < 0:
-        raise ValidationError(f"epochs must be >= 0, got {epochs}")
-    if not 0.0 < lr < math.inf:
-        raise ValidationError(f"learning rate must be finite and > 0, got {lr!r}")
-    if not records:
-        raise ValidationError("training set must be non-empty")
-    for rec in records:
-        if not rec.pos or not rec.neg:
-            raise ValidationError("each record needs at least one pos and one neg")
-    dim = records[0].query.shape[0]
-    matrix = np.eye(dim)
-    best = matrix.copy()
-    best_loss, grad = adapter_loss_and_grad(matrix, records, m)
-    if callback is not None:
-        callback(0, best_loss)
-    for epoch in range(1, epochs + 1):
-        matrix = matrix - lr * grad
-        loss, grad = adapter_loss_and_grad(matrix, records, m)
-        if loss <= best_loss:
-            best_loss = loss
-            best = matrix.copy()
-        if callback is not None:
-            callback(epoch, loss)
-    return AdapterParams(matrix=best, temperature=m)
-
-
-def load_adapter_training_file(path: str) -> list[dict]:
-    """Read line-delimited {"query": str, "pos": [str], "neg": [str]} records."""
-    records = []
-    for lineno, row in read_jsonl(path):
-        if (
-            not isinstance(row.get("query"), str)
-            or not isinstance(row.get("pos"), list)
-            or not isinstance(row.get("neg"), list)
-        ):
-            raise ParseError("expected {query, pos, neg} record", line=lineno)
-        records.append(row)
-    return records
-
-
 # ---------------------------------------------------------------------------
 # QVEC persistence
 # ---------------------------------------------------------------------------
@@ -433,8 +270,12 @@ def load_index(data: bytes, kind: str = "document") -> VectorIndex:
             key = data[offset : offset + id_len].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"corrupt id in QVEC record {n}") from exc
+        if key in index:
+            raise ParseError(f"duplicate id {key!r} in QVEC record {n}")
         offset += id_len
         values = np.frombuffer(data[offset : offset + 4 * dimension], dtype="<f4")
         offset += 4 * dimension
         index.add(key, values.astype(np.float64))
+    if offset != len(data):
+        raise ParseError(f"{len(data) - offset} unexpected bytes after the last QVEC record")
     return index

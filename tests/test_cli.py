@@ -203,6 +203,17 @@ def test_eval_command(artifacts, tmp_path, capsys):
     assert '"aggregate"' in out
 
 
+@pytest.mark.parametrize("name", ["entities.qvec", "documents.qvec"])
+def test_query_and_eval_reject_a_qvec_with_trailing_bytes(artifacts, tmp_path, capsys, name):
+    path = artifacts / name
+    path.write_bytes(path.read_bytes() + b"\x00\x00")
+    eval_file = tmp_path / "eval.jsonl"
+    eval_file.write_text(json.dumps({"query": "q", "reference": "r", "gold_chunks": []}) + "\n")
+    assert main(["query", "Ashford news", "--artifacts", str(artifacts), "--stub"]) == 2
+    assert main(["eval", str(eval_file), "--artifacts", str(artifacts), "--stub"]) == 2
+    assert "unexpected bytes after the last QVEC record" in capsys.readouterr().err
+
+
 def test_eval_empty_file_is_error(artifacts, tmp_path):
     eval_file = tmp_path / "eval.jsonl"
     eval_file.write_text("")

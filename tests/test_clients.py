@@ -14,7 +14,7 @@ from qmkgf.clients import (
     StubModelClient,
 )
 from qmkgf.errors import ModelServiceError
-from qmkgf.pipeline import run_qmkgf
+from qmkgf.pipeline import Chunk, rerank_chunks, run_qmkgf
 from qmkgf.vectors import cosine
 from test_pipeline import _toy_world
 
@@ -112,6 +112,7 @@ class _Handler(BaseHTTPRequestHandler):
     calls: list = []
     fail_rerank = False
     embed_reply = None  # when set, the /embed reply body, whatever was sent
+    rerank_reply = None  # likewise for /rerank
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -123,6 +124,8 @@ class _Handler(BaseHTTPRequestHandler):
             body = {"vectors": [[float(len(t)), 1.0] for t in payload["texts"]]}
         elif self.path == "/generate":
             body = {"text": f"echo:{payload['prompt']}@t={payload['temperature']}"}
+        elif self.path == "/rerank" and _Handler.rerank_reply is not None:
+            body = _Handler.rerank_reply
         elif self.path == "/rerank":
             if _Handler.fail_rerank:
                 self.send_response(500)
@@ -166,6 +169,7 @@ def http_client():
     _Handler.calls = []
     _Handler.fail_rerank = False
     _Handler.embed_reply = None
+    _Handler.rerank_reply = None
     with _serving(_Handler) as url:
         yield HttpModelClient(url, temperature=0.0)
 
@@ -229,6 +233,37 @@ def test_http_rerank_wire_format(http_client):
     path, payload = _Handler.calls[-1]
     assert path == "/rerank"
     assert payload == {"query": "q", "texts": ["a", "b", "c"]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "scores",
+    [
+        [float("nan"), 0.5, 1.0],
+        [0.5, float("inf"), 1.0],
+        [0.5, 1.0, -float("inf")],
+        ["0.5", 0.5, 1.0],             # a string entry
+        [True, 0.5, 1.0],              # a boolean entry
+        [None, 0.5, 1.0],
+        [float("nan"), 0.5, "inf"],
+        [10**400, 0.5, 1.0],           # overflows a float
+    ],
+)
+def test_http_bad_rerank_reply_is_a_service_error_and_reranking_falls_back(http_client, scores):
+    _Handler.rerank_reply = {"scores": scores}
+    texts = ["a", "bb", "ccc"]
+    with pytest.raises(ModelServiceError):
+        http_client.rerank("q", texts)
+    chunks = [Chunk(f"c{i}", text) for i, text in enumerate(texts)]
+    ranked = rerank_chunks("q", chunks, http_client, 3)
+    assert ranked.used_fallback
+    # The embedding-cosine order: /embed maps a text to [len(text), 1].
+    assert ranked.ids() == ["c0", "c1", "c2"]
+
+
+def test_http_rerank_accepts_integer_scores(http_client):
+    _Handler.rerank_reply = {"scores": [1, 2.5, 0]}
+    assert http_client.rerank("q", ["a", "b", "c"]) == [1.0, 2.5, 0.0]
 
 
 def test_http_extract_both_modes(http_client):

@@ -126,7 +126,7 @@ def test_fuse_no_candidate_meets_threshold():
         ScoredSubgraph(_sg("multihop", "c", ("far", "away", "stuff")), 0.2),
         ScoredSubgraph(_sg("pagerank", "c", ("other", "distant", "things")), 0.1),
     ]
-    cfg = FusionConfig(strategy="rm_fusion", threshold_policy="fixed", tau=1.0)
+    cfg = FusionConfig(strategy="rm_fusion", tau=1.0)
     q_vec = EMBED("some query")
     result = fuse(scored, q_vec, cfg, EMBED)
     assert {t.key for t in result.fused.triples} == {("c", "r", "a")}
@@ -264,14 +264,12 @@ def test_fusion_config_validation():
     with pytest.raises(ValidationError):
         FusionConfig(strategy="bogus")
     with pytest.raises(ValidationError):
-        FusionConfig(threshold_policy="fixed")  # tau missing
-    with pytest.raises(ValidationError):
         FusionConfig(tau=2.0)
 
 
 def test_fused_members_are_endpoint_union_plus_center():
     scored = _scored(0.1, 0.2, 0.9)  # pagerank wins; its triples exclude center
-    cfg = FusionConfig(strategy="rm_fusion", threshold_policy="fixed", tau=1.1 - 0.1)
+    cfg = FusionConfig(strategy="rm_fusion", tau=1.1 - 0.1)
     result = fuse(scored, EMBED("zzz"), cfg, EMBED)
     expected_members = {"c"} | {
         e for t in result.fused.triples for e in (t.head, t.tail)

@@ -270,13 +270,11 @@ def _jsonl_readers():
     from qmkgf.metrics import load_eval_file
     from qmkgf.pipeline import load_corpus
     from qmkgf.reward import load_rm_training_file
-    from qmkgf.vectors import load_adapter_training_file
 
     return [
         (load_corpus, lambda i: {"id": f"c{i}", "text": "some text"}),
         (load_extraction_file, lambda i: {"head": "A", "relation": "r", "tail": f"B{i}"}),
         (load_rm_training_file, lambda i: {"query": "q", "subgraph": "A r B", "score": 0.5}),
-        (load_adapter_training_file, lambda i: {"query": "q", "pos": ["p"], "neg": []}),
         (load_eval_file, lambda i: {"query": "q", "reference": "r", "gold_chunks": []}),
     ]
 

@@ -546,9 +546,9 @@ def test_candidate_subgraphs_and_fusion_config_follow_the_config():
     assert [sg.path_kind for sg in candidates] == ["onehop", "multihop", "pagerank"]
     expected = pagerank_subgraph(g, "hilltown", 2, PageRankConfig(0.5, 3, cfg.pagerank_tolerance))
     assert candidates[2].node_scores == expected.node_scores
-    assert fusion_config(cfg).threshold_policy == "derived"
+    assert fusion_config(cfg).tau is None
     fixed = fusion_config(PipelineConfig(stub=True, tau=0.3, strategy="top5_fusion"))
-    assert (fixed.threshold_policy, fixed.tau, fixed.strategy) == ("fixed", 0.3, "top5_fusion")
+    assert (fixed.tau, fixed.strategy) == (0.3, "top5_fusion")
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,12 @@ def test_one_hop_matches_brute_force_on_random_graphs():
             sorted(neighbor_ids, key=lambda e: (-_hash_sim(center, e), e))[:k]
         )
         assert sg.members == {center, *expected}
+        # Path triples: every triple joining the center to a chosen neighbour.
+        path_triples = [
+            t for t in g.triples
+            if (t.head == center and t.tail in expected) or (t.tail == center and t.head in expected)
+        ]
+        assert sg.triples == sorted(path_triples, key=lambda t: t.key)
         sg.validate()
 
 

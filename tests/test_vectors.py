@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -7,19 +6,14 @@ import pytest
 from qmkgf import vectors
 from qmkgf.errors import ParseError, UndefinedSimilarityError, ValidationError
 from qmkgf.vectors import (
-    AdapterTrainingRecord,
     VectorIndex,
-    adapter_loss_and_grad,
-    adapter_mean_loss,
     as_vector,
     cosine,
     cosine_block,
-    infonce_loss,
     load_index,
     save_index,
     top_k,
     top_k_union,
-    train_adapter,
 )
 
 
@@ -317,166 +311,6 @@ def test_top_k_union_checks_stored_vectors_after_the_first_query_on_every_call(
     assert "expected dimension" in _raised(lambda: top_k_union(index, [bad, good], 1))[1]
 
 
-def test_infonce_single_candidate_is_zero():
-    q = np.array([1.0, 0.0])
-    pos = np.array([0.5, 0.5])
-    assert infonce_loss(q, pos, [pos], m=0.7) == 0.0
-
-
-def test_infonce_symmetric_pair_is_ln2():
-    q = np.array([1.0, 1.0])
-    pos = np.array([1.0, 0.0])
-    neg = np.array([0.0, 1.0])  # same cosine to q as pos
-    loss = infonce_loss(q, pos, [pos, neg], m=1.0)
-    assert loss == pytest.approx(math.log(2.0), abs=1e-12)
-
-
-def test_infonce_direct_arithmetic_oracle():
-    q = np.array([1.0, 0.0])
-    pos = np.array([1.0, 0.0])
-    neg = np.array([0.0, 1.0])
-    loss = infonce_loss(q, pos, [pos, neg], m=1.0)
-    expected = -math.log(math.e / (math.e + 1.0))
-    assert loss == pytest.approx(expected, abs=1e-12)
-
-
-def test_infonce_pos_must_be_member():
-    q = np.array([1.0, 0.0])
-    with pytest.raises(ValidationError):
-        infonce_loss(q, np.array([1.0, 1.0]), [np.array([0.0, 1.0])], m=1.0)
-
-
-def test_infonce_nonnegative_on_random_inputs():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        q = rng.standard_normal(4)
-        docs = [rng.standard_normal(4) for _ in range(rng.integers(1, 6))]
-        pos = docs[int(rng.integers(0, len(docs)))]
-        loss = infonce_loss(q, pos, docs, m=float(rng.uniform(0.05, 2.0)))
-        assert loss >= 0.0
-        # Zero is impossible once any competitor shares the softmax.
-        if len(docs) > 1:
-            assert loss > 0.0
-
-
-def _random_records(rng, n_records: int, dim: int = 4):
-    records = []
-    for _ in range(n_records):
-        records.append(
-            AdapterTrainingRecord(
-                query=rng.standard_normal(dim),
-                pos=[rng.standard_normal(dim) for _ in range(int(rng.integers(1, 3)))],
-                neg=[rng.standard_normal(dim) for _ in range(int(rng.integers(1, 3)))],
-            )
-        )
-    return records
-
-
-def test_identity_adapter_preserves_similarities():
-    rng = np.random.default_rng(8)
-    records = _random_records(rng, 3)
-    eye = np.eye(4)
-    for rec in records:
-        for doc in rec.pos + rec.neg:
-            assert cosine(eye @ rec.query, eye @ doc) == cosine(rec.query, doc)
-
-
-def test_train_adapter_zero_epochs_is_identity():
-    rng = np.random.default_rng(9)
-    records = _random_records(rng, 2)
-    params = train_adapter(records, epochs=0, lr=0.1)
-    assert np.array_equal(params.matrix, np.eye(4))
-
-
-def test_train_adapter_reduces_loss_on_separable_record():
-    rng = np.random.default_rng(10)
-    record = AdapterTrainingRecord(
-        query=np.array([1.0, 0.2, 0.0, 0.0]),
-        pos=[np.array([0.9, 0.1, 0.1, 0.0])],
-        neg=[np.array([0.0, 0.1, 1.0, 0.3])],
-    )
-    _ = rng
-    initial = adapter_mean_loss(np.eye(4), [record], m=0.05)
-    params = train_adapter([record], epochs=200, lr=0.05, m=0.05)
-    final = adapter_mean_loss(params.matrix, [record], m=0.05)
-    assert final < initial
-
-
-def test_train_adapter_final_loss_never_above_initial():
-    rng = np.random.default_rng(21)
-    for _ in range(5):
-        records = _random_records(rng, 3)
-        m = float(rng.uniform(0.05, 1.0))
-        initial = adapter_mean_loss(np.eye(4), records, m)
-        params = train_adapter(records, epochs=30, lr=float(rng.uniform(0.001, 1.0)), m=m)
-        assert adapter_mean_loss(params.matrix, records, m) <= initial + 1e-12
-
-
-def test_train_adapter_rejects_empty_or_incomplete_input():
-    with pytest.raises(ValidationError):
-        train_adapter([], epochs=1, lr=0.1)
-    rng = np.random.default_rng(2)
-    bad = AdapterTrainingRecord(query=rng.standard_normal(4), pos=[], neg=[rng.standard_normal(4)])
-    with pytest.raises(ValidationError):
-        train_adapter([bad], epochs=1, lr=0.1)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("epochs, lr, message", [
-    (-3, 0.1, "epochs must be >= 0"),
-    (3, np.inf, "learning rate must be finite"),
-    (3, np.nan, "learning rate must be finite"),
-    (3, 0.0, "learning rate must be finite and > 0"),
-    (0, -0.5, "learning rate must be finite and > 0"),
-])
-def test_train_adapter_rejects_bad_epochs_or_learning_rate_before_any_work(epochs, lr, message):
-    losses = []
-    records = _random_records(np.random.default_rng(3), 1)
-    with pytest.raises(ValidationError, match=message):
-        train_adapter(records, epochs=epochs, lr=lr, callback=lambda e, loss: losses.append(loss))
-    assert losses == []
-
-
-def test_adapter_gradient_matches_finite_differences():
-    """Central-difference oracle over every matrix entry, rel err < 1e-4."""
-    rng = np.random.default_rng(42)
-    records = _random_records(rng, 2, dim=3)
-    matrix = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
-    m = 0.5
-    _, grad = adapter_loss_and_grad(matrix, records, m)
-
-    eps = 1e-5
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            probe = matrix.copy()
-            probe[i, j] += eps
-            hi = adapter_mean_loss(probe, records, m)
-            probe[i, j] -= 2 * eps
-            lo = adapter_mean_loss(probe, records, m)
-            numeric = (hi - lo) / (2 * eps)
-            denom = max(abs(grad[i, j]), abs(numeric), 1e-12)
-            worst = max(worst, abs(grad[i, j] - numeric) / denom)
-    assert worst < 1e-4
-
-
-def test_load_adapter_training_file(tmp_path):
-    import json
-
-    from qmkgf.vectors import load_adapter_training_file
-
-    path = tmp_path / "train.jsonl"
-    rows = [
-        {"query": "q1", "pos": ["p1"], "neg": ["n1", "n2"]},
-        {"query": "q2", "pos": ["p2", "p3"], "neg": ["n3"]},
-    ]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    assert load_adapter_training_file(str(path)) == rows
-    path.write_text('{"query": "q", "pos": "not a list", "neg": []}\n')
-    with pytest.raises(ParseError):
-        load_adapter_training_file(str(path))
-
-
 def test_qvec_round_trip():
     rng = np.random.default_rng(13)
     index = VectorIndex(5, kind="entity")
@@ -495,9 +329,17 @@ def test_qvec_rejects_bad_magic_and_truncation():
         load_index(b"NOPE" + b"\x00" * 20)
     index = VectorIndex(3)
     index.add("a", [1.0, 2.0, 3.0])
+    index.add("b", [4.0, 5.0, 6.0])
     data = save_index(index)
     with pytest.raises(ParseError):
         load_index(data[:-4])
+    with pytest.raises(ParseError, match="unexpected bytes"):
+        load_index(data + b"\x00")
+    # A header claiming 3 records whose third repeats the first id.
+    record_a = data[16 : 16 + 4 + 1 + 3 * 4]
+    repeated = data[:12] + (3).to_bytes(4, "little") + data[16:] + record_a
+    with pytest.raises(ParseError, match="duplicate id 'a'"):
+        load_index(repeated)
 
 
 def test_index_validates_dimension_and_finiteness():
