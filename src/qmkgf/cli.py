@@ -20,7 +20,7 @@ from . import reward, subgraphs, vectors
 from .clients import HttpModelClient, StubModelClient
 from .config import PipelineConfig, load_config
 from .errors import NotFoundError, ParseError, QmkgfError, ValidationError
-from .fusion import STRATEGIES, ScoredSubgraph, fuse
+from .fusion import STRATEGIES
 
 logger = logging.getLogger(__name__)
 
@@ -193,17 +193,19 @@ def cmd_inspect_subgraph(args: argparse.Namespace) -> int:
     graph, indices, params = _load_artifacts(args.artifacts, cfg)
     if args.entity not in graph:
         raise NotFoundError(f"unknown entity: {args.entity!r}")
-    sim = subgraphs.similarity_from_index(indices.entities, client.embed)
-    candidates = pipe.candidate_subgraphs(graph, args.entity, cfg, sim)
-    if args.kind == "fused":  # fused view anchored on the entity itself as the query
-        scored = [
-            ScoredSubgraph(sg, reward.score(args.entity, sg, params, client.embed))
-            for sg in candidates
-        ]
-        sg = fuse(scored, client.embed(args.entity), pipe.fusion_config(cfg), client.embed).fused
+    embed = pipe.QueryEmbeddings(client)
+    scores = None
+    if args.kind == subgraphs.FUSED:  # the query path, with the entity itself as the query
+        [(_, result)] = pipe.score_and_fuse(
+            args.entity, graph, [args.entity], indices, params, cfg, embed
+        )
+        sg = result.fused
     else:
+        [candidates] = pipe.memoized_candidates(graph, [args.entity], indices.entities, cfg, embed)
         sg = next(c for c in candidates if c.path_kind == args.kind)
-    sys.stdout.write(subgraphs.dump_subgraph(sg))
+        if args.kind == subgraphs.PAGERANK:
+            scores = subgraphs.personalized_pagerank(graph, {args.entity: 1.0}, cfg.pagerank).scores
+    sys.stdout.write(subgraphs.dump_subgraph(sg, scores))
     return 0
 
 

@@ -228,9 +228,9 @@ class HttpModelClient:
     def extract_entities(self, text: str) -> list[str]:
         body = self._post("/extract", {"text": text, "mode": "entities"})
         entities = body.get("entities")
-        if not isinstance(entities, list):
-            raise ModelServiceError("/extract response missing entities")
-        return [str(e) for e in entities]
+        if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
+            raise ModelServiceError("/extract response entities must be a list of strings")
+        return entities
 
     def extract_triples(self, text: str) -> list[dict]:
         body = self._post("/extract", {"text": text, "mode": "triples"})

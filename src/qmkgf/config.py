@@ -14,7 +14,8 @@ import os
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .fusion import STRATEGIES
+from .fusion import FusionConfig
+from .subgraphs import PageRankConfig
 
 ENV_CONFIG = "QMKGF_CONFIG"
 
@@ -36,21 +37,23 @@ class PipelineConfig:
     stub: bool = False
     service_url: str | None = None
 
+    @property
+    def pagerank(self) -> PageRankConfig:
+        return PageRankConfig(self.damping, self.pagerank_max_iters, self.pagerank_tolerance)
+
+    @property
+    def fusion(self) -> FusionConfig:
+        """A fixed threshold when ``tau`` is set, else one derived per subgraph set."""
+        return FusionConfig(self.strategy, self.tau)
+
     def validate(self) -> None:
         if self.K < 1 or self.k < 1 or self.per_item_k < 1:
             raise ValidationError("K, k, and per_item_k must be >= 1")
         if self.heads < 1 or self.dim < 1 or self.dim % self.heads != 0:
             raise ValidationError("heads must be >= 1 and divide dim")
-        if not 0.0 < self.damping < 1.0:
-            raise ValidationError("damping must be in (0, 1)")
-        if self.pagerank_max_iters < 1 or not self.pagerank_tolerance > 0:
-            raise ValidationError("pagerank_max_iters >= 1 and tolerance > 0 required")
+        _ = self.pagerank, self.fusion  # their constructors check the stage settings
         if self.temperature < 0.0:
             raise ValidationError("temperature must be >= 0")
-        if self.strategy not in STRATEGIES:
-            raise ValidationError(f"unknown strategy {self.strategy!r}")
-        if self.tau is not None and not -1.0 <= self.tau <= 1.0:
-            raise ValidationError("tau must be in [-1, 1]")
         if not self.stub and self.service_url is None:
             raise ValidationError("service_url required unless stub mode is on")
 
@@ -61,8 +64,12 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 def parse_config_file(path: str) -> dict:
     """Parse "key = value" lines; '#' starts a comment, blank lines skipped."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, data in enumerate(fh, start=1):
+            try:
+                raw = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{path}:{lineno}: not valid UTF-8: {exc.reason}") from exc
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -104,7 +104,6 @@ def fuse(
     """
     base = select_max(scored)
     others = [s.subgraph for s in scored if s.subgraph is not base.subgraph]
-    base_triples = {t.key: t for t in base.subgraph.triples}
     threshold = -1.0
     if cfg.strategy == RM_FUSION:
         threshold = cfg.tau
@@ -127,26 +126,24 @@ def fuse(
     else:  # RM_FUSION
         selected = [t for t in to_score if sims[t.key] >= threshold]
 
-    merged = dict(base_triples)
-    for t in selected:
-        merged.setdefault(t.key, t)
-    triples = [merged[k] for k in sorted(merged)]
-    members = {base.subgraph.center}
-    for t in triples:
-        members.add(t.head)
-        members.add(t.tail)
-    fused = Subgraph(
-        center=base.subgraph.center,
-        triples=triples,
-        members=members,
-        path_kind=FUSED,
-    )
-    fused.validate()
     return FusionResult(
-        fused=fused,
+        fused=fused_subgraph(base.subgraph.center, [*base.subgraph.triples, *selected]),
         base_kind=base.subgraph.path_kind,
         threshold_used=threshold,
         selected=selected,
+    )
+
+
+def fused_subgraph(center: str, triples, members=()) -> Subgraph:
+    """A fused subgraph around ``center``: ``triples`` deduplicated by key
+    (the first wins) in key order; its members are the centre, ``members``
+    and every triple endpoint."""
+    kept = _dedup(triples)
+    return Subgraph(
+        center=center,
+        triples=kept,
+        members={center, *members, *(t.head for t in kept), *(t.tail for t in kept)},
+        path_kind=FUSED,
     )
 
 

@@ -318,14 +318,14 @@ def _parse_json_line(raw: str, lineno: int) -> dict:
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     """Yield (1-based line number, object) for each non-blank line of a JSONL file.
 
-    Raises ParseError naming the line on invalid JSON or a non-object row.
+    Raises ParseError naming the line on bytes that are not UTF-8, invalid
+    JSON or a non-object row.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, data in enumerate(fh, start=1):
+            try:
+                raw = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not valid UTF-8: {exc.reason}", line=lineno) from exc
             if raw.strip():
                 yield lineno, _parse_json_line(raw, lineno)
-
-
-def load_extraction_file(path: str) -> list[dict]:
-    """Read a line-delimited extraction-record file (no header)."""
-    return [row for _, row in read_jsonl(path)]

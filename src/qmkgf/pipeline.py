@@ -29,18 +29,16 @@ four embedding round trips, and a fallback query one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import PipelineConfig
 from .errors import GenerationError, ModelServiceError, NotFoundError, ParseError, ValidationError
-from .fusion import FusionConfig, FusionResult, ScoredSubgraph, fuse, triples_to_score
-from .kg import KnowledgeGraph, Triple, read_jsonl
+from .fusion import FusionResult, ScoredSubgraph, fuse, fused_subgraph, triples_to_score
+from .kg import KnowledgeGraph, read_jsonl
 from .reward import AttentionParams, score as rm_score, serialize_subgraph
 from .subgraphs import (
-    FUSED,
-    PageRankConfig,
     Subgraph,
     multi_hop_subgraph,
     one_hop_subgraph,
@@ -98,7 +96,7 @@ class QmkgfResult:
     trace: dict
 
 
-class _QueryEmbeddings:
+class QueryEmbeddings:
     """One query's text -> vector memo: ``prefetch`` sends the texts it lacks
     in one ``client.embed_many`` call; a lookup it cannot answer sends one."""
 
@@ -256,32 +254,13 @@ def generate_answer(query: str, ranked: RankedChunks, client) -> str:
         raise GenerationError(f"generation failed: {exc}", prompt=prompt) from exc
 
 
-def _union_fused(parts: list[Subgraph], center: str) -> Subgraph:
-    merged: dict[tuple, Triple] = {}
-    members: set[str] = {center}
-    for part in parts:
-        members |= part.members
-        for t in part.triples:
-            merged.setdefault(t.key, t)
-    triples = [merged[key] for key in sorted(merged)]
-    for t in triples:
-        members.add(t.head)
-        members.add(t.tail)
-    return Subgraph(center=center, triples=triples, members=members, path_kind=FUSED)
-
-
 def candidate_subgraphs(kg: KnowledgeGraph, center: str, cfg: PipelineConfig, sim) -> list[Subgraph]:
     """The one-hop, multi-hop and PageRank candidates around ``center``."""
-    pr_cfg = PageRankConfig(
-        damping=cfg.damping,
-        max_iters=cfg.pagerank_max_iters,
-        tolerance=cfg.pagerank_tolerance,
-    )
     ranked = ranked_neighbors(kg, center, sim)
     return [
         one_hop_subgraph(kg, center, cfg.K, sim, ranked),
         multi_hop_subgraph(kg, center, cfg.K, sim, ranked),
-        pagerank_subgraph(kg, center, cfg.K, pr_cfg),
+        pagerank_subgraph(kg, center, cfg.K, cfg.pagerank),
     ]
 
 
@@ -294,13 +273,13 @@ def memoized_candidates(
     The memo lives on ``kg``, which drops it on every mutation. It belongs
     to the entity index's current ``frozen()`` snapshot and the subgraph
     settings; a call with another owner starts it afresh. It holds one
-    entry per centre, without the PageRank ``node_scores``, and every call
-    returns those entries, so callers share them and must not mutate them.
+    entry per centre, and every call returns those entries, so callers
+    share them and must not mutate them.
     ``embed`` only embeds graph entities missing from the index, which
     shipped indices never lack.
     """
     snapshot = entities.frozen()
-    params = (cfg.K, cfg.damping, cfg.pagerank_max_iters, cfg.pagerank_tolerance)
+    params = (cfg.K, cfg.pagerank)
     memo = kg.candidate_memo
     if memo is None or memo[0] is not snapshot or memo[1] != params:
         memo = kg.candidate_memo = (snapshot, params, {})
@@ -308,14 +287,35 @@ def memoized_candidates(
     sim = similarity_from_index(entities, embed)
     for center in centers:
         if center not in entries:
-            built = candidate_subgraphs(kg, center, cfg, sim)
-            entries[center] = [replace(sg, node_scores=None) for sg in built]
+            entries[center] = candidate_subgraphs(kg, center, cfg, sim)
     return [entries[center] for center in centers]
 
 
-def fusion_config(cfg: PipelineConfig) -> FusionConfig:
-    """A fixed threshold when ``cfg.tau`` is set, else one derived per subgraph set."""
-    return FusionConfig(cfg.strategy, cfg.tau)
+def score_and_fuse(
+    query: str,
+    kg: KnowledgeGraph,
+    centers: list[str],
+    indices: RetrievalIndices,
+    params: AttentionParams,
+    cfg: PipelineConfig,
+    embed: QueryEmbeddings,
+) -> list[tuple[list[ScoredSubgraph], FusionResult]]:
+    """Each centre's candidate subgraphs, scored against ``query`` by the
+    reward model, and their fusion.
+
+    ``embed`` is the query's memo: the candidates' serializations go in one
+    batch, then the triples fusion scores in another.
+    """
+    q_vec = np.asarray(embed(query), dtype=np.float64)
+    fusion_cfg = cfg.fusion
+    candidates = memoized_candidates(kg, centers, indices.entities, cfg, embed)
+    embed.prefetch(serialize_subgraph(sg) for parts in candidates for sg in parts)
+    scored_parts = [
+        [ScoredSubgraph(subgraph=sg, score=rm_score(query, sg, params, embed)) for sg in parts]
+        for parts in candidates
+    ]
+    embed.prefetch(t.text() for s in scored_parts for t in triples_to_score(s, cfg.strategy))
+    return [(scored, fuse(scored, q_vec, fusion_cfg, embed)) for scored in scored_parts]
 
 
 def run_qmkgf(
@@ -331,7 +331,7 @@ def run_qmkgf(
 
     entities = extract_query_entities(query, client)
     trace["entities"] = entities
-    embed = _QueryEmbeddings(client)
+    embed = QueryEmbeddings(client)
     embed.prefetch([query, *(entities if len(indices.entities) else [])])
 
     mapped: list[dict] = []
@@ -352,37 +352,24 @@ def run_qmkgf(
         trace["fallback"] = True
         trace["per_entity"] = []
     else:
-        q_vec = np.asarray(embed(query), dtype=np.float64)
-        fusion_cfg = fusion_config(cfg)
-        candidates = memoized_candidates(kg, centers, indices.entities, cfg, embed)
-        embed.prefetch(serialize_subgraph(sg) for parts in candidates for sg in parts)
-        scored_parts = [
-            [ScoredSubgraph(subgraph=sg, score=rm_score(query, sg, params, embed)) for sg in parts]
-            for parts in candidates
+        fused_per_centre = score_and_fuse(query, kg, centers, indices, params, cfg, embed)
+        trace["per_entity"] = [
+            {
+                "entity": center,
+                "scores": {s.subgraph.path_kind: float(s.score) for s in scored},
+                "subgraph_sizes": {
+                    s.subgraph.path_kind: len(s.subgraph.triples) for s in scored
+                },
+                "base_kind": result.base_kind,
+                "threshold": float(result.threshold_used),
+                "selected": [t.key for t in result.selected],
+                "fused_triples": [t.key for t in result.fused.sorted_triples()],
+            }
+            for center, (scored, result) in zip(centers, fused_per_centre)
         ]
-        embed.prefetch(t.text() for s in scored_parts for t in triples_to_score(s, cfg.strategy))
-        per_entity = []
-        fused_parts: list[Subgraph] = []
-        for center, scored in zip(centers, scored_parts):
-            result: FusionResult = fuse(scored, q_vec, fusion_cfg, embed)
-            fused_parts.append(result.fused)
-            per_entity.append(
-                {
-                    "entity": center,
-                    "scores": {
-                        s.subgraph.path_kind: float(s.score) for s in scored
-                    },
-                    "subgraph_sizes": {
-                        s.subgraph.path_kind: len(s.subgraph.triples) for s in scored
-                    },
-                    "base_kind": result.base_kind,
-                    "threshold": float(result.threshold_used),
-                    "selected": [t.key for t in result.selected],
-                    "fused_triples": [t.key for t in result.fused.sorted_triples()],
-                }
-            )
-        trace["per_entity"] = per_entity
-        fused = _union_fused(fused_parts, centers[0])
+        # One subgraph for expansion: every centre and its fused triples.
+        triples = [t for _, result in fused_per_centre for t in result.fused.triples]
+        fused = fused_subgraph(centers[0], triples, centers)
 
     eq = expand_query(query, fused)
     trace["expanded_items"] = eq.items

@@ -278,11 +278,6 @@ def rm_loss_and_grads(
     return total / n, {name: acc[name] / n for name in PARAM_GROUPS}
 
 
-def rm_mse(params: AttentionParams, examples: list[RMExample]) -> float:
-    loss, _ = rm_loss_and_grads(params, examples)
-    return loss
-
-
 def train_rm(
     examples: list[RMTrainingExample],
     epochs: int,

@@ -34,7 +34,6 @@ class Subgraph:
     triples: list[Triple]
     members: set[str]
     path_kind: str
-    node_scores: Mapping[str, float] | None = None
 
     def validate(self) -> None:
         """Check structural invariants; raises ValidationError on breach."""
@@ -278,21 +277,21 @@ def pagerank_subgraph(
         triples=sorted(set(triples), key=lambda t: t.key),
         members=members,
         path_kind=PAGERANK,
-        node_scores=result.scores,
     )
     sg.validate()
     return sg
 
 
-def dump_subgraph(sg: Subgraph) -> str:
-    """Debug dump: one header line, then one triple per line (JSON)."""
+def dump_subgraph(sg: Subgraph, scores: Mapping[str, float] | None = None) -> str:
+    """Debug dump: one header line, then one triple per line (JSON). The
+    header carries ``scores``, such as a PageRank result's, when given."""
     header: dict = {
         "center": sg.center,
         "path_kind": sg.path_kind,
         "members": sorted(sg.members),
     }
-    if sg.node_scores is not None:
-        header["scores"] = {e: sg.node_scores[e] for e in sorted(sg.node_scores)}
+    if scores is not None:
+        header["scores"] = {e: scores[e] for e in sorted(scores)}
     lines = [json.dumps(header, sort_keys=True)]
     for t in sg.sorted_triples():
         row: dict = {"head": t.head, "relation": t.relation, "tail": t.tail, "weight": t.weight}

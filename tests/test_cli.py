@@ -6,10 +6,12 @@ import warnings
 import pytest
 
 from qmkgf.cli import main
+from qmkgf.clients import StubModelClient
 from qmkgf.kg import KnowledgeGraph, Triple, save as save_kg
 from qmkgf.kg import load as load_kg
 from qmkgf.reward import load_params
 from qmkgf.vectors import load_index
+from test_clients import _serving, _StubHandler
 
 
 def _write_corpus(path, rows):
@@ -272,6 +274,54 @@ def test_inspect_subgraph_fused(artifacts, capsys):
     assert rc == 0
     header = json.loads(capsys.readouterr().out.split("\n")[0])
     assert header["path_kind"] == "fused"
+
+
+def _inspect_fused_triples(out: str) -> list[list[str]]:
+    return [[row["head"], row["relation"], row["tail"]]
+            for row in map(json.loads, out.splitlines()[1:])]
+
+
+@pytest.mark.parametrize("strategy", ["rm_fusion", "all_fusion", "top5_fusion"])
+def test_inspect_subgraph_fused_shows_what_query_fuses(artifacts, capsys, monkeypatch, strategy):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    entity = "Birchwood"
+    assert main(["query", entity, "--artifacts", str(artifacts), "--stub", "--trace",
+                 "--strategy", strategy]) == 0
+    out = capsys.readouterr().out
+    trace = json.loads(out[out.index("{") :])
+    assert [m["entity"] for m in trace["mapped"]] == [entity]
+    # The same path over HTTP: the entity, the serializations, the fusion triples.
+    _StubHandler.stub = StubModelClient(dim=64, seed=0)
+    _StubHandler.requests = []
+    with _serving(_StubHandler) as url:
+        assert main(["inspect-subgraph", entity, "--kind", "fused", "--artifacts",
+                     str(artifacts), "--strategy", strategy, "--service-url", url]) == 0
+    fused = trace["per_entity"][0]["fused_triples"]
+    assert _inspect_fused_triples(capsys.readouterr().out) == fused
+    assert sum(path == "/embed" for path, _ in _StubHandler.requests) <= 3
+
+
+@pytest.mark.parametrize("command", ["build-kg", "train-rm", "eval", "--config"])
+def test_non_utf8_input_exits_2_naming_the_line(artifacts, tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    if command == "build-kg":
+        bad.write_bytes(b'{"id": "d1", "text": "Ashford"}\n{"id": "d2", "text": "caf\xe9"}\n')
+        argv = ["build-kg", str(bad), str(tmp_path / "kg.jsonl"), "--stub"]
+    elif command == "train-rm":
+        bad.write_bytes(b'{"query": "q", "subgraph": "A r B", "score": 1.0}\n\xff\n')
+        argv = ["train-rm", str(bad), str(tmp_path / "rm.qrmw"), "--stub"]
+    elif command == "eval":
+        bad.write_bytes(b'{"query": "q", "reference": "r", "gold_chunks": []}\n\xff\n')
+        argv = ["eval", str(bad), "--artifacts", str(artifacts), "--stub"]
+    else:
+        bad.write_bytes(b"K = 5\nstrategy = caf\xe9\n")
+        argv = ["query", "q", "--artifacts", str(artifacts), "--stub", "--config", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "not valid UTF-8" in err
+    assert ("bad.txt:2:" if command == "--config" else "line 2:") in err
 
 
 def _pagerank_world(tmp_path):

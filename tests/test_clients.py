@@ -113,6 +113,7 @@ class _Handler(BaseHTTPRequestHandler):
     fail_rerank = False
     embed_reply = None  # when set, the /embed reply body, whatever was sent
     rerank_reply = None  # likewise for /rerank
+    entities_reply = None  # likewise for /extract in entities mode
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -132,11 +133,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self.end_headers()
                 return
             body = {"scores": [float(i) for i, _ in enumerate(payload["texts"])]}
+        elif self.path == "/extract" and payload["mode"] == "entities":
+            body = _Handler.entities_reply or {"entities": ["E1", "E2"]}
         elif self.path == "/extract":
-            if payload["mode"] == "entities":
-                body = {"entities": ["E1", "E2"]}
-            else:
-                body = {"records": [{"head": "E1", "relation": "r", "tail": "E2"}]}
+            body = {"records": [{"head": "E1", "relation": "r", "tail": "E2"}]}
         else:
             self.send_response(404)
             self.end_headers()
@@ -170,6 +170,7 @@ def http_client():
     _Handler.fail_rerank = False
     _Handler.embed_reply = None
     _Handler.rerank_reply = None
+    _Handler.entities_reply = None
     with _serving(_Handler) as url:
         yield HttpModelClient(url, temperature=0.0)
 
@@ -272,6 +273,13 @@ def test_http_extract_both_modes(http_client):
     records = http_client.extract_triples("text")
     assert records == [{"head": "E1", "relation": "r", "tail": "E2"}]
     assert _Handler.calls[-1][1] == {"text": "text", "mode": "triples"}
+
+
+@pytest.mark.parametrize("entities", [[None, True, 3.5, {"x": 1}], ["E1", 2]])
+def test_http_extract_entities_rejects_entries_that_are_not_strings(http_client, entities):
+    _Handler.entities_reply = {"entities": entities}
+    with pytest.raises(ModelServiceError, match="list of strings"):
+        http_client.extract_entities("text")
 
 
 def test_http_error_status_raises(http_client):

@@ -237,43 +237,13 @@ def test_load_rejects_bad_header():
         load(b"")
 
 
-def test_load_extraction_file_round_trip(tmp_path):
-    import json
-
-    path = tmp_path / "records.jsonl"
-    rows = [
-        {"head": "A", "relation": "r", "tail": "B", "weight": 2.0},
-        {"head": "B", "relation": "r", "tail": "C", "source_chunk": "c3"},
-    ]
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    from qmkgf.kg import load_extraction_file
-
-    records = load_extraction_file(str(path))
-    g, report = ingest_extraction(KnowledgeGraph(), records)
-    assert report.added == 2
-    assert g.triples[0].weight == 2.0
-    assert g.triples[1].source_chunk == "c3"
-
-
-def test_load_extraction_file_invalid_json_names_line(tmp_path):
-    path = tmp_path / "records.jsonl"
-    path.write_text('{"head": "A", "relation": "r", "tail": "B"}\n{broken\n')
-    from qmkgf.kg import load_extraction_file
-
-    with pytest.raises(ParseError) as exc:
-        load_extraction_file(str(path))
-    assert exc.value.line == 2
-
-
 def _jsonl_readers():
-    from qmkgf.kg import load_extraction_file
     from qmkgf.metrics import load_eval_file
     from qmkgf.pipeline import load_corpus
     from qmkgf.reward import load_rm_training_file
 
     return [
         (load_corpus, lambda i: {"id": f"c{i}", "text": "some text"}),
-        (load_extraction_file, lambda i: {"head": "A", "relation": "r", "tail": f"B{i}"}),
         (load_rm_training_file, lambda i: {"query": "q", "subgraph": "A r B", "score": 0.5}),
         (load_eval_file, lambda i: {"query": "q", "reference": "r", "gold_chunks": []}),
     ]
@@ -292,6 +262,10 @@ def test_jsonl_readers_skip_blank_lines_and_name_the_bad_line(tmp_path, reader, 
         with pytest.raises(ParseError, match=message) as exc:
             reader(str(path))
         assert exc.value.line == 3
+    path.write_bytes(f"{first}\n\n".encode() + b'{"id": "caf\xe9"}\n')
+    with pytest.raises(ParseError, match="not valid UTF-8") as exc:
+        reader(str(path))
+    assert exc.value.line == 3
 
 
 def test_source_chunk_kept_from_first_row():

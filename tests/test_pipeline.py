@@ -1,7 +1,9 @@
+import importlib.util
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from qmkgf.pipeline import (
     candidate_subgraphs,
     expand_query,
     extract_query_entities,
-    fusion_config,
     generate_answer,
     map_entity,
     rerank_chunks,
@@ -528,11 +529,10 @@ def test_candidate_subgraphs_rank_the_centre_neighbours_once():
     candidates = candidate_subgraphs(g, "hub", cfg, sim)
     together = len(calls)
     calls.clear()
-    pr_cfg = PageRankConfig(cfg.damping, cfg.pagerank_max_iters, cfg.pagerank_tolerance)
     assert candidates == [
         one_hop_subgraph(g, "hub", 3, sim),
         multi_hop_subgraph(g, "hub", 3, sim),
-        pagerank_subgraph(g, "hub", 3, pr_cfg),
+        pagerank_subgraph(g, "hub", 3, cfg.pagerank),
     ]
     # The builders on their own each rank the six neighbours of the hub.
     assert together == len(calls) - 6
@@ -544,10 +544,11 @@ def test_candidate_subgraphs_and_fusion_config_follow_the_config():
     cfg = PipelineConfig(stub=True, K=2, damping=0.5, pagerank_max_iters=3)
     candidates = candidate_subgraphs(g, "hilltown", cfg, sim)
     assert [sg.path_kind for sg in candidates] == ["onehop", "multihop", "pagerank"]
-    expected = pagerank_subgraph(g, "hilltown", 2, PageRankConfig(0.5, 3, cfg.pagerank_tolerance))
-    assert candidates[2].node_scores == expected.node_scores
-    assert fusion_config(cfg).tau is None
-    fixed = fusion_config(PipelineConfig(stub=True, tau=0.3, strategy="top5_fusion"))
+    pr_cfg = PageRankConfig(0.5, 3, cfg.pagerank_tolerance)
+    assert cfg.pagerank == pr_cfg
+    assert candidates[2] == pagerank_subgraph(g, "hilltown", 2, pr_cfg)
+    assert cfg.fusion.tau is None
+    fixed = PipelineConfig(stub=True, tau=0.3, strategy="top5_fusion").fusion
     assert (fixed.tau, fixed.strategy) == (0.3, "top5_fusion")
 
 
@@ -646,10 +647,7 @@ def test_memo_entries_equal_fresh_candidates_without_scores():
     sim = similarity_from_index(indices.entities, client.embed)
     owned = {id(t) for t in g.triples}
     for center, parts in entries.items():
-        fresh = candidate_subgraphs(g, center, cfg, sim)
-        assert fresh[2].node_scores is not None
-        assert all(sg.node_scores is None for sg in parts)
-        assert parts == [replace(sg, node_scores=None) for sg in fresh]
+        assert parts == candidate_subgraphs(g, center, cfg, sim)
         # The graph's own triples, not copies.
         assert all(id(t) in owned for sg in parts for t in sg.triples)
     # Merging a triple replaces it in the graph and empties the memo.
@@ -676,8 +674,7 @@ def test_threads_sharing_a_graph_get_the_traces_of_a_fresh_graph():
     assert got == [expected[q] for q in queries]
     sim = similarity_from_index(indices.entities, client.embed)
     for center, parts in g.candidate_memo[2].items():
-        assert parts == [replace(sg, node_scores=None)
-                         for sg in candidate_subgraphs(g, center, cfg, sim)]
+        assert parts == candidate_subgraphs(g, center, cfg, sim)
 
 
 def test_run_qmkgf_builds_a_centre_once_through_the_pipeline_globals(monkeypatch):
@@ -699,3 +696,39 @@ def test_run_qmkgf_builds_a_centre_once_through_the_pipeline_globals(monkeypatch
     assert calls == dict.fromkeys(calls, 1)
     pipeline.run_qmkgf("hilltown and quarry news", g, indices, params, cfg, client)
     assert calls == dict.fromkeys(calls, 2)
+
+
+BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+
+
+def _bench_trace_targets(monkeypatch) -> list:
+    """``TRACE_TARGETS`` of the benchmark script, imported without running it.
+    The import sets thread-count variables and extends ``sys.path``; both are
+    restored after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACE_TARGETS
+
+
+def test_run_qmkgf_calls_every_bench_trace_target_through_its_patched_name(monkeypatch):
+    # The benchmark times each stage by patching a (module, attribute) pair;
+    # a stage the pipeline stops calling by that name stops being timed.
+    targets = _bench_trace_targets(monkeypatch)
+    fired = {}
+    for module, attr, _, _ in targets:
+        name = f"{module.__name__}.{attr}"
+        assert hasattr(module, attr), name
+        fired[name] = 0
+
+        def counted(*args, _name=name, _original=getattr(module, attr), **kwargs):
+            fired[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    g, indices, params, cfg, client = _toy_world()
+    result = pipeline.run_qmkgf("what fish live near hilltown", g, indices, params, cfg, client)
+    assert not result.trace["fallback"]
+    assert [name for name, calls in fired.items() if calls == 0] == []
