@@ -7,6 +7,7 @@ error. All commands accept --stub for fully offline deterministic runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import shutil
@@ -38,19 +39,10 @@ def _make_client(cfg: PipelineConfig):
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {
-        "K": getattr(args, "K", None),
-        "k": getattr(args, "k", None),
-        "per_item_k": getattr(args, "per_item_k", None),
-        "heads": getattr(args, "heads", None),
-        "dim": getattr(args, "dim", None),
-        "strategy": getattr(args, "strategy", None),
-        "tau": getattr(args, "tau", None),
-        "seed": getattr(args, "seed", None),
-        "service_url": getattr(args, "service_url", None),
-    }
-    if getattr(args, "stub", False):
-        overrides["stub"] = True
+    """The config file overlaid with every config flag given; an unset
+    flag parses to None, which leaves the file's value or the default."""
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    overrides = {name: value for name, value in vars(args).items() if name in fields}
     return load_config(args.config, overrides)
 
 
@@ -122,10 +114,7 @@ def cmd_train_rm(args: argparse.Namespace) -> int:
         callback=lambda epoch, loss: history.append(loss),
     )
     Path(args.out).write_bytes(reward.save_params(params))
-    if history:
-        print(f"initial_mse={history[0]:.6f} final_mse={min(history):.6f} epochs={args.epochs}")
-    else:
-        print(f"initial_mse=nan final_mse=nan epochs={args.epochs}")
+    print(f"initial_mse={history[0]:.6f} final_mse={min(history):.6f} epochs={args.epochs}")
     return 0
 
 
@@ -212,7 +201,9 @@ def cmd_inspect_subgraph(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="config file (or $QMKGF_CONFIG)")
-    common.add_argument("--stub", action="store_true", help="use in-process deterministic stubs")
+    common.add_argument(
+        "--stub", action="store_true", default=None, help="use in-process deterministic stubs"
+    )
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--k", type=int, default=None, help="rerank cutoff")
     common.add_argument("--K", type=int, default=None, help="subgraph size")

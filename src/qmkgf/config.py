@@ -10,6 +10,7 @@ environment variable when no --config flag is given.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -52,8 +53,8 @@ class PipelineConfig:
         if self.heads < 1 or self.dim < 1 or self.dim % self.heads != 0:
             raise ValidationError("heads must be >= 1 and divide dim")
         _ = self.pagerank, self.fusion  # their constructors check the stage settings
-        if self.temperature < 0.0:
-            raise ValidationError("temperature must be >= 0")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValidationError(f"temperature must be finite and >= 0, got {self.temperature!r}")
         if not self.stub and self.service_url is None:
             raise ValidationError("service_url required unless stub mode is on")
 

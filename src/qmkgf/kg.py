@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -270,25 +270,17 @@ def load(data: bytes) -> KnowledgeGraph:
 
     Raises ParseError naming the offending line on any malformed input.
     """
-    try:
-        text = data.decode("utf-8", errors="strict")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc.reason}", line=1) from exc
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input, expected qmkgf-kg header", line=1)
-
-    header = _parse_json_line(lines[0], 1)
+    rows = _jsonl_rows(data.split(b"\n"))
+    lineno, header = next(rows, (None, None))
+    if lineno != 1:
+        raise ParseError(f"expected the {KG_FORMAT} header", line=1)
     if header.get("format") != KG_FORMAT:
         raise ParseError(f"bad header, expected format {KG_FORMAT!r}", line=1)
     if header.get("version") != KG_VERSION:
         raise ParseError(f"unsupported version {header.get('version')!r}", line=1)
 
     g = KnowledgeGraph()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        row = _parse_json_line(raw, lineno)
+    for lineno, row in rows:
         if "entity" in row:
             ent = row["entity"]
             if not isinstance(ent, dict) or not isinstance(ent.get("id"), str):
@@ -300,7 +292,7 @@ def load(data: bytes) -> KnowledgeGraph:
             continue
         triple = _record_to_triple(row)
         if triple is None:
-            raise ParseError(f"malformed triple row: {raw.strip()!r}", line=lineno)
+            raise ParseError(f"malformed triple row: {json.dumps(row)}", line=lineno)
         g._upsert(triple)
     return g
 
@@ -315,17 +307,23 @@ def _parse_json_line(raw: str, lineno: int) -> dict:
     return value
 
 
-def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    """Yield (1-based line number, object) for each non-blank line of a JSONL file.
+def _jsonl_rows(lines: Iterable[bytes]) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, object) for each non-blank line.
 
-    Raises ParseError naming the line on bytes that are not UTF-8, invalid
-    JSON or a non-object row.
+    ``lines`` are split at b"\\n" only, so a U+2028 inside a JSON string
+    stays in its row. Raises ParseError naming the line on bytes that are
+    not UTF-8, invalid JSON or a non-object row.
     """
+    for lineno, data in enumerate(lines, start=1):
+        try:
+            raw = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8: {exc.reason}", line=lineno) from exc
+        if raw.strip():
+            yield lineno, _parse_json_line(raw, lineno)
+
+
+def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSONL file; see ``_jsonl_rows``."""
     with open(path, "rb") as fh:
-        for lineno, data in enumerate(fh, start=1):
-            try:
-                raw = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"not valid UTF-8: {exc.reason}", line=lineno) from exc
-            if raw.strip():
-                yield lineno, _parse_json_line(raw, lineno)
+        yield from _jsonl_rows(fh)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from copy import deepcopy
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,10 @@ QRMW_VERSION = 1
 
 DEFAULT_HEADS = 32
 
-PARAM_GROUPS = ("w_q", "w_k", "w_v", "w_o", "head_w", "head_b")
+# The parameter groups in QRMW order, each with its number of axes of
+# length d: W_Q, W_K, W_V and W_O are d x d, the linear head has d
+# weights and a scalar bias.
+PARAM_GROUPS = {"w_q": 2, "w_k": 2, "w_v": 2, "w_o": 2, "head_w": 1, "head_b": 0}
 
 Embedder = Callable[[str], np.ndarray]
 
@@ -55,12 +59,10 @@ class AttentionParams:
     def check_shapes(self) -> None:
         """The cheap structural half of ``validate``, run on every forward."""
         d = self.dim
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            m = getattr(self, name)
-            if m.shape != (d, d):
-                raise ValidationError(f"{name} must be {d}x{d}, got {m.shape}")
-        if self.head_w.shape != (d,):
-            raise ValidationError(f"head_w must have shape ({d},)")
+        for name, shape in _group_shapes(d).items():
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ValidationError(f"{name} must have shape {shape}, got {got}")
         if self.heads < 1 or d % self.heads != 0:
             raise ValidationError(f"heads ({self.heads}) must divide dim ({d})")
 
@@ -68,39 +70,33 @@ class AttentionParams:
         """Shapes plus finite entries; run when parameters are created,
         loaded, saved or updated by a training step."""
         self.check_shapes()
-        for name in ("w_q", "w_k", "w_v", "w_o"):
+        for name in PARAM_GROUPS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValidationError(f"{name} has non-finite entries")
-        if not np.all(np.isfinite(self.head_w)) or not np.isfinite(self.head_b):
-            raise ValidationError("linear head has non-finite entries")
 
     def copy(self) -> "AttentionParams":
-        return AttentionParams(
-            w_q=self.w_q.copy(),
-            w_k=self.w_k.copy(),
-            w_v=self.w_v.copy(),
-            w_o=self.w_o.copy(),
-            head_w=self.head_w.copy(),
-            head_b=self.head_b,
-            heads=self.heads,
-        )
+        return deepcopy(self)
+
+
+def _group_shapes(dim: int) -> dict[str, tuple[int, ...]]:
+    """Each parameter group's shape, in QRMW order; the bias's is ()."""
+    return {name: (dim,) * axes for name, axes in PARAM_GROUPS.items()}
 
 
 def init_params(dim: int, heads: int = DEFAULT_HEADS, seed: int = 0) -> AttentionParams:
-    """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) initialization, zero bias."""
+    """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) initialization, zero bias.
+
+    The groups draw from one generator in QRMW order; the bias draws nothing.
+    """
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)
-    params = AttentionParams(
-        w_q=rng.uniform(-bound, bound, (dim, dim)),
-        w_k=rng.uniform(-bound, bound, (dim, dim)),
-        w_v=rng.uniform(-bound, bound, (dim, dim)),
-        w_o=rng.uniform(-bound, bound, (dim, dim)),
-        head_w=rng.uniform(-bound, bound, dim),
-        head_b=0.0,
-        heads=heads,
-    )
+    groups = {
+        name: rng.uniform(-bound, bound, shape) if shape else 0.0
+        for name, shape in _group_shapes(dim).items()
+    }
+    params = AttentionParams(**groups, heads=heads)
     params.validate()
     return params
 
@@ -261,14 +257,7 @@ def rm_loss_and_grads(
     if not examples:
         raise ValidationError("examples must be non-empty")
     total = 0.0
-    acc: dict[str, np.ndarray | float] = {
-        "w_q": np.zeros_like(params.w_q),
-        "w_k": np.zeros_like(params.w_k),
-        "w_v": np.zeros_like(params.w_v),
-        "w_o": np.zeros_like(params.w_o),
-        "head_w": np.zeros_like(params.head_w),
-        "head_b": 0.0,
-    }
+    acc: dict[str, np.ndarray | float] = dict.fromkeys(PARAM_GROUPS, 0.0)
     for ex in examples:
         loss, grads = rm_example_grads(params, ex)
         total += loss
@@ -290,8 +279,9 @@ def train_rm(
     """Full-batch gradient descent on the mean squared error.
 
     Deterministic given the seed. Returns the best iterate seen, so the
-    final training MSE never exceeds the initial one. Zero epochs
-    returns the seeded initialization untouched.
+    final training MSE never exceeds the initial one; with zero epochs
+    that is the seeded initialization. ``callback`` gets epoch 0's loss
+    first, the initialization's.
     """
     if not examples:
         raise ValidationError("training set must be non-empty")
@@ -308,29 +298,19 @@ def train_rm(
         for ex in examples
     ]
     dim = embedded[0].query_vec.shape[0]
-    params = init_params(dim, heads=heads, seed=seed)
-    if epochs == 0:
-        return params
-
-    best = params.copy()
+    best = params = init_params(dim, heads=heads, seed=seed)
     best_loss, grads = rm_loss_and_grads(params, embedded)
     if callback is not None:
         callback(0, best_loss)
     for epoch in range(1, epochs + 1):
-        params = AttentionParams(
-            w_q=params.w_q - lr * grads["w_q"],
-            w_k=params.w_k - lr * grads["w_k"],
-            w_v=params.w_v - lr * grads["w_v"],
-            w_o=params.w_o - lr * grads["w_o"],
-            head_w=params.head_w - lr * grads["head_w"],
-            head_b=params.head_b - lr * grads["head_b"],
-            heads=params.heads,
+        # Each step makes new arrays, so earlier iterates stay as they were.
+        params = replace(
+            params, **{name: getattr(params, name) - lr * grads[name] for name in PARAM_GROUPS}
         )
         params.validate()
         loss, grads = rm_loss_and_grads(params, embedded)
         if loss <= best_loss:
-            best_loss = loss
-            best = params.copy()
+            best_loss, best = loss, params
         if callback is not None:
             callback(epoch, loss)
     return best
@@ -349,25 +329,19 @@ def numeric_grads(
         return (_forward(p, ex.query_vec, ex.kgs)["p"] - ex.target) ** 2
 
     out: dict[str, np.ndarray | float] = {}
-    for name in ("w_q", "w_k", "w_v", "w_o", "head_w"):
-        base = getattr(params, name)
+    for name in PARAM_GROUPS:
+        base = np.asarray(getattr(params, name), dtype=np.float64)
+        values = base.copy()  # the probe's copy of this group, nudged one entry at a time
+        probe = replace(params, **{name: values})
         grad = np.zeros_like(base)
-        it = np.nditer(base, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            probe = params.copy()
-            getattr(probe, name)[idx] = base[idx] + epsilon
+        for idx in np.ndindex(base.shape):
+            values[idx] = base[idx] + epsilon
             hi = loss_at(probe)
-            getattr(probe, name)[idx] = base[idx] - epsilon
+            values[idx] = base[idx] - epsilon
             lo = loss_at(probe)
+            values[idx] = base[idx]
             grad[idx] = (hi - lo) / (2.0 * epsilon)
-        out[name] = grad
-    probe = params.copy()
-    probe.head_b = params.head_b + epsilon
-    hi = loss_at(probe)
-    probe.head_b = params.head_b - epsilon
-    lo = loss_at(probe)
-    out["head_b"] = (hi - lo) / (2.0 * epsilon)
+        out[name] = grad if grad.ndim else float(grad)
     return out
 
 
@@ -407,9 +381,12 @@ def save_params(params: AttentionParams) -> bytes:
     out = bytearray()
     out += QRMW_MAGIC
     out += struct.pack("<III", QRMW_VERSION, params.dim, params.heads)
-    for name in ("w_q", "w_k", "w_v", "w_o", "head_w"):
-        out += np.ascontiguousarray(getattr(params, name), dtype="<f4").tobytes()
-    out += struct.pack("<f", params.head_b)
+    for name in PARAM_GROUPS:
+        with np.errstate(over="ignore"):
+            values = np.asarray(getattr(params, name), dtype="<f4")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"{name} has entries too large for float32")
+        out += values.tobytes()
     return bytes(out)
 
 
@@ -419,26 +396,18 @@ def load_params(data: bytes) -> AttentionParams:
     version, d, h = struct.unpack_from("<III", data, 4)
     if version != QRMW_VERSION:
         raise ParseError(f"unsupported QRMW version {version}")
-    expected = 16 + 4 * (4 * d * d + d + 1)
+    shapes = _group_shapes(d)
+    expected = 16 + 4 * sum(math.prod(shape) for shape in shapes.values())
     if len(data) != expected:
         raise ParseError(f"QRMW file has {len(data)} bytes, expected {expected}")
+    groups: dict[str, np.ndarray | float] = {}
     offset = 16
-
-    def take(count: int) -> np.ndarray:
-        nonlocal offset
-        arr = np.frombuffer(data[offset : offset + 4 * count], dtype="<f4").astype(np.float64)
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        values = np.frombuffer(data, dtype="<f4", count=count, offset=offset).astype(np.float64)
+        groups[name] = values.reshape(shape) if shape else float(values[0])
         offset += 4 * count
-        return arr
-
-    params = AttentionParams(
-        w_q=take(d * d).reshape(d, d),
-        w_k=take(d * d).reshape(d, d),
-        w_v=take(d * d).reshape(d, d),
-        w_o=take(d * d).reshape(d, d),
-        head_w=take(d),
-        head_b=float(take(1)[0]),
-        heads=h,
-    )
+    params = AttentionParams(**groups, heads=h)
     params.validate()
     return params
 

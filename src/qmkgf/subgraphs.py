@@ -10,6 +10,7 @@ orientation here); PageRank itself follows edge direction and weights.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
@@ -83,8 +84,8 @@ class PageRankConfig:
             raise ValidationError(f"damping must be in (0, 1), got {self.damping}")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if not self.tolerance > 0:
-            raise ValidationError("tolerance must be > 0")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValidationError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
 
 
 class PageRankScores(Mapping):

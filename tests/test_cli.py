@@ -1,15 +1,16 @@
 import hashlib
 import json
+import math
 import random
 import warnings
 
 import pytest
 
-from qmkgf.cli import main
+from qmkgf.cli import _config_from_args, build_parser, main
 from qmkgf.clients import StubModelClient
 from qmkgf.kg import KnowledgeGraph, Triple, save as save_kg
 from qmkgf.kg import load as load_kg
-from qmkgf.reward import load_params
+from qmkgf.reward import init_params, load_params, save_params
 from qmkgf.vectors import load_index
 from test_clients import _serving, _StubHandler
 
@@ -39,6 +40,20 @@ def artifacts(tmp_path, corpus_file):
     assert main(["build-kg", str(corpus_file), str(kg_path), "--stub"]) == 0
     assert main(["index", str(kg_path), str(corpus_file), str(out_dir), "--stub"]) == 0
     return out_dir
+
+
+def test_config_flags_override_the_file_and_unset_flags_keep_it(tmp_path):
+    path = tmp_path / "qmkgf.conf"
+    path.write_text("stub = true\nK = 3\nk = 4\n")
+    args = build_parser().parse_args([
+        "query", "q", "--artifacts", "a", "--config", str(path), "--k", "7", "--heads", "4",
+        "--dim", "16", "--strategy", "all_fusion", "--tau", "0.5", "--per-item-k", "2",
+        "--seed", "9", "--service-url", "http://localhost:1",
+    ])
+    cfg = _config_from_args(args)
+    assert (cfg.stub, cfg.K, cfg.k, cfg.heads, cfg.dim, cfg.strategy, cfg.tau) == (
+        True, 3, 7, 4, 16, "all_fusion", 0.5)
+    assert (cfg.per_item_k, cfg.seed, cfg.service_url) == (2, 9, "http://localhost:1")
 
 
 def test_build_kg_stub_corpus(tmp_path, corpus_file, capsys):
@@ -117,6 +132,20 @@ def test_train_rm_decreases_mse(tmp_path, capsys):
     assert final < initial
     params = load_params(out.read_bytes())
     assert params.dim == 16
+
+
+def test_train_rm_zero_epochs_reports_the_initial_mse_and_writes_the_init(tmp_path, capsys):
+    training = tmp_path / "rm.jsonl"
+    _write_training(training)
+    out = tmp_path / "rm.qrmw"
+    argv = ["train-rm", str(training), str(out), "--stub", "--epochs", "0", "--dim", "16",
+            "--heads", "4", "--seed", "3"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    initial = float(printed.split("initial_mse=")[1].split()[0])
+    final = float(printed.split("final_mse=")[1].split()[0])
+    assert math.isfinite(initial) and final == initial
+    assert out.read_bytes() == save_params(init_params(16, heads=4, seed=3))
 
 
 def test_train_rm_seed_fixed_identical_bytes(tmp_path):

@@ -1,5 +1,6 @@
 import pytest
 
+from qmkgf.cli import main
 from qmkgf.config import ENV_CONFIG, PipelineConfig, load_config, parse_config_file
 from qmkgf.errors import ValidationError
 from qmkgf.fusion import STRATEGIES
@@ -96,3 +97,31 @@ def test_validate_accepts_exactly_the_fusion_strategies():
         assert load_config(None, {"stub": True, "strategy": name}).strategy == name
     with pytest.raises(ValidationError):
         load_config(None, {"stub": True, "strategy": "max_fusion"})
+
+
+NON_FINITE_MESSAGES = {
+    "pagerank_tolerance": "tolerance must be finite and > 0",
+    "temperature": "temperature must be finite and >= 0",
+}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pagerank_tolerance", "nan"),
+    ("pagerank_tolerance", "inf"),
+    ("pagerank_tolerance", "-inf"),
+    ("temperature", "nan"),
+    ("temperature", "inf"),
+])
+def test_validate_rejects_non_finite_tolerance_and_temperature(tmp_path, capsys, key, value):
+    message = NON_FINITE_MESSAGES[key]
+    with pytest.raises(ValidationError, match=message):
+        load_config(None, {"stub": True, key: float(value)})
+    path = tmp_path / "qmkgf.conf"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ValidationError, match=message):
+        load_config(str(path), {"stub": True})
+    # Config is checked before any input file is read.
+    argv = ["build-kg", str(tmp_path / "corpus.jsonl"), str(tmp_path / "kg.jsonl"), "--stub",
+            "--config", str(path)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err

@@ -1,0 +1,146 @@
+"""Golden digests of the pipeline's output on the two benchmark worlds.
+
+Each world is built from ``bench/worlds.py`` at seed 41 with the stub
+client, straight into memory. The test compares, with the checked-in
+``golden_traces.json``:
+
+- per strategy, one sha256 over the ``run_qmkgf`` traces of the first
+  warm-up and timed rows, in order;
+- per subgraph kind, one sha256 over the ``inspect-subgraph`` dumps of
+  the five highest-degree entities.
+
+A change that moves any ranking, score or fused triple by one bit fails
+here. Such a change regenerates the file with
+``PYTHONPATH=src python tests/test_golden.py`` and says in CHANGES.md
+why the outputs changed. A mismatch on another host with unchanged code
+(other BLAS last bits, say) is a finding to report, not a reason to
+loosen or skip the check.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qmkgf import pipeline as pipe
+from qmkgf import subgraphs
+from qmkgf.clients import StubModelClient
+from qmkgf.config import PipelineConfig
+from qmkgf.fusion import STRATEGIES
+from qmkgf.kg import KnowledgeGraph, ingest_extraction
+from qmkgf.reward import init_params
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden_traces.json"
+REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
+SEED = 41
+DIM = 64
+ROWS = {"doc_heavy": 150, "graph_heavy": 100}
+KINDS = (subgraphs.ONEHOP, subgraphs.MULTIHOP, subgraphs.PAGERANK, subgraphs.FUSED)
+TOP_ENTITIES = 5
+
+
+def _bench_worlds():
+    spec = importlib.util.spec_from_file_location("bench_worlds", ROOT / "bench" / "worlds.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it executes
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _build(name: str):
+    stub = StubModelClient(dim=DIM, seed=0)
+    world = _bench_worlds().WORKLOADS[name](SEED, stub)
+    graph, _ = ingest_extraction(KnowledgeGraph(), world.records)
+    chunks = {c["id"]: pipe.Chunk(id=c["id"], text=c["text"]) for c in world.chunks}
+    indices = pipe.RetrievalIndices(
+        entities=pipe.build_entity_index(graph, stub.embed, DIM),
+        documents=pipe.build_document_index(chunks, stub.embed, DIM),
+        chunks=chunks,
+    )
+    params = init_params(DIM, heads=32, seed=0)
+    rows = (world.warmup + world.timed)[: ROWS[name]]
+    return graph, indices, params, stub, rows
+
+
+def trace_digests(graph, indices, params, stub, rows) -> dict[str, str]:
+    out = {}
+    for strategy in STRATEGIES:
+        cfg = PipelineConfig(stub=True, strategy=strategy)
+        h = hashlib.sha256()
+        for row in rows:
+            result = pipe.run_qmkgf(row["query"], graph, indices, params, cfg, stub)
+            h.update(json.dumps(result.trace, sort_keys=True).encode())
+        out[strategy] = h.hexdigest()
+    return out
+
+
+def dump_digests(graph, indices, params, stub) -> dict:
+    """What ``inspect-subgraph --kind <kind>`` prints for each top entity."""
+    degree = {e: len(graph.out_adj[e]) + len(graph.in_adj[e]) for e in graph.entities}
+    top = sorted(degree, key=lambda e: (-degree[e], e))[:TOP_ENTITIES]
+    cfg = PipelineConfig(stub=True)
+    hashes = {kind: hashlib.sha256() for kind in KINDS}
+    for entity in top:
+        embed = pipe.QueryEmbeddings(stub)
+        [candidates] = pipe.memoized_candidates(graph, [entity], indices.entities, cfg, embed)
+        [(_, fused)] = pipe.score_and_fuse(entity, graph, [entity], indices, params, cfg, embed)
+        for sg in [*candidates, fused.fused]:
+            scores = None
+            if sg.path_kind == subgraphs.PAGERANK:
+                scores = subgraphs.personalized_pagerank(graph, {entity: 1.0}, cfg.pagerank).scores
+            hashes[sg.path_kind].update(subgraphs.dump_subgraph(sg, scores).encode())
+    return {"entities": top, **{kind: h.hexdigest() for kind, h in hashes.items()}}
+
+
+def _load_golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module", params=sorted(ROWS))
+def world(request):
+    return request.param, _build(request.param)
+
+
+def _host_note(golden: dict) -> str:
+    return (f"golden file written with numpy {golden['numpy']}, running numpy "
+            f"{np.__version__}; regenerate only for a declared output change: {REGENERATE}")
+
+
+def test_run_qmkgf_traces_match_the_golden_digests(world):
+    name, (graph, indices, params, stub, rows) = world
+    golden = _load_golden()
+    assert len(rows) == ROWS[name]
+    assert trace_digests(graph, indices, params, stub, rows) == golden["traces"][name], (
+        _host_note(golden))
+
+
+def test_inspect_subgraph_dumps_match_the_golden_digests(world):
+    name, (graph, indices, params, stub, _) = world
+    golden = _load_golden()
+    assert dump_digests(graph, indices, params, stub) == golden["dumps"][name], _host_note(golden)
+
+
+def main() -> int:
+    golden = {"regenerate": REGENERATE, "numpy": np.__version__, "seed": SEED, "rows": ROWS,
+              "traces": {}, "dumps": {}}
+    for name in sorted(ROWS):
+        graph, indices, params, stub, rows = _build(name)
+        golden["traces"][name] = trace_digests(graph, indices, params, stub, rows)
+        golden["dumps"][name] = dump_digests(graph, indices, params, stub)
+    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -237,15 +237,26 @@ def test_load_rejects_bad_header():
         load(b"")
 
 
+KG_HEADER = json.dumps({"format": "qmkgf-kg", "version": 1})
+
+
+def kg_load(path):
+    """``load`` of a graph file, as the CLI reads one."""
+    with open(path, "rb") as fh:
+        return load(fh.read()).triples
+
+
 def _jsonl_readers():
     from qmkgf.metrics import load_eval_file
     from qmkgf.pipeline import load_corpus
     from qmkgf.reward import load_rm_training_file
 
+    # Each row holds a raw U+2028, which str.splitlines would take for a line end.
     return [
-        (load_corpus, lambda i: {"id": f"c{i}", "text": "some text"}),
-        (load_rm_training_file, lambda i: {"query": "q", "subgraph": "A r B", "score": 0.5}),
-        (load_eval_file, lambda i: {"query": "q", "reference": "r", "gold_chunks": []}),
+        (load_corpus, lambda i: {"id": f"c{i}", "text": "some\u2028text"}),
+        (load_rm_training_file, lambda i: {"query": "q\u2028", "subgraph": "A r B", "score": 0.5}),
+        (load_eval_file, lambda i: {"query": "q\u2028", "reference": "r", "gold_chunks": []}),
+        (kg_load, lambda i: {"head": f"A{i}\u2028", "relation": "r", "tail": "B"}),
     ]
 
 
@@ -254,18 +265,25 @@ def _jsonl_readers():
 )
 def test_jsonl_readers_skip_blank_lines_and_name_the_bad_line(tmp_path, reader, row):
     path = tmp_path / "rows.jsonl"
-    first, second = json.dumps(row(1)), json.dumps(row(2))
-    path.write_text(f"{first}\n  \n{second}\n")
+    # A graph file starts with its header line, which moves every row down one.
+    header = [KG_HEADER] if reader is kg_load else []
+    shift = len(header)
+
+    def write(*lines: str, tail: bytes = b"") -> None:
+        path.write_bytes("".join(f"{line}\n" for line in [*header, *lines]).encode() + tail)
+
+    first, second = (json.dumps(row(i), ensure_ascii=False) for i in (1, 2))
+    write(first, "  ", second)
     assert len(reader(str(path))) == 2
     for bad, message in (("{broken", "invalid JSON"), ("[1, 2]", "JSON object"), ("7", "JSON object")):
-        path.write_text(f"{first}\n\n{bad}\n")
+        write(first, "", bad)
         with pytest.raises(ParseError, match=message) as exc:
             reader(str(path))
-        assert exc.value.line == 3
-    path.write_bytes(f"{first}\n\n".encode() + b'{"id": "caf\xe9"}\n')
+        assert exc.value.line == 3 + shift
+    write(first, "", tail=b'{"id": "caf\xe9"}\n')
     with pytest.raises(ParseError, match="not valid UTF-8") as exc:
         reader(str(path))
-    assert exc.value.line == 3
+    assert exc.value.line == 3 + shift
 
 
 def test_source_chunk_kept_from_first_row():

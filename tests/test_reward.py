@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -303,6 +304,17 @@ def test_invalid_params_raise_before_any_score_is_returned():
                     save_params(bad)
 
 
+def test_save_params_rejects_entries_too_large_for_float32():
+    # Finite in float64, so validate() passes, but a QRMW file of them
+    # would hold inf and fail to load.
+    base = init_params(4, heads=2, seed=1)
+    big = base.copy()
+    big.w_k[1, 2] = 1e39
+    for bad, name in ((big, "w_k"), (dataclasses.replace(base, head_b=-1e39), "head_b")):
+        with pytest.raises(ValidationError, match=f"{name} has entries too large for float32"):
+            save_params(bad)
+
+
 def test_load_params_rejects_non_finite_weights():
     raw = bytearray(save_params(init_params(4, heads=2, seed=1)))
     raw[16:20] = np.array([np.inf], dtype="<f4").tobytes()
@@ -470,6 +482,34 @@ def test_params_bytes_deterministic():
     a = save_params(init_params(8, heads=2, seed=4))
     b = save_params(init_params(8, heads=2, seed=4))
     assert a == b
+
+
+# sha256 over QRMW bytes of a seeded initialisation and of trained models
+# with 1, 8 and 32 heads, then the loss, analytic gradients and central
+# finite differences of a multi-position example. Any change to
+# initialisation, training, gradients or the QRMW layout moves it, and
+# such a change says why in CHANGES.md.
+REWARD_BYTES_SHA256 = "b460d33701e5f9d3d7f4e9f34c4dc40bd9b798022bf8c3e891f316558bba918f"
+
+
+def test_reward_bytes_and_gradients_match_the_pinned_digest():
+    h = hashlib.sha256()
+    h.update(save_params(init_params(32, heads=4, seed=3)))
+    embed = _bag_embedder(32)
+    for heads in (1, 8, 32):
+        trained = train_rm(_toy_examples(), epochs=20, lr=0.5, embedder=embed, seed=heads,
+                           heads=heads)
+        h.update(save_params(trained))
+    rng = np.random.default_rng(17)
+    ex = RMExample(query_vec=rng.standard_normal(8), kgs=rng.standard_normal((3, 8)), target=0.3)
+    params = init_params(8, heads=2, seed=11)
+    loss, analytic = rm_loss_and_grads(params, [ex, _random_example(8, 5)])
+    numeric = numeric_grads(params, ex, 1e-5)
+    h.update(np.float64(loss).tobytes())
+    for grads in (analytic, numeric):
+        for name in sorted(grads):
+            h.update(name.encode() + np.asarray(grads[name], dtype=np.float64).tobytes())
+    assert h.hexdigest() == REWARD_BYTES_SHA256
 
 
 def test_load_params_rejects_corrupt_input():
