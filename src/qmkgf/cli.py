@@ -128,9 +128,19 @@ def _load_artifacts(artifacts: str, cfg: PipelineConfig):
     doc_index = vectors.load_index(
         _require_file(str(root / DOCUMENT_VECTORS_FILE)).read_bytes(), kind="document"
     )
+    if ent_index.dimension != doc_index.dimension:
+        raise ValidationError(
+            f"{root / ENTITY_VECTORS_FILE} has dimension {ent_index.dimension} but "
+            f"{root / DOCUMENT_VECTORS_FILE} has {doc_index.dimension}"
+        )
     rm_path = root / RM_PARAMS_FILE
     if rm_path.is_file():
         params = reward.load_params(rm_path.read_bytes())
+        if params.dim != ent_index.dimension:
+            raise ValidationError(
+                f"{rm_path} has dimension {params.dim} but the vector indices have "
+                f"{ent_index.dimension}"
+            )
     else:
         params = reward.init_params(cfg.dim, heads=cfg.heads, seed=cfg.seed)
     indices = pipe.RetrievalIndices(entities=ent_index, documents=doc_index, chunks=chunks)

@@ -18,7 +18,7 @@ from .errors import ThresholdError, UndefinedSimilarityError, ValidationError
 from .kg import Triple
 from .reward import Embedder, serialize_subgraph
 from .subgraphs import FUSED, MULTIHOP, ONEHOP, PAGERANK, Subgraph
-from .vectors import cosine
+from .vectors import cosine_from_norms, normed
 
 RM_FUSION = "rm_fusion"
 ALL_FUSION = "all_fusion"
@@ -66,16 +66,24 @@ def select_max(scored: list[ScoredSubgraph]) -> ScoredSubgraph:
 
 def compute_threshold(max_subgraph: Subgraph, q_vec: np.ndarray, embedder: Embedder) -> float:
     """Cosine between the winning subgraph's serialization and the query."""
-    kgs_vec = np.asarray(embedder(serialize_subgraph(max_subgraph)), dtype=np.float64)
     try:
-        return cosine(kgs_vec, q_vec)
+        return similarity(serialize_subgraph(max_subgraph), normed(q_vec), embedder)
     except UndefinedSimilarityError as exc:
         raise ThresholdError(f"cannot derive threshold: {exc}") from exc
 
 
 def triple_similarity(t: Triple, q_vec: np.ndarray, embedder: Embedder) -> float:
     """Cosine between the triple's "head relation tail" text and the query."""
-    return cosine(np.asarray(embedder(t.text()), dtype=np.float64), q_vec)
+    return similarity(t.text(), normed(q_vec), embedder)
+
+
+def similarity(text: str, q: tuple[np.ndarray, np.float64], embedder: Embedder) -> float:
+    """``cosine`` between the embedding of ``text`` and the ``normed`` query
+    vector ``q``. An embedder that keeps its texts' norms
+    (``pipeline.QueryEmbeddings``) hands over its stored pair through
+    ``normed``; any other is called and its reply normed here."""
+    stored = getattr(embedder, "normed", None)
+    return cosine_from_norms(*(stored(text) if stored else normed(embedder(text))), *q)
 
 
 def triples_to_score(scored: list[ScoredSubgraph], strategy: str) -> list[Triple]:
@@ -110,7 +118,8 @@ def fuse(
         if threshold is None:
             threshold = compute_threshold(base.subgraph, q_vec, embedder)
     to_score = triples_to_score(scored, cfg.strategy)
-    sims = {t.key: triple_similarity(t, q_vec, embedder) for t in to_score}
+    q = normed(q_vec) if to_score else None  # all_fusion never reads the query
+    sims = {t.key: similarity(t.text(), q, embedder) for t in to_score}
 
     if cfg.strategy == ALL_FUSION:
         selected = _dedup(t for sg in others for t in sg.triples)

@@ -79,9 +79,9 @@ class KnowledgeGraph:
     Adjacency maps entity id -> list of indices into ``triples``; both
     maps are kept exactly consistent with the triple list at all times.
     ``compiled()`` caches the graph as arrays for PageRank, and
-    ``candidate_memo`` holds what callers derive per entity (the
-    pipeline's candidate subgraphs); adding an entity or a triple, or
-    merging one, drops both. The graph is not thread-safe under
+    ``candidate_memo`` holds what callers derive from the graph (the
+    pipeline's ``GraphMemo``); adding an entity or a triple, or merging
+    one, drops both. The graph is not thread-safe under
     mutation; build it first, then share it read-only.
     """
 

@@ -20,22 +20,27 @@ centre's once per graph and keeps them on the graph until it changes (at
 most one entry per graph entity). Everything downstream of them (reward
 scores, fusion, expansion, retrieval) runs afresh for every query.
 
-Embeddings go through a memo that lives for one query only. Each stage
-sends the texts the memo lacks in one ``client.embed_many`` call: the query
-and extracted entities, every candidate subgraph's serialization, the
-triples fusion scores, then the expansion items. So a query makes at most
-four embedding round trips, and a fallback query one.
+Each stage sends the texts it needs and has no vector for in one
+``client.embed_many`` call: the query and extracted entities, every
+candidate subgraph's serialization, the triples fusion scores, then the
+expansion items. The two middle stages embed texts that come from the
+graph alone, so the graph's memo keeps their vectors, with their norms,
+for as long as it keeps the candidates; the other texts are kept for one
+query only. So a query makes at most four embedding
+round trips, one whose centres' texts are all stored makes two, and a
+fallback query one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import PipelineConfig
 from .errors import GenerationError, ModelServiceError, NotFoundError, ParseError, ValidationError
-from .fusion import FusionResult, ScoredSubgraph, fuse, fused_subgraph, triples_to_score
+from .fusion import FusionResult, ScoredSubgraph, fuse, fused_subgraph, select_max, triples_to_score
 from .kg import KnowledgeGraph, read_jsonl
 from .reward import AttentionParams, score as rm_score, serialize_subgraph
 from .subgraphs import (
@@ -46,7 +51,7 @@ from .subgraphs import (
     ranked_neighbors,
     similarity_from_index,
 )
-from .vectors import VectorIndex, cosine, top_k, top_k_union
+from .vectors import VectorIndex, cosine, normed, normed_block, top_k, top_k_union
 
 SEPARATOR = "[SEP]"
 
@@ -97,22 +102,43 @@ class QmkgfResult:
 
 
 class QueryEmbeddings:
-    """One query's text -> vector memo: ``prefetch`` sends the texts it lacks
-    in one ``client.embed_many`` call; a lookup it cannot answer sends one."""
+    """One query's text -> vector memo, over ``graph``, a store of
+    graph-derived texts -> ``normed`` (vector, norm) pairs that outlives
+    the query (``GraphMemo.pairs``).
+
+    ``prefetch`` sends the texts neither holds in one ``client.embed_many``
+    call; with ``graph=True`` it also puts its texts in the store. A lookup
+    neither can answer sends one.
+    """
 
     def __init__(self, client):
         self.client = client
         self.vectors: dict[str, np.ndarray] = {}
+        self.graph: dict[str, tuple[np.ndarray, np.float64]] = {}
 
-    def prefetch(self, texts) -> None:
-        missing = list(dict.fromkeys(t for t in texts if t not in self.vectors))
+    def prefetch(self, texts, graph: bool = False) -> None:
+        texts = [t for t in dict.fromkeys(texts) if t not in self.graph]
+        missing = [t for t in texts if t not in self.vectors]
         if missing:
             self.vectors.update(zip(missing, self.client.embed_many(missing)))
+        if graph and texts:
+            vectors = [self.vectors[t] for t in texts]
+            block = normed_block(vectors)  # one at a time, a bad vector raises
+            self.graph.update(zip(texts, zip(*block) if block else map(normed, vectors)))
 
     def __call__(self, text: str) -> np.ndarray:
+        pair = self.graph.get(text)
+        if pair is not None:
+            return pair[0]
         if text not in self.vectors:
             self.prefetch([text])
         return self.vectors[text]
+
+    def normed(self, text: str) -> tuple[np.ndarray, np.float64]:
+        """``vectors.normed`` of the embedding of ``text``, kept in the store."""
+        if text not in self.graph:
+            self.prefetch([text], graph=True)
+        return self.graph[text]
 
 
 def load_corpus(path: str) -> dict[str, Chunk]:
@@ -268,27 +294,54 @@ def memoized_candidates(
     kg: KnowledgeGraph, centers: list[str], entities: VectorIndex, cfg: PipelineConfig, embed
 ) -> list[list[Subgraph]]:
     """``candidate_subgraphs`` of each centre, ranked by similarity over
-    ``entities``, built once per graph.
+    ``entities``, built once per graph (see ``_graph_memo``).
 
-    The memo lives on ``kg``, which drops it on every mutation. It belongs
-    to the entity index's current ``frozen()`` snapshot and the subgraph
-    settings; a call with another owner starts it afresh. It holds one
-    entry per centre, and every call returns those entries, so callers
-    share them and must not mutate them.
-    ``embed`` only embeds graph entities missing from the index, which
-    shipped indices never lack.
+    It holds one entry per centre, and every call returns those entries,
+    so callers share them and must not mutate them. ``embed`` is the
+    query's ``QueryEmbeddings``; it only embeds graph entities missing
+    from the index, which shipped indices never lack.
+    """
+    memo = _graph_memo(kg, entities, cfg, embed.client)
+    sim = similarity_from_index(entities, embed, memo.entity_pairs)
+    for center in centers:
+        if center not in memo.candidates:
+            memo.candidates[center] = candidate_subgraphs(kg, center, cfg, sim)
+    return [memo.candidates[center] for center in centers]
+
+
+class GraphMemo(NamedTuple):
+    """What queries derive from the graph alone: each centre's candidates,
+    the entity vectors' norms that rank them, and the ``normed``
+    embeddings of graph-derived texts, with which of those are all in: the
+    serializations of a centre's candidates, and the triples fusion scores
+    for a centre, strategy and winning kind, which fix them."""
+
+    snapshot: tuple  # the entity index's ``frozen()`` snapshot
+    params: tuple  # the subgraph settings, (K, PageRankConfig)
+    candidates: dict[str, list[Subgraph]]
+    client: object  # the model client the embeddings came from
+    entity_pairs: dict[str, tuple[np.ndarray, np.float64]]  # for ``similarity_from_index``
+    pairs: dict[str, tuple[np.ndarray, np.float64]]  # graph-derived text -> ``normed``
+    serialized: set[str]
+    scored: set[tuple[str, str, str]]
+
+
+def _graph_memo(
+    kg: KnowledgeGraph, entities: VectorIndex, cfg: PipelineConfig, client
+) -> GraphMemo:
+    """The graph's memo, kept on ``kg``, which drops it on every mutation.
+    It belongs to the entity index's current ``frozen()`` snapshot, the
+    subgraph settings and one client; a call with another owner starts it
+    afresh. Its embeddings assume that the client embeds a text the same
+    way every time.
     """
     snapshot = entities.frozen()
     params = (cfg.K, cfg.pagerank)
     memo = kg.candidate_memo
-    if memo is None or memo[0] is not snapshot or memo[1] != params:
-        memo = kg.candidate_memo = (snapshot, params, {})
-    entries: dict[str, list[Subgraph]] = memo[2]
-    sim = similarity_from_index(entities, embed)
-    for center in centers:
-        if center not in entries:
-            entries[center] = candidate_subgraphs(kg, center, cfg, sim)
-    return [entries[center] for center in centers]
+    stale = memo is None or memo.snapshot is not snapshot or memo.client is not client
+    if stale or memo.params != params:
+        memo = kg.candidate_memo = GraphMemo(snapshot, params, {}, client, {}, {}, set(), set())
+    return memo
 
 
 def score_and_fuse(
@@ -303,18 +356,28 @@ def score_and_fuse(
     """Each centre's candidate subgraphs, scored against ``query`` by the
     reward model, and their fusion.
 
-    ``embed`` is the query's memo: the candidates' serializations go in one
-    batch, then the triples fusion scores in another.
+    ``embed`` is the query's memo, over the pairs the graph's memo stores.
+    The serializations of centres not marked as stored go in one batch,
+    then the triples fusion scores, for (centre, strategy, winning kind)
+    keys not marked, in another. A mark is set once its texts are stored.
     """
     q_vec = np.asarray(embed(query), dtype=np.float64)
     fusion_cfg = cfg.fusion
     candidates = memoized_candidates(kg, centers, indices.entities, cfg, embed)
-    embed.prefetch(serialize_subgraph(sg) for parts in candidates for sg in parts)
+    memo = _graph_memo(kg, indices.entities, cfg, embed.client)
+    embed.graph = memo.pairs
+    new = [(c, parts) for c, parts in zip(centers, candidates) if c not in memo.serialized]
+    embed.prefetch((serialize_subgraph(sg) for _, parts in new for sg in parts), graph=True)
+    memo.serialized.update(c for c, _ in new)
     scored_parts = [
         [ScoredSubgraph(subgraph=sg, score=rm_score(query, sg, params, embed)) for sg in parts]
         for parts in candidates
     ]
-    embed.prefetch(t.text() for s in scored_parts for t in triples_to_score(s, cfg.strategy))
+    strategy = cfg.strategy
+    keys = [(c, strategy, select_max(s).subgraph.path_kind) for c, s in zip(centers, scored_parts)]
+    new = [(key, s) for key, s in zip(keys, scored_parts) if key not in memo.scored]
+    embed.prefetch((t.text() for _, s in new for t in triples_to_score(s, strategy)), graph=True)
+    memo.scored.update(key for key, _ in new)
     return [(scored, fuse(scored, q_vec, fusion_cfg, embed)) for scored in scored_parts]
 
 

@@ -396,6 +396,8 @@ def load_params(data: bytes) -> AttentionParams:
     version, d, h = struct.unpack_from("<III", data, 4)
     if version != QRMW_VERSION:
         raise ParseError(f"unsupported QRMW version {version}")
+    if d < 1:
+        raise ParseError("QRMW dimension must be >= 1, got 0")
     shapes = _group_shapes(d)
     expected = 16 + 4 * sum(math.prod(shape) for shape in shapes.values())
     if len(data) != expected:

@@ -47,7 +47,7 @@ def as_vector(values, dimension: int | None = None) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValidationError(f"expected a 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError("vector entries must be finite")
     if dimension is not None and arr.shape[0] != dimension:
         raise ValidationError(f"expected dimension {dimension}, got {arr.shape[0]}")
@@ -101,15 +101,36 @@ class VectorIndex:
 
 def cosine(a, b) -> float:
     """cos(a, b) = a.b / (|a||b|), clipped into [-1, 1]."""
-    va = as_vector(a)
-    vb = as_vector(b)
-    return cosine_from_norms(va, vector_norm(va), vb, vector_norm(vb))
+    return cosine_from_norms(*normed(a), *normed(b))
 
 
 def vector_norm(v: np.ndarray) -> np.float64:
     """Euclidean norm; inf when it overflows (checked by the caller)."""
     with np.errstate(over="ignore"):
         return np.linalg.norm(v)
+
+
+def normed(values) -> tuple[np.ndarray, np.float64]:
+    """``values`` as a validated vector, and its ``vector_norm``."""
+    v = as_vector(values)
+    return v, vector_norm(v)
+
+
+def normed_block(
+    vectors: list, dimension: int | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The vectors stacked into rows and the rows' norms, each row what
+    ``normed`` gives for its vector, bit for bit (``np.linalg.norm`` of a
+    vector is ``sqrt(v.dot(v))``); None when the vectors do not stack into
+    finite rows (of ``dimension`` entries, when given)."""
+    try:
+        block = np.array(vectors, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if block.ndim != 2 or dimension not in (None, block.shape[1]) or not np.isfinite(block).all():
+        return None
+    with np.errstate(over="ignore"):
+        return block, np.sqrt([v.dot(v) for v in block])
 
 
 def cosine_from_norms(va: np.ndarray, na: np.float64, vb: np.ndarray, nb: np.float64) -> float:
@@ -161,8 +182,8 @@ def cosine_block(index: VectorIndex, queries: list) -> tuple[list[str], np.ndarr
     raises what checking its queries one at a time raises first, with the
     stored vectors checked after the first query.
     """
-    block, qnorms = _query_block(queries, index.dimension)
-    if block is None:
+    block, qnorms = normed_block(queries, index.dimension) or (None, None)
+    if block is None or not (np.isfinite(qnorms).all() and qnorms.all()):
         _checked_query(queries[0], index.dimension)
         _checked_rows(index)
         for query in queries[1:]:
@@ -175,22 +196,6 @@ def cosine_block(index: VectorIndex, queries: list) -> tuple[list[str], np.ndarr
         row /= norms * qn
     np.clip(scores, -1.0, 1.0, out=scores)
     return ids, scores
-
-
-def _query_block(queries: list, dimension: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The queries stacked and their norms, or (None, None) if any fails
-    ``_checked_query``."""
-    try:
-        block = np.array(queries, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return None, None
-    if block.ndim != 2 or block.shape[1] != dimension or not np.isfinite(block).all():
-        return None, None
-    with np.errstate(over="ignore"):
-        qnorms = np.sqrt([q.dot(q) for q in block])
-    if not (np.isfinite(qnorms).all() and qnorms.all()):
-        return None, None
-    return block, qnorms
 
 
 def _checked_query(query, dimension: int) -> None:

@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import random
+import struct
 import warnings
 
+import numpy as np
 import pytest
 
 from qmkgf.cli import _config_from_args, build_parser, main
@@ -11,7 +13,7 @@ from qmkgf.clients import StubModelClient
 from qmkgf.kg import KnowledgeGraph, Triple, save as save_kg
 from qmkgf.kg import load as load_kg
 from qmkgf.reward import init_params, load_params, save_params
-from qmkgf.vectors import load_index
+from qmkgf.vectors import VectorIndex, load_index, save_index
 from test_clients import _serving, _StubHandler
 
 
@@ -243,6 +245,31 @@ def test_query_and_eval_reject_a_qvec_with_trailing_bytes(artifacts, tmp_path, c
     assert main(["query", "Ashford news", "--artifacts", str(artifacts), "--stub"]) == 2
     assert main(["eval", str(eval_file), "--artifacts", str(artifacts), "--stub"]) == 2
     assert "unexpected bytes after the last QVEC record" in capsys.readouterr().err
+
+
+def test_query_rejects_indices_of_two_dimensions(artifacts, capsys):
+    small = VectorIndex(16, kind="document")
+    small.add("d1", np.ones(16))
+    (artifacts / "documents.qvec").write_bytes(save_index(small))
+    assert main(["query", "Ashford news", "--artifacts", str(artifacts), "--stub"]) == 2
+    err = capsys.readouterr().err
+    assert "entities.qvec has dimension 64" in err and "documents.qvec has 16" in err
+
+
+def test_query_rejects_a_reward_model_of_another_dimension(artifacts, capsys):
+    (artifacts / "rm.qrmw").write_bytes(save_params(init_params(8, heads=2, seed=0)))
+    # A fallback query too: it never scores a subgraph.
+    for question in ("where is Ashford", "what is news"):
+        assert main(["query", question, "--artifacts", str(artifacts), "--stub"]) == 2
+        assert "rm.qrmw has dimension 8 but the vector indices have 64" in capsys.readouterr().err
+
+
+def test_query_rejects_a_reward_model_of_dimension_zero(artifacts, capsys):
+    (artifacts / "rm.qrmw").write_bytes(
+        b"QRMW" + struct.pack("<III", 1, 0, 1) + struct.pack("<f", 0.0)
+    )
+    assert main(["query", "what is news", "--artifacts", str(artifacts), "--stub"]) == 2
+    assert "QRMW dimension must be >= 1" in capsys.readouterr().err
 
 
 def test_eval_empty_file_is_error(artifacts, tmp_path):

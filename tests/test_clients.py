@@ -16,7 +16,7 @@ from qmkgf.clients import (
 from qmkgf.errors import ModelServiceError
 from qmkgf.pipeline import Chunk, rerank_chunks, run_qmkgf
 from qmkgf.vectors import cosine
-from test_pipeline import _toy_world
+from test_pipeline import _copy_graph, _toy_world
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +353,27 @@ def test_http_query_round_trips(strategy):
             assert len(embedded) == len(set(embedded))
             assert (got.ranked.ids(), got.answer) == (want.ranked.ids(), want.answer)
             assert json.dumps(got.trace, sort_keys=True) == json.dumps(want.trace, sort_keys=True)
+
+
+def test_http_query_whose_centre_is_stored_sends_two_embed_posts():
+    g, indices, params, cfg, stub = _toy_world()
+    stub.entity_table["which roads leave hilltown"] = ["hilltown"]
+    queries = [
+        "what fish live near hilltown",
+        "which roads leave hilltown",
+        "tell me about nothing",
+    ]
+    want = [run_qmkgf(query, _copy_graph(g), indices, params, cfg, stub) for query in queries]
+    _StubHandler.stub = stub
+    posts = []
+    with _serving(_StubHandler) as url:
+        http = HttpModelClient(url)
+        http.session.trust_env = False
+        for query, fresh in zip(queries, want):
+            _StubHandler.requests = []
+            got = run_qmkgf(query, g, indices, params, cfg, http)
+            posts.append([path for path, _ in _StubHandler.requests].count("/embed"))
+            assert json.dumps(got.trace, sort_keys=True) == json.dumps(fresh.trace, sort_keys=True)
+    # cold: query, serializations, fusion triples, expansion; stored: the
+    # first and last; fallback: the query alone
+    assert posts == [4, 2, 1]

@@ -5,19 +5,21 @@ import numpy as np
 import pytest
 
 from qmkgf.clients import StubModelClient
-from qmkgf.errors import ThresholdError, ValidationError
+from qmkgf.errors import ThresholdError, UndefinedSimilarityError, ValidationError
 from qmkgf.fusion import (
     FusionConfig,
     ScoredSubgraph,
     compute_threshold,
     fuse,
     select_max,
+    similarity,
     triple_similarity,
 )
 from qmkgf.kg import Triple
+from qmkgf.pipeline import QueryEmbeddings
 from qmkgf.reward import serialize_subgraph
 from qmkgf.subgraphs import Subgraph
-from qmkgf.vectors import cosine
+from qmkgf.vectors import cosine, normed
 
 EMBED = StubModelClient(dim=32, seed=0).embed
 
@@ -276,3 +278,71 @@ def test_fused_members_are_endpoint_union_plus_center():
     }
     assert result.fused.members == expected_members
     assert result.fused.path_kind == "fused"
+
+
+# ---------------------------------------------------------------------------
+# scoring through stored (vector, norm) pairs
+# ---------------------------------------------------------------------------
+
+class _TableClient:
+    """A model client whose ``embed_many`` looks each text up in ``embed``."""
+
+    def __init__(self, embed):
+        self.embed = embed
+
+    def embed_many(self, texts):
+        return [self.embed(t) for t in texts]
+
+
+def test_similarity_from_stored_norms_is_bitwise_cosine():
+    rng = np.random.default_rng(21)
+    base = rng.standard_normal(32)
+    table = {f"t{i}": rng.standard_normal(32) * rng.uniform(1e-3, 1e3) for i in range(40)}
+    # Near ties: the same direction at other scales, and nudges in the last bits.
+    table.update({f"s{i}": base * (1.0 + i * 2.0**-50) for i in range(10)})
+    table.update({f"n{i}": base + rng.standard_normal(32) * 1e-14 for i in range(10)})
+    stored = QueryEmbeddings(_TableClient(table.__getitem__))
+    stored.prefetch(table, graph=True)
+    for q_vec in (base, base * 3.0, rng.standard_normal(32) * 1e5):
+        q = normed(q_vec)
+        for text, vec in table.items():
+            want = cosine(vec, q_vec).hex()
+            assert similarity(text, q, stored).hex() == want, text
+            assert similarity(text, q, table.__getitem__).hex() == want, text
+
+
+@pytest.mark.parametrize("strategy", ["rm_fusion", "all_fusion", "top5_fusion"])
+def test_fuse_through_stored_pairs_equals_fuse_through_the_embedder(strategy):
+    rng = random.Random(5)
+    names = [f"n{i}" for i in range(12)]
+    for _ in range(20):
+        parts = [
+            _sg(kind, "c", *{(rng.choice(names), "r", rng.choice(names)) for _ in range(6)})
+            for kind in ("onehop", "multihop", "pagerank")
+        ]
+        scored = [ScoredSubgraph(sg, rng.choice([0.2, 0.5, 0.8])) for sg in parts]
+        cfg = FusionConfig(strategy=strategy)
+        q_vec = EMBED(" ".join(rng.sample(names, 3)))
+        want = fuse(scored, q_vec, cfg, EMBED)
+        got = fuse(scored, q_vec, cfg, QueryEmbeddings(_TableClient(EMBED)))
+        assert got == want
+        assert got.threshold_used.hex() == want.threshold_used.hex()
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (np.zeros(32), UndefinedSimilarityError, "zero"),
+        (np.full(32, 1e200), ValidationError, "overflows"),
+    ],
+)
+@pytest.mark.parametrize("stored", [False, True])
+def test_fuse_raises_for_a_triple_that_embeds_to_zero_or_overflows(bad, error, message, stored):
+    scored = _scored(0.9, 0.5, 0.1)  # onehop wins; "x r y" of pagerank is scored
+
+    def embed(text):
+        return bad if text == "x r y" else EMBED(text)
+
+    embedder = QueryEmbeddings(_TableClient(embed)) if stored else embed
+    with pytest.raises(error, match=message):
+        fuse(scored, EMBED("query"), FusionConfig(strategy="rm_fusion"), embedder)

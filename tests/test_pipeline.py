@@ -641,7 +641,7 @@ def test_memo_entries_equal_fresh_candidates_without_scores():
         cfg.strategy = strategy
         for query in REPEAT_QUERIES:
             run_qmkgf(query, g, indices, params, cfg, client)
-    snapshot, _, entries = g.candidate_memo
+    snapshot, entries = g.candidate_memo.snapshot, g.candidate_memo.candidates
     assert snapshot is indices.entities.frozen()
     assert set(entries) == {"hilltown", "quarry"}
     sim = similarity_from_index(indices.entities, client.embed)
@@ -696,6 +696,68 @@ def test_run_qmkgf_builds_a_centre_once_through_the_pipeline_globals(monkeypatch
     assert calls == dict.fromkeys(calls, 1)
     pipeline.run_qmkgf("hilltown and quarry news", g, indices, params, cfg, client)
     assert calls == dict.fromkeys(calls, 2)
+
+
+class _CountingEmbeds:
+    """Forwards to a client and records every ``embed_many`` batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches: list[list[str]] = []
+
+    def embed_many(self, texts):
+        self.batches.append(list(texts))
+        return self.inner.embed_many(texts)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_a_query_whose_centres_are_stored_sends_two_embedding_batches():
+    g, indices, params, cfg, stub = _repeat_world()
+    client = _CountingEmbeds(stub)
+    queries = [
+        "which roads leave hilltown",  # hilltown is new
+        "what fish live near hilltown",  # hilltown is stored
+        "hilltown and quarry news",  # quarry is new; its fusion triples were stored
+        "quarry first then hilltown",  # both are stored
+        "tell me about nothing",  # no centre
+    ]
+    sent = []
+    for query in queries:
+        client.batches.clear()
+        trace = json.dumps(run_qmkgf(query, g, indices, params, cfg, client).trace, sort_keys=True)
+        assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub), query
+        sent.append(len(client.batches))
+    assert sent == [4, 2, 3, 2, 1]
+    assert g.candidate_memo.serialized == {"hilltown", "quarry"}
+    assert {c for c, _, _ in g.candidate_memo.scored} == {"hilltown", "quarry"}
+
+
+def test_a_graph_change_drops_the_stored_embeddings():
+    g, indices, params, cfg, client = _repeat_world()
+    for query in REPEAT_QUERIES:
+        run_qmkgf(query, g, indices, params, cfg, client)
+    stored = g.candidate_memo.pairs
+    assert stored
+    g.add_triple(Triple("hilltown", "hosts", "granite"))
+    assert g.candidate_memo is None
+    for _ in range(2):  # the second pass reads the store the first one filled
+        warm = [_trace(q, g, indices, params, cfg, client) for q in REPEAT_QUERIES]
+    fresh = _copy_graph(g)
+    assert warm == [_trace(q, fresh, indices, params, cfg, client) for q in REPEAT_QUERIES]
+    assert g.candidate_memo.pairs is not stored
+
+
+def test_a_query_through_another_client_embeds_the_graph_texts_afresh():
+    g, indices, params, cfg, seed0 = _repeat_world()
+    seed1 = _client(seed=1, entity_table=seed0.entity_table, rerank_table=seed0.rerank_table)
+    for query in REPEAT_QUERIES:
+        run_qmkgf(query, g, indices, params, cfg, seed0)
+    got = [_trace(q, g, indices, params, cfg, seed1) for q in REPEAT_QUERIES]
+    fresh = _copy_graph(g)
+    assert got == [_trace(q, fresh, indices, params, cfg, seed1) for q in REPEAT_QUERIES]
+    assert g.candidate_memo.client is seed1
 
 
 BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"

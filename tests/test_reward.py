@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import struct
 import warnings
 
 import numpy as np
@@ -510,6 +511,14 @@ def test_reward_bytes_and_gradients_match_the_pinned_digest():
         for name in sorted(grads):
             h.update(name.encode() + np.asarray(grads[name], dtype=np.float64).tobytes())
     assert h.hexdigest() == REWARD_BYTES_SHA256
+
+
+def test_load_params_rejects_dimension_zero():
+    # The smallest well-formed QRMW file: header and bias, d = 0, h = 1.
+    data = b"QRMW" + struct.pack("<III", 1, 0, 1) + struct.pack("<f", 0.0)
+    assert len(data) == 20
+    with pytest.raises(ParseError, match="dimension"):
+        load_params(data)
 
 
 def test_load_params_rejects_corrupt_input():
