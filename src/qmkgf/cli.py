@@ -174,7 +174,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 answer=result.answer,
                 reference=row["reference"],
                 ranked_ids=result.ranked.ids(),
-                gold_ids={str(g) for g in row["gold_chunks"]},
+                gold_ids=set(row["gold_chunks"]),
                 k=cfg.k,
             )
         )
@@ -192,15 +192,15 @@ def cmd_inspect_subgraph(args: argparse.Namespace) -> int:
     graph, indices, params = _load_artifacts(args.artifacts, cfg)
     if args.entity not in graph:
         raise NotFoundError(f"unknown entity: {args.entity!r}")
-    embed = pipe.QueryEmbeddings(client)
     scores = None
     if args.kind == subgraphs.FUSED:  # the query path, with the entity itself as the query
         [(_, result)] = pipe.score_and_fuse(
-            args.entity, graph, [args.entity], indices, params, cfg, embed
+            args.entity, graph, [args.entity], indices, params, cfg, pipe.QueryEmbeddings(client)
         )
         sg = result.fused
     else:
-        [candidates] = pipe.memoized_candidates(graph, [args.entity], indices.entities, cfg, embed)
+        sim = subgraphs.similarity_from_index(indices.entities, client.embed)
+        candidates = pipe.candidate_subgraphs(graph, args.entity, cfg, sim)
         sg = next(c for c in candidates if c.path_kind == args.kind)
         if args.kind == subgraphs.PAGERANK:
             scores = subgraphs.personalized_pagerank(graph, {args.entity: 1.0}, cfg.pagerank).scores

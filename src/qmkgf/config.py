@@ -55,6 +55,8 @@ class PipelineConfig:
         _ = self.pagerank, self.fusion  # their constructors check the stage settings
         if not 0.0 <= self.temperature < math.inf:
             raise ValidationError(f"temperature must be finite and >= 0, got {self.temperature!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.stub and self.service_url is None:
             raise ValidationError("service_url required unless stub mode is on")
 

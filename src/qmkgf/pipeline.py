@@ -15,20 +15,17 @@ Queries from which no graph entity can be resolved fall back to plain
 retrieve + rerank on the bare query (flagged in the trace).
 
 The candidate subgraphs depend on the graph, the entity index and the
-subgraph settings, not on the query, so ``memoized_candidates`` builds each
+subgraph settings, not on the query, so ``score_and_fuse`` builds each
 centre's once per graph and keeps them on the graph until it changes (at
-most one entry per graph entity). Everything downstream of them (reward
-scores, fusion, expansion, retrieval) runs afresh for every query.
+most one entry per graph entity), with the embedding and norm of every
+text they can yield. Everything downstream of them (reward scores,
+fusion, expansion, retrieval) runs afresh for every query.
 
 Each stage sends the texts it needs and has no vector for in one
-``client.embed_many`` call: the query and extracted entities, every
-candidate subgraph's serialization, the triples fusion scores, then the
-expansion items. The two middle stages embed texts that come from the
-graph alone, so the graph's memo keeps their vectors, with their norms,
-for as long as it keeps the candidates; the other texts are kept for one
-query only. So a query makes at most four embedding
-round trips, one whose centres' texts are all stored makes two, and a
-fallback query one.
+``client.embed_many`` call: the query and extracted entities, the texts
+of centres not yet stored, then the expansion items. So a query makes at
+most three embedding round trips, one whose centres are all stored makes
+two, and a fallback query one.
 """
 
 from __future__ import annotations
@@ -40,10 +37,11 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import GenerationError, ModelServiceError, NotFoundError, ParseError, ValidationError
-from .fusion import FusionResult, ScoredSubgraph, fuse, fused_subgraph, select_max, triples_to_score
+from .fusion import FusionResult, ScoredSubgraph, fuse, fused_subgraph
 from .kg import KnowledgeGraph, read_jsonl
 from .reward import AttentionParams, score as rm_score, serialize_subgraph
 from .subgraphs import (
+    SimilarityProvider,
     Subgraph,
     multi_hop_subgraph,
     one_hop_subgraph,
@@ -290,40 +288,17 @@ def candidate_subgraphs(kg: KnowledgeGraph, center: str, cfg: PipelineConfig, si
     ]
 
 
-def memoized_candidates(
-    kg: KnowledgeGraph, centers: list[str], entities: VectorIndex, cfg: PipelineConfig, embed
-) -> list[list[Subgraph]]:
-    """``candidate_subgraphs`` of each centre, ranked by similarity over
-    ``entities``, built once per graph (see ``_graph_memo``).
-
-    It holds one entry per centre, and every call returns those entries,
-    so callers share them and must not mutate them. ``embed`` is the
-    query's ``QueryEmbeddings``; it only embeds graph entities missing
-    from the index, which shipped indices never lack.
-    """
-    memo = _graph_memo(kg, entities, cfg, embed.client)
-    sim = similarity_from_index(entities, embed, memo.entity_pairs)
-    for center in centers:
-        if center not in memo.candidates:
-            memo.candidates[center] = candidate_subgraphs(kg, center, cfg, sim)
-    return [memo.candidates[center] for center in centers]
-
-
 class GraphMemo(NamedTuple):
     """What queries derive from the graph alone: each centre's candidates,
-    the entity vectors' norms that rank them, and the ``normed``
-    embeddings of graph-derived texts, with which of those are all in: the
-    serializations of a centre's candidates, and the triples fusion scores
-    for a centre, strategy and winning kind, which fix them."""
+    the similarity that ranks them, and the ``normed`` embedding of every
+    text a stored centre's candidates can yield."""
 
     snapshot: tuple  # the entity index's ``frozen()`` snapshot
     params: tuple  # the subgraph settings, (K, PageRankConfig)
     candidates: dict[str, list[Subgraph]]
     client: object  # the model client the embeddings came from
-    entity_pairs: dict[str, tuple[np.ndarray, np.float64]]  # for ``similarity_from_index``
+    sim: SimilarityProvider  # ``similarity_from_index`` over the snapshot
     pairs: dict[str, tuple[np.ndarray, np.float64]]  # graph-derived text -> ``normed``
-    serialized: set[str]
-    scored: set[tuple[str, str, str]]
 
 
 def _graph_memo(
@@ -332,15 +307,17 @@ def _graph_memo(
     """The graph's memo, kept on ``kg``, which drops it on every mutation.
     It belongs to the entity index's current ``frozen()`` snapshot, the
     subgraph settings and one client; a call with another owner starts it
-    afresh. Its embeddings assume that the client embeds a text the same
-    way every time.
+    afresh. A centre is in it only with all of its texts, and its entries
+    are shared, so callers must not mutate them. Its embeddings assume that
+    the client embeds a text the same way every time.
     """
     snapshot = entities.frozen()
     params = (cfg.K, cfg.pagerank)
     memo = kg.candidate_memo
     stale = memo is None or memo.snapshot is not snapshot or memo.client is not client
     if stale or memo.params != params:
-        memo = kg.candidate_memo = GraphMemo(snapshot, params, {}, client, {}, {}, set(), set())
+        sim = similarity_from_index(entities, client.embed)
+        memo = kg.candidate_memo = GraphMemo(snapshot, params, {}, client, sim, {})
     return memo
 
 
@@ -357,27 +334,26 @@ def score_and_fuse(
     reward model, and their fusion.
 
     ``embed`` is the query's memo, over the pairs the graph's memo stores.
-    The serializations of centres not marked as stored go in one batch,
-    then the triples fusion scores, for (centre, strategy, winning kind)
-    keys not marked, in another. A mark is set once its texts are stored.
+    A centre missing from the graph's memo is built here, and every text
+    its candidates can yield (their serializations and triples) goes in
+    one batch for all such centres; a centre is stored once that is in.
     """
     q_vec = np.asarray(embed(query), dtype=np.float64)
     fusion_cfg = cfg.fusion
-    candidates = memoized_candidates(kg, centers, indices.entities, cfg, embed)
     memo = _graph_memo(kg, indices.entities, cfg, embed.client)
     embed.graph = memo.pairs
-    new = [(c, parts) for c, parts in zip(centers, candidates) if c not in memo.serialized]
-    embed.prefetch((serialize_subgraph(sg) for _, parts in new for sg in parts), graph=True)
-    memo.serialized.update(c for c, _ in new)
+    built = {
+        c: candidate_subgraphs(kg, c, cfg, memo.sim) for c in centers if c not in memo.candidates
+    }
+    new = [sg for parts in built.values() for sg in parts]
+    texts = [*map(serialize_subgraph, new), *(t.text() for sg in new for t in sg.triples)]
+    embed.prefetch(texts, graph=True)
+    memo.candidates.update(built)
+    candidates = [memo.candidates[c] for c in centers]
     scored_parts = [
         [ScoredSubgraph(subgraph=sg, score=rm_score(query, sg, params, embed)) for sg in parts]
         for parts in candidates
     ]
-    strategy = cfg.strategy
-    keys = [(c, strategy, select_max(s).subgraph.path_kind) for c, s in zip(centers, scored_parts)]
-    new = [(key, s) for key, s in zip(keys, scored_parts) if key not in memo.scored]
-    embed.prefetch((t.text() for _, s in new for t in triples_to_score(s, strategy)), graph=True)
-    memo.scored.update(key for key, _ in new)
     return [(scored, fuse(scored, q_vec, fusion_cfg, embed)) for scored in scored_parts]
 
 

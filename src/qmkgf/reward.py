@@ -90,6 +90,8 @@ def init_params(dim: int, heads: int = DEFAULT_HEADS, seed: int = 0) -> Attentio
     """
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)
     groups = {

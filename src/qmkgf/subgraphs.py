@@ -302,18 +302,15 @@ def dump_subgraph(sg: Subgraph, scores: Mapping[str, float] | None = None) -> st
     return "\n".join(lines) + "\n"
 
 
-def similarity_from_index(
-    index, embed: Callable[[str], np.ndarray], memo: dict | None = None
-) -> SimilarityProvider:
+def similarity_from_index(index, embed: Callable[[str], np.ndarray]) -> SimilarityProvider:
     """Similarity provider backed by an entity VectorIndex.
 
     Entities missing from the index are embedded from their id text on
     the fly, so freshly added nodes still score. Each entity's vector
     (validated by ``VectorIndex.add`` or here) and its norm are computed
-    once per ``memo``, entity id -> (vector, norm): the caller's, which
-    must belong to the index's current entries, or else a new one.
+    once per provider, which must not outlive the index's current entries.
     """
-    memo = {} if memo is None else memo
+    memo: dict[str, tuple[np.ndarray, np.float64]] = {}
 
     def normed(e: str) -> tuple[np.ndarray, np.float64]:
         hit = memo.get(e)

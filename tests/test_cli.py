@@ -181,6 +181,17 @@ def test_train_rm_rejects_bad_epochs_or_lr_without_warnings(tmp_path, capsys, fl
     assert not out.exists()
 
 
+def test_train_rm_rejects_a_negative_seed(tmp_path, capsys):
+    training = tmp_path / "rm.jsonl"
+    _write_training(training)
+    out = tmp_path / "rm.qrmw"
+    rc = main(["train-rm", str(training), str(out), "--stub", "--dim", "16", "--heads", "4",
+               "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_train_rm_empty_file_is_error(tmp_path):
     training = tmp_path / "rm.jsonl"
     training.write_text("")
@@ -199,6 +210,17 @@ def test_query_prints_answer_and_trace(artifacts, capsys):
     assert trace["query"] == "what lies beside Ashford"
     assert trace["entities"] == ["Ashford"]
     assert trace["per_entity"]
+
+
+def test_query_rejects_a_negative_seed(artifacts, tmp_path, capsys):
+    assert not (artifacts / "rm.qrmw").exists()  # so the query would seed the reward model
+    argv = ["query", "what lies beside Ashford", "--artifacts", str(artifacts), "--stub"]
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    config = tmp_path / "qmkgf.conf"
+    config.write_text("seed = -3\n")
+    assert main([*argv, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
 
 
 def test_query_strategy_flag_changes_trace(artifacts, capsys):
@@ -270,6 +292,19 @@ def test_query_rejects_a_reward_model_of_dimension_zero(artifacts, capsys):
     )
     assert main(["query", "what is news", "--artifacts", str(artifacts), "--stub"]) == 2
     assert "QRMW dimension must be >= 1" in capsys.readouterr().err
+
+
+def test_eval_rejects_gold_ids_that_are_not_strings(artifacts, tmp_path, capsys):
+    eval_file = tmp_path / "eval.jsonl"
+    rows = [
+        {"query": "Ashford news", "reference": "whatever", "gold_chunks": ["d1"]},
+        {"query": "Ashford news", "reference": "whatever", "gold_chunks": [None, 1, {"x": 1}]},
+    ]
+    eval_file.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    assert main(["eval", str(eval_file), "--artifacts", str(artifacts), "--stub"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2: gold_chunks must hold chunk id strings\n"
+    assert captured.out == ""
 
 
 def test_eval_empty_file_is_error(artifacts, tmp_path):
@@ -347,7 +382,7 @@ def test_inspect_subgraph_fused_shows_what_query_fuses(artifacts, capsys, monkey
     out = capsys.readouterr().out
     trace = json.loads(out[out.index("{") :])
     assert [m["entity"] for m in trace["mapped"]] == [entity]
-    # The same path over HTTP: the entity, the serializations, the fusion triples.
+    # The same path over HTTP: the entity, then the texts of its candidates.
     _StubHandler.stub = StubModelClient(dim=64, seed=0)
     _StubHandler.requests = []
     with _serving(_StubHandler) as url:
@@ -356,6 +391,23 @@ def test_inspect_subgraph_fused_shows_what_query_fuses(artifacts, capsys, monkey
     fused = trace["per_entity"][0]["fused_triples"]
     assert _inspect_fused_triples(capsys.readouterr().out) == fused
     assert sum(path == "/embed" for path, _ in _StubHandler.requests) <= 3
+
+
+@pytest.mark.parametrize("kind, posts", [
+    ("onehop", 0), ("multihop", 0), ("pagerank", 0), ("fused", 2),
+])
+def test_http_inspect_subgraph_embeds_only_for_fused(artifacts, capsys, monkeypatch, kind, posts):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    argv = ["inspect-subgraph", "Birchwood", "--kind", kind, "--artifacts", str(artifacts)]
+    assert main([*argv, "--stub"]) == 0
+    want = capsys.readouterr().out
+    _StubHandler.stub = StubModelClient(dim=64, seed=0)
+    _StubHandler.requests = []
+    with _serving(_StubHandler) as url:
+        assert main([*argv, "--service-url", url]) == 0
+    assert capsys.readouterr().out == want
+    assert [path for path, _ in _StubHandler.requests].count("/embed") == posts
 
 
 @pytest.mark.parametrize("command", ["build-kg", "train-rm", "eval", "--config"])

@@ -91,9 +91,11 @@ def dump_digests(graph, indices, params, stub) -> dict:
     cfg = PipelineConfig(stub=True)
     hashes = {kind: hashlib.sha256() for kind in KINDS}
     for entity in top:
-        embed = pipe.QueryEmbeddings(stub)
-        [candidates] = pipe.memoized_candidates(graph, [entity], indices.entities, cfg, embed)
-        [(_, fused)] = pipe.score_and_fuse(entity, graph, [entity], indices, params, cfg, embed)
+        sim = subgraphs.similarity_from_index(indices.entities, stub.embed)
+        candidates = pipe.candidate_subgraphs(graph, entity, cfg, sim)
+        [(_, fused)] = pipe.score_and_fuse(
+            entity, graph, [entity], indices, params, cfg, pipe.QueryEmbeddings(stub)
+        )
         for sg in [*candidates, fused.fused]:
             scores = None
             if sg.path_kind == subgraphs.PAGERANK:

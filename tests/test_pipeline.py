@@ -37,7 +37,7 @@ from qmkgf.pipeline import (
     retrieve,
     run_qmkgf,
 )
-from qmkgf.reward import init_params
+from qmkgf.reward import init_params, serialize_subgraph
 from qmkgf.subgraphs import (
     PageRankConfig,
     Subgraph,
@@ -699,14 +699,19 @@ def test_run_qmkgf_builds_a_centre_once_through_the_pipeline_globals(monkeypatch
 
 
 class _CountingEmbeds:
-    """Forwards to a client and records every ``embed_many`` batch."""
+    """Forwards to a client and records every ``embed_many`` batch; the
+    ``fail_batch``-th batch (1-based) raises instead, once."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, fail_batch: int | None = None):
         self.inner = inner
         self.batches: list[list[str]] = []
+        self.fail_batch = fail_batch
 
     def embed_many(self, texts):
         self.batches.append(list(texts))
+        if len(self.batches) == self.fail_batch:
+            self.fail_batch = None
+            raise ModelServiceError("embedding service unavailable")
         return self.inner.embed_many(texts)
 
     def __getattr__(self, name):
@@ -719,7 +724,7 @@ def test_a_query_whose_centres_are_stored_sends_two_embedding_batches():
     queries = [
         "which roads leave hilltown",  # hilltown is new
         "what fish live near hilltown",  # hilltown is stored
-        "hilltown and quarry news",  # quarry is new; its fusion triples were stored
+        "hilltown and quarry news",  # quarry is new
         "quarry first then hilltown",  # both are stored
         "tell me about nothing",  # no centre
     ]
@@ -729,9 +734,26 @@ def test_a_query_whose_centres_are_stored_sends_two_embedding_batches():
         trace = json.dumps(run_qmkgf(query, g, indices, params, cfg, client).trace, sort_keys=True)
         assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub), query
         sent.append(len(client.batches))
-    assert sent == [4, 2, 3, 2, 1]
-    assert g.candidate_memo.serialized == {"hilltown", "quarry"}
-    assert {c for c, _, _ in g.candidate_memo.scored} == {"hilltown", "quarry"}
+    assert sent == [3, 2, 3, 2, 1]
+    memo = g.candidate_memo
+    assert set(memo.candidates) == {"hilltown", "quarry"}
+    for parts in memo.candidates.values():  # every text a stored centre can yield
+        assert all(serialize_subgraph(sg) in memo.pairs for sg in parts)
+        assert all(t.text() in memo.pairs for sg in parts for t in sg.triples)
+
+
+def test_an_embedding_failure_in_a_centres_first_build_stores_no_entry():
+    g, indices, params, cfg, stub = _repeat_world()
+    client = _CountingEmbeds(stub, fail_batch=2)  # the batch of the centre's texts
+    query = "which roads leave hilltown"
+    with pytest.raises(ModelServiceError):
+        run_qmkgf(query, g, indices, params, cfg, client)
+    assert g.candidate_memo.candidates == {} and g.candidate_memo.pairs == {}
+    client.batches.clear()
+    trace = json.dumps(run_qmkgf(query, g, indices, params, cfg, client).trace, sort_keys=True)
+    assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub)
+    assert len(client.batches) == 3
+    assert set(g.candidate_memo.candidates) == {"hilltown"}
 
 
 def test_a_graph_change_drops_the_stored_embeddings():

@@ -116,6 +116,11 @@ def test_project_qkv_dimension_mismatch():
         project_qkv(np.ones(3), np.ones(4), params)
 
 
+def test_init_params_rejects_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        init_params(8, heads=2, seed=-1)
+
+
 def test_attention_single_position_softmax_is_one():
     # One K/V position: softmax over a single logit is 1, so out = V @ W_O.
     params = init_params(6, heads=3, seed=2)
