@@ -18,7 +18,7 @@ The candidate subgraphs depend on the graph, the entity index and the
 subgraph settings, not on the query, so ``score_and_fuse`` builds each
 centre's once per graph and keeps them on the graph until it changes (at
 most one entry per graph entity), with the embedding and norm of every
-text they can yield. Everything downstream of them (reward scores,
+text of theirs the strategy reads. Everything downstream (reward scores,
 fusion, expansion, retrieval) runs afresh for every query.
 
 Each stage sends the texts it needs and has no vector for in one
@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import GenerationError, ModelServiceError, NotFoundError, ParseError, ValidationError
-from .fusion import FusionResult, ScoredSubgraph, fuse, fused_subgraph
+from .fusion import ALL_FUSION, FusionResult, ScoredSubgraph, fuse, fused_subgraph
 from .kg import KnowledgeGraph, read_jsonl
 from .reward import AttentionParams, score as rm_score, serialize_subgraph
 from .subgraphs import (
@@ -291,10 +291,10 @@ def candidate_subgraphs(kg: KnowledgeGraph, center: str, cfg: PipelineConfig, si
 class GraphMemo(NamedTuple):
     """What queries derive from the graph alone: each centre's candidates,
     the similarity that ranks them, and the ``normed`` embedding of every
-    text a stored centre's candidates can yield."""
+    text of a stored centre's candidates that the strategy reads."""
 
     snapshot: tuple  # the entity index's ``frozen()`` snapshot
-    params: tuple  # the subgraph settings, (K, PageRankConfig)
+    params: tuple  # (K, PageRankConfig, whether the strategy is all_fusion)
     candidates: dict[str, list[Subgraph]]
     client: object  # the model client the embeddings came from
     sim: SimilarityProvider  # ``similarity_from_index`` over the snapshot
@@ -306,13 +306,13 @@ def _graph_memo(
 ) -> GraphMemo:
     """The graph's memo, kept on ``kg``, which drops it on every mutation.
     It belongs to the entity index's current ``frozen()`` snapshot, the
-    subgraph settings and one client; a call with another owner starts it
-    afresh. A centre is in it only with all of its texts, and its entries
-    are shared, so callers must not mutate them. Its embeddings assume that
-    the client embeds a text the same way every time.
+    subgraph settings, whether the strategy is all_fusion, and one client;
+    a call with another owner starts it afresh. A centre is in it only with
+    all of its texts; its entries are shared, so callers must not mutate
+    them. It assumes that the client embeds each text deterministically.
     """
     snapshot = entities.frozen()
-    params = (cfg.K, cfg.pagerank)
+    params = (cfg.K, cfg.pagerank, cfg.strategy == ALL_FUSION)
     memo = kg.candidate_memo
     stale = memo is None or memo.snapshot is not snapshot or memo.client is not client
     if stale or memo.params != params:
@@ -334,9 +334,9 @@ def score_and_fuse(
     reward model, and their fusion.
 
     ``embed`` is the query's memo, over the pairs the graph's memo stores.
-    A centre missing from the graph's memo is built here, and every text
-    its candidates can yield (their serializations and triples) goes in
-    one batch for all such centres; a centre is stored once that is in.
+    A centre missing from the graph's memo is built here; its candidates'
+    serializations and, unless the strategy is all_fusion, triple texts go
+    in one batch for all such centres. A centre is stored once that is in.
     """
     q_vec = np.asarray(embed(query), dtype=np.float64)
     fusion_cfg = cfg.fusion
@@ -346,7 +346,8 @@ def score_and_fuse(
         c: candidate_subgraphs(kg, c, cfg, memo.sim) for c in centers if c not in memo.candidates
     }
     new = [sg for parts in built.values() for sg in parts]
-    texts = [*map(serialize_subgraph, new), *(t.text() for sg in new for t in sg.triples)]
+    triple_parts = [] if cfg.strategy == ALL_FUSION else new  # all_fusion scores no triple
+    texts = [*map(serialize_subgraph, new), *(t.text() for sg in triple_parts for t in sg.triples)]
     embed.prefetch(texts, graph=True)
     memo.candidates.update(built)
     candidates = [memo.candidates[c] for c in centers]

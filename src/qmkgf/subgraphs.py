@@ -205,7 +205,8 @@ def personalization_vector(center: str) -> dict[str, float]:
 
 
 def personalized_pagerank(
-    g: KnowledgeGraph, p: dict[str, float], cfg: PageRankConfig | None = None
+    g: KnowledgeGraph, p: dict[str, float], cfg: PageRankConfig | None = None,
+    top: int | None = None,
 ) -> PageRankResult:
     """Iterate S(v) <- (1-d) p(v) + d * sum_u_in w_uv / W_u * S(u).
 
@@ -214,6 +215,13 @@ def personalized_pagerank(
     scores a probability distribution on every iteration. Stops when the
     L1 change drops below the tolerance; otherwise returns the last
     iterate flagged as non-converged.
+
+    With ``top`` in (0, entities outside p's support), it also stops once
+    the ``top`` highest-scored of those entities are certain: when the
+    ``top``-th and next score are more than twice ``delta * d / (1 - d)``
+    plus a rounding bound apart (the map is an L1 contraction by d, so no
+    later iterate moves a score further). Such a stop returns the iterate
+    as is, ``converged=True`` (the top set is final) and the iterations run.
     """
     cfg = cfg or PageRankConfig()
     if len(g.entities) == 0:
@@ -225,8 +233,8 @@ def personalized_pagerank(
     for entity, mass in p.items():
         if entity not in pos:
             raise ValidationError(f"personalization entity {entity!r} not in graph")
-        if not mass >= 0:
-            raise ValidationError("personalization entries must be >= 0")
+        if isinstance(mass, bool) or not isinstance(mass, (int, float)) or not mass >= 0:
+            raise ValidationError(f"personalization mass of {entity!r} must be a number >= 0")
         pvec[pos[entity]] = mass
     if abs(pvec.sum() - 1.0) > 1e-9:
         raise ValidationError("personalization vector must sum to 1")
@@ -238,6 +246,9 @@ def personalized_pagerank(
     p_support = pvec[support]
     teleport = (1.0 - d) * p_support
     dangling_nodes = np.flatnonzero(dangling)
+    outside = np.flatnonzero(pvec == 0)
+    slack = 2 * cfg.max_iters * (len(src) + n) * np.finfo(float).eps / (1.0 - d)
+    next_check = math.inf  # checking every iteration costs about what it saves
     scores = pvec.copy()
     converged = False
     iterations = 0
@@ -252,6 +263,14 @@ def personalized_pagerank(
         if delta < cfg.tolerance:
             converged = True
             break
+        radius = delta * d / (1.0 - d) + slack
+        if 0 < (top or 0) < len(outside) and radius <= next_check:
+            ranked = np.partition(scores[outside], (-top - 1, -top))
+            gap = ranked[-top] - ranked[-top - 1]
+            if gap > 2 * radius:  # strict: no tie can straddle the boundary
+                converged = True
+                break
+            next_check = max(gap / 2, radius / 4)
     return PageRankResult(
         scores=PageRankScores(ids, pos, scores),
         converged=converged,
@@ -262,12 +281,13 @@ def personalized_pagerank(
 def pagerank_subgraph(
     g: KnowledgeGraph, center: str, k: int, cfg: PageRankConfig | None = None
 ) -> Subgraph:
-    """Center plus the k highest-ranked entities, with all triples among them."""
+    """Center plus the k highest-ranked entities (ties to the smaller id),
+    with all triples among them. PageRank stops once those k are certain."""
     if center not in g:
         raise NotFoundError(f"unknown entity: {center!r}")
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
-    result = personalized_pagerank(g, personalization_vector(center), cfg)
+    result = personalized_pagerank(g, personalization_vector(center), cfg, top=k)
     ids, pos, *_ = g.compiled()
     ranks = -result.scores.array
     ranks[pos[center]] = np.inf

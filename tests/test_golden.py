@@ -9,6 +9,10 @@ client, straight into memory. The test compares, with the checked-in
 - per subgraph kind, one sha256 over the ``inspect-subgraph`` dumps of
   the five highest-degree entities.
 
+On the same worlds it also checks that ``pagerank_subgraph``'s settled
+PageRank picks the members of a run to the tolerance, in fewer
+iterations.
+
 A change that moves any ranking, score or fused triple by one bit fails
 here. Such a change regenerates the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says in CHANGES.md
@@ -44,6 +48,7 @@ DIM = 64
 ROWS = {"doc_heavy": 150, "graph_heavy": 100}
 KINDS = (subgraphs.ONEHOP, subgraphs.MULTIHOP, subgraphs.PAGERANK, subgraphs.FUSED)
 TOP_ENTITIES = 5
+SETTLE_ENTITIES = 100
 
 
 def _bench_worlds():
@@ -130,6 +135,32 @@ def test_inspect_subgraph_dumps_match_the_golden_digests(world):
     name, (graph, indices, params, stub, _) = world
     golden = _load_golden()
     assert dump_digests(graph, indices, params, stub) == golden["dumps"][name], _host_note(golden)
+
+
+def test_pagerank_subgraph_settles_on_the_full_runs_members_in_fewer_iterations(world, monkeypatch):
+    # Keeps the settled stop from going dead, or wrong, on the bench worlds.
+    name, (graph, *_) = world
+    cfg = PipelineConfig(stub=True)
+    unpatched = subgraphs.personalized_pagerank
+    settled = []
+
+    def recorded(*args, **kwargs):  # pagerank_subgraph calls through the module global
+        settled.append(unpatched(*args, **kwargs))
+        return settled[-1]
+
+    monkeypatch.setattr(subgraphs, "personalized_pagerank", recorded)
+    ids = sorted(graph.entities)
+    entities = ids[:: len(ids) // SETTLE_ENTITIES][:SETTLE_ENTITIES]
+    full_iterations = 0
+    for entity in entities:
+        members = subgraphs.pagerank_subgraph(graph, entity, cfg.K, cfg.pagerank).members
+        full = unpatched(graph, {entity: 1.0}, cfg.pagerank)
+        ranks = -full.scores.array
+        ranks[ids.index(entity)] = np.inf
+        assert members == {entity, *(ids[i] for i in np.argsort(ranks, kind="stable")[: cfg.K])}
+        full_iterations += full.iterations
+    assert len(settled) == len(entities) and all(r.converged for r in settled)
+    assert sum(r.iterations for r in settled) < 0.8 * full_iterations, name
 
 
 def main() -> int:

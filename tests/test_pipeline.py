@@ -756,6 +756,43 @@ def test_an_embedding_failure_in_a_centres_first_build_stores_no_entry():
     assert set(g.candidate_memo.candidates) == {"hilltown"}
 
 
+def test_all_fusion_embeds_only_the_serializations_of_a_new_centre():
+    # all_fusion scores no triple, so a centre's triple texts are never read.
+    g, indices, params, cfg, stub = _repeat_world()
+    cfg.strategy = "all_fusion"
+    client = _CountingEmbeds(stub)
+    run_qmkgf("which roads leave hilltown", g, indices, params, cfg, client)
+    sim = similarity_from_index(indices.entities, stub.embed)
+    parts = candidate_subgraphs(g, "hilltown", cfg, sim)
+    assert any(sg.triples for sg in parts)
+    serializations = list(dict.fromkeys(map(serialize_subgraph, parts)))
+    assert len(client.batches) == 3 and client.batches[1] == serializations
+    assert list(g.candidate_memo.pairs) == serializations
+
+
+def test_a_strategy_switch_on_one_graph_matches_a_fresh_graph_in_whole_batches():
+    # A centre stored under all_fusion lacks its triple texts; the strategies
+    # that score triples must not find it and fetch them one text at a time.
+    g, indices, params, cfg, stub = _repeat_world()
+    client = _CountingEmbeds(stub)
+    queries = [
+        "which roads leave hilltown",  # hilltown is new
+        "what fish live near hilltown",  # hilltown is stored
+        "hilltown and quarry news",  # quarry is new
+        "quarry first then hilltown",  # both are stored
+    ]
+    for strategy in ("all_fusion", "rm_fusion", "all_fusion", "top5_fusion"):
+        cfg.strategy = strategy
+        sent = []
+        for query in queries:
+            client.batches.clear()
+            trace = _trace(query, g, indices, params, cfg, client)
+            assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub), query
+            assert all(len(batch) > 1 for batch in client.batches), (strategy, query)
+            sent.append(len(client.batches))
+        assert sent == [3, 2, 3, 2], strategy
+
+
 def test_a_graph_change_drops_the_stored_embeddings():
     g, indices, params, cfg, client = _repeat_world()
     for query in REPEAT_QUERIES:

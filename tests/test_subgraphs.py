@@ -528,6 +528,14 @@ def test_ppr_rejects_nan_personalization_mass():
         personalized_pagerank(g, {"A": float("nan"), "B": 1.0})
 
 
+@pytest.mark.parametrize("mass", ["x", None, True, [1.0], -1.0])
+def test_ppr_rejects_a_mass_that_is_not_a_number_naming_its_entity(mass):
+    g = KnowledgeGraph()
+    g.add_triple(Triple("A", "r", "B"))
+    with pytest.raises(ValidationError, match="'A'"):
+        personalized_pagerank(g, {"A": mass})
+
+
 def test_ppr_scores_are_a_read_only_sorted_mapping():
     g = KnowledgeGraph()
     for h, t in (("m", "b"), ("b", "z"), ("z", "m"), ("m", "a")):
@@ -563,6 +571,122 @@ def test_pagerank_subgraph_dump_bytes_match_dict_scores():
         expected, _, _ = full_update_ppr(g, {center: 1.0}, cfg)
         scores = personalized_pagerank(g, personalization_vector(center), cfg).scores
         assert dump_subgraph(sg, scores).encode() == dump_subgraph(sg, expected).encode()
+
+
+# ---------------------------------------------------------------------------
+# the settled stop (``top``) against the run to tolerance
+# ---------------------------------------------------------------------------
+
+def _top_outside(result, p: dict, k: int) -> set:
+    """The k highest-scored entities outside p's support, ties to the smaller id."""
+    scores = result.scores
+    return set(sorted((e for e in scores if not p.get(e)), key=lambda e: (-scores[e], e))[:k])
+
+
+def _settle_graph(rng: random.Random) -> tuple[KnowledgeGraph, str]:
+    """20-300 nodes in one to three disconnected parts, some never a head
+    (dangling), plus a hub whose fresh leaves tie: each has the same one
+    edge in and out. Returns the graph and the hub."""
+    g = KnowledgeGraph()
+    names = [f"n{i:03d}" for i in range(rng.randint(20, 300))]
+    for name in names:
+        g.add_entity(name)
+    parts = rng.randint(1, 3)
+    groups = [names[i::parts] for i in range(parts)]
+    part_of = {name: groups[i % parts] for i, name in enumerate(names)}
+    heads = [name for name in names if rng.random() < 0.85]
+    for _ in range(len(names) * rng.randint(1, 3)):
+        h = rng.choice(heads)
+        g.add_triple(Triple(h, f"r{rng.randint(0, 2)}", rng.choice(part_of[h]),
+                            weight=rng.choice([0.5, 1.0, 2.0, rng.uniform(0.2, 4.0)])))
+    hub = rng.choice(heads)
+    for i in range(rng.randint(2, 6)):
+        g.add_triple(Triple(hub, "leaf", f"leaf{i}", weight=3.0))
+        g.add_triple(Triple(f"leaf{i}", "back", hub, weight=1.0))
+    return g, hub
+
+
+def test_settled_stop_picks_the_top_k_of_the_full_run_on_random_graphs():
+    rng = random.Random(1729)
+    settled_early = unconverged = boundary_ties = 0
+    for trial in range(240):
+        g, hub = _settle_graph(rng)
+        cfg = PageRankConfig(damping=rng.choice([0.5, 0.85, 0.95]),
+                             max_iters=rng.choice([8, 40, 200]))
+        k = rng.randint(1, 12)
+        center = hub if trial % 3 == 0 else rng.choice(sorted(g.entities))
+        p = {center: 1.0} if trial % 2 else _random_personalization(rng, g, rng.randint(2, 4))
+        full = personalized_pagerank(g, p, cfg)
+        settled = personalized_pagerank(g, p, cfg, top=k)
+        expected = _top_outside(full, p, k)
+        assert _top_outside(settled, p, k) == expected, trial
+        if len(p) == 1:
+            assert pagerank_subgraph(g, center, k, cfg).members == {center, *expected}, trial
+        assert settled.iterations <= full.iterations
+        assert settled.converged or (settled.iterations, full.converged) == (cfg.max_iters, False)
+        settled_early += settled.iterations < full.iterations
+        unconverged += not full.converged
+        ranked = sorted(full.scores[e] for e in full.scores if not p.get(e))
+        boundary_ties += k < len(ranked) and ranked[-k] == ranked[-k - 1]
+    assert settled_early > 60 and unconverged > 20 and boundary_ties > 20
+
+
+@pytest.mark.parametrize("k", [0, 4, 5, 50])
+def test_settled_stop_is_skipped_when_top_leaves_no_choice(k):
+    # Five entities: the centre and four others, so k >= 4 takes them all.
+    g = KnowledgeGraph()
+    for h, t, w in (("c", "a", 1.0), ("c", "b", 3.0), ("b", "d", 1.0), ("d", "c", 2.0)):
+        g.add_triple(Triple(h, "r", t, weight=w))
+    g.add_entity("e")
+    cfg = PageRankConfig()
+    full = personalized_pagerank(g, {"c": 1.0}, cfg)
+    got = personalized_pagerank(g, {"c": 1.0}, cfg, top=k)
+    assert got.scores.array.tobytes() == full.scores.array.tobytes()
+    assert (got.iterations, got.converged) == (full.iterations, full.converged)
+    assert pagerank_subgraph(g, "c", k, cfg).members == {"c", *_top_outside(full, {"c": 1.0}, k)}
+
+
+def test_settled_stop_around_an_isolated_centre_keeps_the_smallest_ids():
+    # Every other score is exactly zero, a tie no gap separates.
+    g = KnowledgeGraph()
+    for h, t in (("b", "a"), ("a", "d"), ("d", "b")):
+        g.add_triple(Triple(h, "r", t))
+    g.add_entity("iso")
+    full = personalized_pagerank(g, {"iso": 1.0})
+    settled = personalized_pagerank(g, {"iso": 1.0}, top=2)
+    assert (settled.iterations, settled.converged) == (full.iterations, full.converged)
+    assert pagerank_subgraph(g, "iso", 2).members == {"iso", "a", "b"}
+
+
+def test_settled_stop_with_a_multi_entry_personalization():
+    g = KnowledgeGraph()
+    for i in range(12):
+        g.add_triple(Triple(f"n{i:02d}", "r", f"n{(i * 5 + 1) % 12:02d}", weight=1.0 + i % 3))
+        g.add_triple(Triple(f"n{i:02d}", "s", f"n{(i + 2) % 12:02d}"))
+    p = {"n00": 0.5, "n03": 0.25, "n07": 0.25}
+    full = personalized_pagerank(g, p, PageRankConfig(tolerance=1e-12))
+    for top in (1, 3, 8):
+        settled = personalized_pagerank(g, p, PageRankConfig(tolerance=1e-12), top=top)
+        assert settled.converged and settled.iterations < full.iterations
+        assert _top_outside(settled, p, top) == _top_outside(full, p, top)
+
+
+def test_settled_stop_waits_for_a_late_overtaker():
+    # x is reached only through c -> h -> x and feeds itself, so it passes
+    # l, c's heaviest direct neighbour, only at iteration 18. At iteration
+    # 7 l still leads by more than twice that iteration's L1 change, so a
+    # stop without the d / (1 - d) factor in its radius would pick l.
+    g = KnowledgeGraph()
+    for h, t, w in (("c", "h", 4.0), ("c", "l", 16.0), ("h", "x", 2.0), ("x", "x", 8.0),
+                    ("l", "l", 1.0), ("l", "c", 2.0)):
+        g.add_triple(Triple(h, "r", t, weight=w))
+    cfg = PageRankConfig()
+    early = personalized_pagerank(g, {"c": 1.0}, PageRankConfig(max_iters=7))
+    full = personalized_pagerank(g, {"c": 1.0}, cfg)
+    assert early.scores["l"] > early.scores["x"] and full.scores["x"] > full.scores["l"]
+    settled = personalized_pagerank(g, {"c": 1.0}, cfg, top=1)
+    assert settled.converged and 18 < settled.iterations < full.iterations
+    assert pagerank_subgraph(g, "c", 1, cfg).members == {"c", "x"}
 
 
 # ---------------------------------------------------------------------------
