@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -269,7 +270,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader left, as in `qmkgf ... | head`: exit 1 quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return 1
     except (FileNotFoundError, ParseError, ValidationError, NotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import struct
-from copy import deepcopy
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -73,9 +72,6 @@ class AttentionParams:
         for name in PARAM_GROUPS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValidationError(f"{name} has non-finite entries")
-
-    def copy(self) -> "AttentionParams":
-        return deepcopy(self)
 
 
 def _group_shapes(dim: int) -> dict[str, tuple[int, ...]]:

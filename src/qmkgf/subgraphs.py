@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotFoundError, ValidationError
-from .kg import KnowledgeGraph, Triple
+from .kg import MAX_WEIGHT, KnowledgeGraph, Triple
 from .vectors import as_vector, cosine_from_norms, smallest_first, vector_norm
 
 SimilarityProvider = Callable[[str, str], float]
@@ -218,10 +218,10 @@ def personalized_pagerank(
 
     With ``top`` in (0, entities outside p's support), it also stops once
     the ``top`` highest-scored of those entities are certain: when the
-    ``top``-th and next score are more than twice ``delta * d / (1 - d)``
-    plus a rounding bound apart (the map is an L1 contraction by d, so no
-    later iterate moves a score further). Such a stop returns the iterate
-    as is, ``converged=True`` (the top set is final) and the iterations run.
+    ``top``-th and next score are more than ``delta * d / (1 - d)`` plus a
+    rounding bound apart (the map is an L1 contraction by d, so that bounds
+    a member's fall plus a non-member's rise over every later iterate). It
+    returns that iterate, ``converged=True`` (top set final) and the iterations run.
     """
     cfg = cfg or PageRankConfig()
     if len(g.entities) == 0:
@@ -233,8 +233,9 @@ def personalized_pagerank(
     for entity, mass in p.items():
         if entity not in pos:
             raise ValidationError(f"personalization entity {entity!r} not in graph")
-        if isinstance(mass, bool) or not isinstance(mass, (int, float)) or not mass >= 0:
-            raise ValidationError(f"personalization mass of {entity!r} must be a number >= 0")
+        number = isinstance(mass, (int, float)) and not isinstance(mass, bool)
+        if not (number and 0 <= mass <= MAX_WEIGHT):
+            raise ValidationError(f"personalization mass of {entity!r} must be a finite number >= 0")
         pvec[pos[entity]] = mass
     if abs(pvec.sum() - 1.0) > 1e-9:
         raise ValidationError("personalization vector must sum to 1")
@@ -246,31 +247,36 @@ def personalized_pagerank(
     p_support = pvec[support]
     teleport = (1.0 - d) * p_support
     dangling_nodes = np.flatnonzero(dangling)
-    outside = np.flatnonzero(pvec == 0)
     slack = 2 * cfg.max_iters * (len(src) + n) * np.finfo(float).eps / (1.0 - d)
     next_check = math.inf  # checking every iteration costs about what it saves
     scores = pvec.copy()
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        incoming = np.bincount(dst, weights=scores[src] * norm_w, minlength=n)
+        flow = scores[src]
+        flow *= norm_w
+        # astype: an edgeless graph's bincount is int64 zeros.
+        new_scores = np.bincount(dst, weights=flow, minlength=n).astype(float, copy=False)
         dangling_mass = float(scores[dangling_nodes].sum())
-        # Not in place: an edgeless graph's bincount is int64 zeros.
-        new_scores = d * incoming
-        new_scores[support] = teleport + d * (incoming[support] + dangling_mass * p_support)
-        delta = float(np.abs(new_scores - scores).sum())
+        incoming_support = new_scores[support]
+        new_scores *= d
+        new_scores[support] = teleport + d * (incoming_support + dangling_mass * p_support)
+        diff = new_scores - scores
+        delta = float(np.abs(diff, out=diff).sum())
         scores = new_scores
         if delta < cfg.tolerance:
             converged = True
             break
         radius = delta * d / (1.0 - d) + slack
-        if 0 < (top or 0) < len(outside) and radius <= next_check:
-            ranked = np.partition(scores[outside], (-top - 1, -top))
-            gap = ranked[-top] - ranked[-top - 1]
-            if gap > 2 * radius:  # strict: no tie can straddle the boundary
+        if 0 < (top or 0) < n - len(support) and radius <= next_check:
+            ranked = scores.copy()
+            ranked[support] = -np.inf  # below every outside score, so never picked
+            ranked.partition(n - top - 1)
+            gap = ranked[n - top:].min() - ranked[n - top - 1]
+            if gap > radius:  # strict: no tie can straddle the boundary
                 converged = True
                 break
-            next_check = max(gap / 2, radius / 4)
+            next_check = max(gap, radius / 4)
     return PageRankResult(
         scores=PageRankScores(ids, pos, scores),
         converged=converged,

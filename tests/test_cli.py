@@ -1,13 +1,18 @@
 import hashlib
 import json
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmkgf
 from qmkgf.cli import _config_from_args, build_parser, main
 from qmkgf.clients import StubModelClient
 from qmkgf.kg import KnowledgeGraph, Triple, save as save_kg
@@ -243,6 +248,22 @@ def test_query_unknown_flag_usage_error(artifacts):
     with pytest.raises(SystemExit) as exc:
         main(["query", "q", "--artifacts", str(artifacts), "--stub", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_query_into_a_closed_pipe_exits_1_with_nothing_on_stderr(artifacts):
+    # As `qmkgf query ... | head -1` once head has exited: the read end is
+    # closed before the child writes anything.
+    package_root = str(Path(qmkgf.__file__).resolve().parent.parent)
+    pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmkgf", "query", "what guards Cedarfall",
+         "--artifacts", str(artifacts), "--stub", "--trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err.decode()) == (1, "")
 
 
 def test_eval_command(artifacts, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import struct
@@ -295,7 +296,7 @@ def test_invalid_params_raise_before_any_score_is_returned():
         warnings.simplefilter("error")
         for name in ("w_q", "w_k", "w_v", "w_o", "head_w", "head_b"):
             for value in (np.nan, np.inf, -np.inf):
-                bad = base.copy()
+                bad = copy.deepcopy(base)
                 if name == "head_b":
                     bad.head_b = value
                 else:
@@ -314,7 +315,7 @@ def test_save_params_rejects_entries_too_large_for_float32():
     # Finite in float64, so validate() passes, but a QRMW file of them
     # would hold inf and fail to load.
     base = init_params(4, heads=2, seed=1)
-    big = base.copy()
+    big = copy.deepcopy(base)
     big.w_k[1, 2] = 1e39
     for bad, name in ((big, "w_k"), (dataclasses.replace(base, head_b=-1e39), "head_b")):
         with pytest.raises(ValidationError, match=f"{name} has entries too large for float32"):

@@ -536,6 +536,14 @@ def test_ppr_rejects_a_mass_that_is_not_a_number_naming_its_entity(mass):
         personalized_pagerank(g, {"A": mass})
 
 
+@pytest.mark.parametrize("mass", [10**400, float("inf")], ids=["huge_int", "inf"])
+def test_ppr_rejects_a_mass_too_large_for_a_float_naming_its_entity(mass):
+    g = KnowledgeGraph()
+    g.add_triple(Triple("A", "r", "B"))
+    with pytest.raises(ValidationError, match="'A'"):
+        personalized_pagerank(g, {"A": mass})
+
+
 def test_ppr_scores_are_a_read_only_sorted_mapping():
     g = KnowledgeGraph()
     for h, t in (("m", "b"), ("b", "z"), ("z", "m"), ("m", "a")):
@@ -671,11 +679,31 @@ def test_settled_stop_with_a_multi_entry_personalization():
         assert _top_outside(settled, p, top) == _top_outside(full, p, top)
 
 
+def test_settled_stop_ignores_a_support_entity_between_the_kth_and_next_score():
+    # s sends four times as much to y as to l, but l keeps what it gets (a
+    # self-loop) and y passes it on, so l passes y only at iteration 6. s,
+    # in p's support, ends between them. A check that ranked the support
+    # too would read c's lead as the gap and stop while y still leads.
+    g = KnowledgeGraph()
+    for h, t, w in (("s", "l", 2.0), ("s", "y", 8.0), ("l", "l", 1.0), ("y", "s", 1.0),
+                    ("y", "x", 2.0), ("x", "c", 1.0)):
+        g.add_triple(Triple(h, "r", t, weight=w))
+    p = {"c": 0.75, "s": 0.25}
+    cfg = PageRankConfig()
+    early = personalized_pagerank(g, p, PageRankConfig(max_iters=5))
+    full = personalized_pagerank(g, p, cfg)
+    assert early.scores["y"] > early.scores["l"]
+    assert full.scores["l"] > full.scores["s"] > full.scores["y"]
+    settled = personalized_pagerank(g, p, cfg, top=1)
+    assert settled.converged and settled.iterations < full.iterations
+    assert _top_outside(settled, p, 1) == _top_outside(full, p, 1) == {"l"}
+
+
 def test_settled_stop_waits_for_a_late_overtaker():
     # x is reached only through c -> h -> x and feeds itself, so it passes
     # l, c's heaviest direct neighbour, only at iteration 18. At iteration
-    # 7 l still leads by more than twice that iteration's L1 change, so a
-    # stop without the d / (1 - d) factor in its radius would pick l.
+    # 7 l still leads by more than that iteration's L1 change, so a stop
+    # without the d / (1 - d) factor in its radius would pick l.
     g = KnowledgeGraph()
     for h, t, w in (("c", "h", 4.0), ("c", "l", 16.0), ("h", "x", 2.0), ("x", "x", 8.0),
                     ("l", "l", 1.0), ("l", "c", 2.0)):
