@@ -31,7 +31,6 @@ from .pipeline import (
 from .reward import (
     AttentionParams,
     RMTrainingExample,
-    attention_forward,
     grad_check,
     init_params,
     score,

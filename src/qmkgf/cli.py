@@ -58,21 +58,17 @@ def cmd_build_kg(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     client = _make_client(cfg)
     chunks = pipe.load_corpus(str(_require_file(args.corpus)))
-    graph = kg_mod.KnowledgeGraph()
-    total = kg_mod.IngestReport()
+    records = []
     for chunk_id in sorted(chunks):
-        records = client.extract_triples(chunks[chunk_id].text)
-        for record in records:
+        for record in client.extract_triples(chunks[chunk_id].text):
             if isinstance(record, dict):
                 record.setdefault("source_chunk", chunk_id)
-        _, report = kg_mod.ingest_extraction(graph, records)
-        total.added += report.added
-        total.merged += report.merged
-        total.rejected += report.rejected
+            records.append(record)
+    graph, report = kg_mod.ingest_extraction(kg_mod.KnowledgeGraph(), records)
     Path(args.out).write_bytes(kg_mod.save(graph))
     print(
         f"entities={len(graph.entities)} triples={len(graph.triples)} "
-        f"added={total.added} merged={total.merged} rejected={total.rejected}"
+        f"added={report.added} merged={report.merged} rejected={report.rejected}"
     )
     return 0
 

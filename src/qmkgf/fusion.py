@@ -72,11 +72,6 @@ def compute_threshold(max_subgraph: Subgraph, q_vec: np.ndarray, embedder: Embed
         raise ThresholdError(f"cannot derive threshold: {exc}") from exc
 
 
-def triple_similarity(t: Triple, q_vec: np.ndarray, embedder: Embedder) -> float:
-    """Cosine between the triple's "head relation tail" text and the query."""
-    return similarity(t.text(), normed(q_vec), embedder)
-
-
 def similarity(text: str, q: tuple[np.ndarray, np.float64], embedder: Embedder) -> float:
     """``cosine`` between the embedding of ``text`` and the ``normed`` query
     vector ``q``. An embedder that keeps its texts' norms
@@ -84,17 +79,6 @@ def similarity(text: str, q: tuple[np.ndarray, np.float64], embedder: Embedder) 
     ``normed``; any other is called and its reply normed here."""
     stored = getattr(embedder, "normed", None)
     return cosine_from_norms(*(stored(text) if stored else normed(embedder(text))), *q)
-
-
-def triples_to_score(scored: list[ScoredSubgraph], strategy: str) -> list[Triple]:
-    """The triples, deduplicated by key, whose query similarity ``fuse``
-    computes under ``strategy``: those of the two lower-scored subgraphs for
-    ``rm_fusion``, of all three for ``top5_fusion``, none for ``all_fusion``."""
-    if strategy == ALL_FUSION:
-        return []
-    base = select_max(scored)
-    parts = [s.subgraph for s in scored if strategy == TOP5_FUSION or s is not base]
-    return _dedup(t for sg in parts for t in sg.triples)
 
 
 def fuse(
@@ -105,19 +89,24 @@ def fuse(
 ) -> FusionResult:
     """Merge the three scored subgraphs according to ``cfg.strategy``.
 
-    The result always contains every triple of the winning subgraph.
-    ``threshold_used`` is -1.0 for the strategies that do not gate on
-    similarity, which keeps the "selected triples pass the threshold"
-    invariant trivially valid.
+    The result always contains every triple of the winning subgraph. Query
+    similarity is computed once per triple key, for the triples of the two
+    lower-scored subgraphs under ``rm_fusion`` and of all three under
+    ``top5_fusion``. ``threshold_used`` is -1.0 for the strategies that do
+    not gate on similarity, which keeps the "selected triples pass the
+    threshold" invariant trivially valid.
     """
     base = select_max(scored)
     others = [s.subgraph for s in scored if s.subgraph is not base.subgraph]
     threshold = -1.0
+    to_score = []
     if cfg.strategy == RM_FUSION:
         threshold = cfg.tau
         if threshold is None:
             threshold = compute_threshold(base.subgraph, q_vec, embedder)
-    to_score = triples_to_score(scored, cfg.strategy)
+        to_score = _dedup(t for sg in others for t in sg.triples)
+    elif cfg.strategy == TOP5_FUSION:
+        to_score = _dedup(t for s in scored for t in s.subgraph.triples)
     q = normed(q_vec) if to_score else None  # all_fusion never reads the query
     sims = {t.key: similarity(t.text(), q, embedder) for t in to_score}
 

@@ -158,26 +158,21 @@ class KnowledgeGraph:
         self.in_adj[triple.tail].append(idx)
         return True
 
-    def neighbors(self, entity_id: str, direction: str = "both") -> list[tuple[str, Triple]]:
-        """Adjacent entities of ``entity_id`` with their connecting triples.
-
-        ``direction`` is "out", "in", or "both" (union). The result is
-        sorted by (neighbor id, relation) so iteration order is stable.
+    def neighbors(self, entity_id: str) -> list[tuple[str, Triple]]:
+        """Adjacent entities of ``entity_id`` in either direction, each with
+        its connecting triple: (tail, t) for an out-triple and (head, t) for
+        an in-triple. The result is sorted by (neighbor id, triple key) so
+        iteration order is stable.
         """
         if entity_id not in self.entities:
             raise NotFoundError(f"unknown entity: {entity_id!r}")
-        if direction not in ("out", "in", "both"):
-            raise ValidationError(f"direction must be out|in|both, got {direction!r}")
-
         pairs: set[tuple[str, Triple]] = set()
-        if direction in ("out", "both"):
-            for idx in self.out_adj.get(entity_id, []):
-                t = self.triples[idx]
-                pairs.add((t.tail, t))
-        if direction in ("in", "both"):
-            for idx in self.in_adj.get(entity_id, []):
-                t = self.triples[idx]
-                pairs.add((t.head, t))
+        for idx in self.out_adj.get(entity_id, []):
+            t = self.triples[idx]
+            pairs.add((t.tail, t))
+        for idx in self.in_adj.get(entity_id, []):
+            t = self.triples[idx]
+            pairs.add((t.head, t))
         return sorted(pairs, key=lambda p: (p[0], p[1].key))
 
     def compiled(self) -> CompiledGraph:

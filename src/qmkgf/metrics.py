@@ -143,14 +143,16 @@ def _align_chunks(cand: list[str], ref: list[str]) -> tuple[int, int]:
         matches += best_len
 
 
-def meteor(candidate: str, reference: str, alpha: float = 0.9, beta: float = 3.0,
-           gamma: float = 0.5) -> float:
-    """Exact-match unigram variant (no stemming or synonym resources)."""
-    return _meteor(tokenize(candidate), tokenize(reference), alpha, beta, gamma)
+# METEOR's F-mean weight and its fragmentation penalty's exponent and scale.
+ALPHA, BETA, GAMMA = 0.9, 3.0, 0.5
 
 
-def _meteor(cand: list[str], ref: list[str], alpha: float = 0.9, beta: float = 3.0,
-            gamma: float = 0.5) -> float:
+def meteor(candidate: str, reference: str) -> float:
+    """Exact-match unigram METEOR at ALPHA, BETA, GAMMA (no stemming or synonyms)."""
+    return _meteor(tokenize(candidate), tokenize(reference))
+
+
+def _meteor(cand: list[str], ref: list[str]) -> float:
     if not cand or not ref:
         return 0.0
     matches, chunks = _align_chunks(cand, ref)
@@ -158,8 +160,8 @@ def _meteor(cand: list[str], ref: list[str], alpha: float = 0.9, beta: float = 3
         return 0.0
     precision = matches / len(cand)
     recall = matches / len(ref)
-    f_mean = precision * recall / (alpha * precision + (1.0 - alpha) * recall)
-    penalty = gamma * (chunks / matches) ** beta
+    f_mean = precision * recall / (ALPHA * precision + (1.0 - ALPHA) * recall)
+    penalty = GAMMA * (chunks / matches) ** BETA
     return f_mean * (1.0 - penalty)
 
 

@@ -78,7 +78,6 @@ class ExpandedQuery:
 @dataclass
 class RankedChunks:
     items: list[tuple[Chunk, float]]
-    cutoff: int
     used_fallback: bool = False
 
     def ids(self) -> list[str]:
@@ -242,7 +241,7 @@ def rerank_chunks(query: str, doc: list[Chunk], client, k: int) -> RankedChunks:
         raise ValidationError(f"k must be >= 1, got {k}")
     ordered = sorted(doc, key=lambda c: c.id)
     if not ordered:
-        return RankedChunks(items=[], cutoff=k)
+        return RankedChunks(items=[])
     used_fallback = False
     try:
         scores = client.rerank(query, [c.text for c in ordered])
@@ -255,7 +254,6 @@ def rerank_chunks(query: str, doc: list[Chunk], client, k: int) -> RankedChunks:
     ranked = sorted(zip(ordered, scores), key=lambda pair: (-pair[1], pair[0].id))
     return RankedChunks(
         items=[(chunk, float(s)) for chunk, s in ranked[:k]],
-        cutoff=k,
         used_fallback=used_fallback,
     )
 

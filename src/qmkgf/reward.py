@@ -104,42 +104,32 @@ def serialize_subgraph(sg: Subgraph) -> str:
     return "; ".join(t.text() for t in sg.sorted_triples())
 
 
-def project_qkv(
-    q_vec: np.ndarray, kgs: np.ndarray, params: AttentionParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-vector projections Q = q W_Q, K = kgs W_K, V = kgs W_V.
+def _forward(params: AttentionParams, q_vec: np.ndarray, kgs: np.ndarray) -> dict:
+    """Multi-head attention over all heads at once, then the linear head.
 
-    ``kgs`` may be a single d-vector or an (n, d) matrix of per-triple
-    embeddings; K and V keep its shape.
+    ``kgs`` with shape (d,) is one K/V position; shape (n, d) attends over
+    n positions. Q = q W_Q is viewed as (h, dh) and K = kgs W_K, V = kgs W_V
+    as (n, h, dh), so the logits, the softmax along the position axis and
+    the head outputs are whole-array operations. Returns the cache the
+    backward pass reads, with the attention output ``attn`` and reward ``p``.
+    Raises ValidationError on a vector of the wrong dimension, or when the
+    reward logit is not finite, which also catches parameters made
+    non-finite after their validation.
     """
+    params.check_shapes()
     d = params.dim
+    h = params.heads
+    dh = d // h
     q_vec = np.asarray(q_vec, dtype=np.float64)
     kgs = np.asarray(kgs, dtype=np.float64)
     if q_vec.shape != (d,):
         raise ValidationError(f"query vector must have shape ({d},), got {q_vec.shape}")
     if kgs.shape[-1] != d:
         raise ValidationError(f"subgraph vectors must have last dim {d}, got {kgs.shape}")
-    return q_vec @ params.w_q, kgs @ params.w_k, kgs @ params.w_v
-
-
-def _forward(params: AttentionParams, q_vec: np.ndarray, kgs: np.ndarray) -> dict:
-    """Multi-head attention over all heads at once, then the linear head.
-
-    ``kgs`` with shape (d,) is one K/V position; shape (n, d) attends over
-    n positions. Q is viewed as (h, dh) and K, V as (n, h, dh), so the
-    logits, the softmax along the position axis and the head outputs are
-    whole-array operations. Returns the cache the backward pass reads.
-    Raises ValidationError when the reward logit is not finite, which
-    also catches parameters made non-finite after their validation.
-    """
-    params.check_shapes()
-    h = params.heads
-    dh = params.dim // h
     with np.errstate(over="ignore", invalid="ignore"):
-        q, k, v = project_qkv(q_vec, kgs, params)
-        q = q.reshape(h, dh)
-        k = k.reshape(-1, h, dh)
-        v = v.reshape(-1, h, dh)
+        q = (q_vec @ params.w_q).reshape(h, dh)
+        k = (kgs @ params.w_k).reshape(-1, h, dh)
+        v = (kgs @ params.w_v).reshape(-1, h, dh)
         logits = (k * q).sum(axis=2) / np.sqrt(dh)
         e = np.exp(logits - logits.max(axis=0))
         weights = e / e.sum(axis=0)
@@ -159,17 +149,6 @@ def _forward(params: AttentionParams, q_vec: np.ndarray, kgs: np.ndarray) -> dic
         "attn": attn,
         "p": _sigmoid(z),
     }
-
-
-def attention_forward(
-    q_vec: np.ndarray, kgs: np.ndarray, params: AttentionParams
-) -> np.ndarray:
-    """Multi-head attention output (a d-vector).
-
-    ``kgs`` with shape (d,) is treated as one K/V position; shape (n, d)
-    attends over n positions.
-    """
-    return _forward(params, q_vec, kgs)["attn"]
 
 
 def score(

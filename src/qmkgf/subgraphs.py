@@ -125,7 +125,7 @@ def ranked_neighbors(
 ) -> list[str]:
     """Distinct neighbors of center (both directions, self excluded),
     sorted by similarity to center descending, ties by id."""
-    ids = {n for n, _ in g.neighbors(center, "both") if n != center}
+    ids = {n for n, _ in g.neighbors(center) if n != center}
     return sorted(ids, key=lambda e: (-sim(center, e), e))
 
 
@@ -147,7 +147,7 @@ def one_hop_subgraph(
     chosen = ranked[:k]
     # The center's triples to a chosen neighbour are the path triples.
     leaves = set(chosen)
-    triples = {t for n, t in g.neighbors(center, "both") if n in leaves}
+    triples = {t for n, t in g.neighbors(center) if n in leaves}
     sg = Subgraph(
         center=center,
         triples=sorted(triples, key=lambda t: t.key),
@@ -182,7 +182,7 @@ def multi_hop_subgraph(
     if not bridges:
         return Subgraph(center=center, triples=[], members={center}, path_kind=MULTIHOP)
 
-    adjacent = [g.neighbors(bridge, "both") for bridge in bridges]
+    adjacent = [g.neighbors(bridge) for bridge in bridges]
     candidates = {n for pairs in adjacent for n, _ in pairs} - {center, *bridges}
     second_hop = sorted(candidates, key=lambda e: (-sim(center, e), e))[:k]
 
@@ -220,8 +220,9 @@ def personalized_pagerank(
     the ``top`` highest-scored of those entities are certain: when the
     ``top``-th and next score are more than ``delta * d / (1 - d)`` plus a
     rounding bound apart (the map is an L1 contraction by d, so that bounds
-    a member's fall plus a non-member's rise over every later iterate). It
-    returns that iterate, ``converged=True`` (top set final) and the iterations run.
+    a member's fall plus a non-member's rise over every later iterate), or
+    when the next score is 0 and no entity gained mass since the last check.
+    It returns that iterate, ``converged=True`` (top set final) and the iterations run.
     """
     cfg = cfg or PageRankConfig()
     if len(g.entities) == 0:
@@ -249,6 +250,7 @@ def personalized_pagerank(
     dangling_nodes = np.flatnonzero(dangling)
     slack = 2 * cfg.max_iters * (len(src) + n) * np.finfo(float).eps / (1.0 - d)
     next_check = math.inf  # checking every iteration costs about what it saves
+    reached = -1  # nonzero scores at the last check, counted while the next score is 0
     scores = pvec.copy()
     converged = False
     iterations = 0
@@ -273,7 +275,9 @@ def personalized_pagerank(
             ranked[support] = -np.inf  # below every outside score, so never picked
             ranked.partition(n - top - 1)
             gap = ranked[n - top:].min() - ranked[n - top - 1]
-            if gap > radius:  # strict: no tie can straddle the boundary
+            # The nonzero set only grows, so if its size holds every zero stays zero.
+            closed = ranked[n - top - 1] == 0 and reached == (reached := np.count_nonzero(scores))
+            if gap > radius or closed:  # strict: no tie can straddle the boundary
                 converged = True
                 break
             next_check = max(gap, radius / 4)

@@ -92,9 +92,6 @@ class VectorIndex:
             self._frozen = (ids, matrix, norms)
         return self._frozen
 
-    def get(self, key: str) -> np.ndarray:
-        return self.entries[key]
-
     def ids(self) -> list[str]:
         return sorted(self.entries)
 

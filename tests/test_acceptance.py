@@ -17,7 +17,7 @@ import numpy as np
 import qmkgf
 from qmkgf.clients import StubModelClient
 from qmkgf.config import PipelineConfig
-from qmkgf.fusion import FusionConfig, ScoredSubgraph, fuse, select_max, triple_similarity
+from qmkgf.fusion import FusionConfig, ScoredSubgraph, fuse, select_max, similarity
 from qmkgf.kg import KnowledgeGraph, Triple
 from qmkgf.metrics import bleu_1, retrieval_metrics, rouge_1, rouge_l
 from qmkgf.pipeline import (
@@ -46,6 +46,7 @@ from qmkgf.subgraphs import (
     pagerank_subgraph,
     personalized_pagerank,
 )
+from qmkgf.vectors import normed
 
 
 def _passed(number: int, name: str) -> None:
@@ -198,7 +199,7 @@ def test_criterion_5_fusion_contract():
         base = select_max(scored).subgraph
         assert {t.key for t in result.fused.triples} >= {t.key for t in base.triples}
         for t in result.selected:
-            assert triple_similarity(t, q_vec, embed) >= result.threshold_used
+            assert similarity(t.text(), normed(q_vec), embed) >= result.threshold_used
 
     # all_fusion is independent of presentation order
     fixed = [

@@ -75,6 +75,27 @@ def test_build_kg_stub_corpus(tmp_path, corpus_file, capsys):
     assert all(t.source_chunk in {"d1", "d2", "d3"} for t in graph.triples)
 
 
+def test_build_kg_prints_the_ingest_totals_over_every_chunk(tmp_path, monkeypatch, capsys):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    corpus = tmp_path / "corpus.jsonl"
+    _write_corpus(corpus, [{"id": "d1", "text": "first"}, {"id": "d2", "text": "second"}])
+    repeated = {"head": "A", "relation": "r", "tail": "B"}
+    _StubHandler.stub = StubModelClient(dim=64, seed=0, triple_table={
+        "first": [repeated, {"head": "", "relation": "r", "tail": "C"}],
+        "second": [repeated, {"head": "B", "relation": "s", "tail": "C"}],
+    })
+    _StubHandler.requests = []
+    out = tmp_path / "kg.jsonl"
+    with _serving(_StubHandler) as url:
+        assert main(["build-kg", str(corpus), str(out), "--service-url", url]) == 0
+    assert capsys.readouterr().out == "entities=3 triples=2 added=2 merged=1 rejected=1\n"
+    assert [path for path, _ in _StubHandler.requests] == ["/extract", "/extract"]
+    graph = load_kg(out.read_bytes())
+    assert {t.key: t.source_chunk for t in graph.triples} == {
+        ("A", "r", "B"): "d1", ("B", "s", "C"): "d2"}
+
+
 def test_build_kg_empty_corpus(tmp_path):
     corpus = tmp_path / "empty.jsonl"
     corpus.write_text("")

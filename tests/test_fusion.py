@@ -13,7 +13,6 @@ from qmkgf.fusion import (
     fuse,
     select_max,
     similarity,
-    triple_similarity,
 )
 from qmkgf.kg import Triple
 from qmkgf.pipeline import QueryEmbeddings
@@ -101,9 +100,9 @@ def test_compute_threshold_zero_embedding_raises():
 def test_triple_similarity_identity_and_determinism():
     t = Triple("alpha", "beta", "gamma")
     q_vec = EMBED("alpha beta gamma")
-    assert triple_similarity(t, q_vec, EMBED) == pytest.approx(1.0, abs=1e-12)
-    other = EMBED("unrelated words here")
-    assert triple_similarity(t, other, EMBED) == triple_similarity(t, other, EMBED)
+    assert similarity(t.text(), normed(q_vec), EMBED) == pytest.approx(1.0, abs=1e-12)
+    other = normed(EMBED("unrelated words here"))
+    assert similarity(t.text(), other, EMBED) == similarity(t.text(), other, EMBED)
 
 
 def test_triple_similarity_ordering_matches_cosine_oracle():
@@ -113,7 +112,7 @@ def test_triple_similarity_ordering_matches_cosine_oracle():
         Triple("mountains", "made_of", "rock"),
         Triple("me", "tell", "about"),
     ]
-    sims = [triple_similarity(t, q_vec, EMBED) for t in triples]
+    sims = [similarity(t.text(), normed(q_vec), EMBED) for t in triples]
     oracle = [cosine(EMBED(t.text()), q_vec) for t in triples]
     assert sorted(range(3), key=lambda i: -sims[i]) == sorted(range(3), key=lambda i: -oracle[i])
 
@@ -173,7 +172,7 @@ def test_fuse_rm_selected_matches_exhaustive_filter_oracle():
         expected = {
             key
             for key, t in candidates.items()
-            if triple_similarity(t, q_vec, EMBED) >= result.threshold_used
+            if similarity(t.text(), normed(q_vec), EMBED) >= result.threshold_used
         }
         assert {t.key for t in result.selected} == expected
         # Base triples always survive.

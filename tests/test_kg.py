@@ -79,31 +79,24 @@ def test_add_triple_rejects_non_finite_weight(weight):
     assert len(g) == 0
 
 
-def test_neighbors_out_direction():
-    g = KnowledgeGraph()
-    g.add_triple(Triple("A", "r", "B"))
-    g.add_triple(Triple("A", "r", "C"))
-    assert {n for n, _ in g.neighbors("A", "out")} == {"B", "C"}
-
-
 def test_neighbors_isolated_node_empty():
     g = KnowledgeGraph()
     g.add_entity("X")
-    for direction in ("out", "in", "both"):
-        assert g.neighbors("X", direction) == []
+    assert g.out_adj["X"] == [] and g.in_adj["X"] == []
+    assert g.neighbors("X") == []
 
 
 def test_neighbors_both_is_union():
     g = KnowledgeGraph()
     g.add_triple(Triple("A", "r", "B"))
     g.add_triple(Triple("C", "r", "A"))
-    assert {n for n, _ in g.neighbors("A", "both")} == {"B", "C"}
+    assert {n for n, _ in g.neighbors("A")} == {"B", "C"}
 
 
 def test_neighbors_unknown_entity():
     g = KnowledgeGraph()
     with pytest.raises(NotFoundError):
-        g.neighbors("ghost", "out")
+        g.neighbors("ghost")
 
 
 def test_neighbors_matches_brute_force_on_random_graphs():
@@ -116,9 +109,10 @@ def test_neighbors_matches_brute_force_on_random_graphs():
             g.add_triple(Triple(h, f"r{rng.randint(0, 3)}", t, weight=rng.uniform(0.1, 5)))
         out, into = _rebuild_adjacency(g)
         for e in g.entities:
-            assert set(g.neighbors(e, "out")) == out[e]
-            assert set(g.neighbors(e, "in")) == into[e]
-            assert set(g.neighbors(e, "both")) == out[e] | into[e]
+            assert {(g.triples[i].tail, g.triples[i]) for i in g.out_adj[e]} == out[e]
+            assert {(g.triples[i].head, g.triples[i]) for i in g.in_adj[e]} == into[e]
+            both = out[e] | into[e]
+            assert g.neighbors(e) == sorted(both, key=lambda p: (p[0], p[1].key))
 
 
 def test_ingest_counts_valid_rows():

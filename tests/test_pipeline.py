@@ -102,7 +102,7 @@ def test_map_entity_matches_argmax_oracle():
     index.add("rock quarry", client.embed("rock quarry"))
     query_vec = client.embed("lake")
     expected = max(
-        index.entries, key=lambda e: (cosine(index.get(e), query_vec), e)
+        index.entries, key=lambda e: (cosine(index.entries[e], query_vec), e)
     )
     got, _ = map_entity("lake", index, client.embed)
     assert got == expected
@@ -329,14 +329,14 @@ def test_rerank_falls_back_to_cosine_on_client_failure():
 
 def test_generate_echo_returns_constructed_prompt():
     chunks = list(_chunks("context one").values())
-    ranked = RankedChunks(items=[(chunks[0], 1.0)], cutoff=5)
+    ranked = RankedChunks(items=[(chunks[0], 1.0)])
     answer = generate_answer("why?", ranked, _client())
     assert "Question: why?" in answer
     assert "1. context one" in answer
 
 
 def test_generate_empty_ranked_set_has_marker():
-    ranked = RankedChunks(items=[], cutoff=5)
+    ranked = RankedChunks(items=[])
     prompt = build_prompt("why?", ranked)
     assert NO_CONTEXT_MARKER in prompt
     assert "no context" in prompt
@@ -345,7 +345,7 @@ def test_generate_empty_ranked_set_has_marker():
 
 
 def test_generate_table_mapping_exact_answer():
-    ranked = RankedChunks(items=[], cutoff=5)
+    ranked = RankedChunks(items=[])
     prompt = build_prompt("why?", ranked)
     client = _client(generate_table={prompt: "because."})
     assert generate_answer("why?", ranked, client) == "because."
@@ -356,7 +356,7 @@ def test_generate_failure_carries_prompt():
         def generate(self, prompt):
             raise ModelServiceError("llm down")
 
-    ranked = RankedChunks(items=[], cutoff=5)
+    ranked = RankedChunks(items=[])
     with pytest.raises(GenerationError) as exc:
         generate_answer("why?", ranked, FailingGenerate(dim=DIM))
     assert "Question: why?" in exc.value.prompt

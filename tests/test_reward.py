@@ -13,13 +13,12 @@ from qmkgf.reward import (
     AttentionParams,
     RMExample,
     RMTrainingExample,
-    attention_forward,
+    _forward,
     grad_check,
     init_params,
     load_params,
     max_relative_error,
     numeric_grads,
-    project_qkv,
     rm_example_grads,
     rm_loss_and_grads,
     save_params,
@@ -47,6 +46,14 @@ def _subgraph(*keys) -> Subgraph:
     members = {e for t in triples for e in (t.head, t.tail)} or {"x"}
     center = sorted(members)[0]
     return Subgraph(center=center, triples=triples, members=members, path_kind="pagerank")
+
+
+def _qkv(q_vec, kgs, params):
+    """The projections Q, K, V from ``_forward``'s cache, in the shapes of
+    ``q_vec`` and ``kgs``."""
+    cache = _forward(params, q_vec, kgs)
+    shape = np.shape(kgs)
+    return cache["q"].reshape(-1), cache["k"].reshape(shape), cache["v"].reshape(shape)
 
 
 def _bag_embedder(dim: int = 8, seed: int = 0):
@@ -83,7 +90,7 @@ def test_project_qkv_identity_matrices():
     params = _identity_params(4)
     q = np.array([1.0, 2.0, 3.0, 4.0])
     kgs = np.array([4.0, 3.0, 2.0, 1.0])
-    Q, K, V = project_qkv(q, kgs, params)
+    Q, K, V = _qkv(q, kgs, params)
     np.testing.assert_array_equal(Q, q)
     np.testing.assert_array_equal(K, kgs)
     np.testing.assert_array_equal(V, kgs)
@@ -92,7 +99,7 @@ def test_project_qkv_identity_matrices():
 def test_project_qkv_zero_value_matrix():
     params = _identity_params(4)
     params.w_v = np.zeros((4, 4))
-    _, _, V = project_qkv(np.ones(4), np.ones(4), params)
+    _, _, V = _qkv(np.ones(4), np.ones(4), params)
     np.testing.assert_array_equal(V, np.zeros(4))
 
 
@@ -101,7 +108,7 @@ def test_project_qkv_matches_naive_matmul_oracle():
     params = init_params(4, heads=2, seed=1)
     q = rng.standard_normal(4)
     kgs = rng.standard_normal(4)
-    Q, K, V = project_qkv(q, kgs, params)
+    Q, K, V = _qkv(q, kgs, params)
 
     def naive(vec, mat):
         return np.array([sum(vec[i] * mat[i, j] for i in range(4)) for j in range(4)])
@@ -113,8 +120,10 @@ def test_project_qkv_matches_naive_matmul_oracle():
 
 def test_project_qkv_dimension_mismatch():
     params = _identity_params(4)
-    with pytest.raises(ValidationError):
-        project_qkv(np.ones(3), np.ones(4), params)
+    with pytest.raises(ValidationError, match=r"query vector must have shape \(4,\), got \(3,\)"):
+        _qkv(np.ones(3), np.ones(4), params)
+    with pytest.raises(ValidationError, match="subgraph vectors must have last dim 4"):
+        _qkv(np.ones(4), np.ones((2, 3)), params)
 
 
 def test_init_params_rejects_a_negative_seed():
@@ -128,14 +137,14 @@ def test_attention_single_position_softmax_is_one():
     rng = np.random.default_rng(3)
     q = rng.standard_normal(6)
     kgs = rng.standard_normal(6)
-    out = attention_forward(q, kgs, params)
+    out = _forward(params, q, kgs)["attn"]
     expected = (kgs @ params.w_v) @ params.w_o
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_attention_zero_kgs_identity_params():
     params = _identity_params(4, heads=1)
-    out = attention_forward(np.ones(4), np.zeros(4), params)
+    out = _forward(params, np.ones(4), np.zeros(4))["attn"]
     np.testing.assert_array_equal(out, np.zeros(4))
 
 
@@ -146,7 +155,7 @@ def test_attention_matches_hand_rolled_reference():
     q_vec = rng.standard_normal(4)
     rows = rng.standard_normal((3, 4))
 
-    got = attention_forward(q_vec, rows, params)
+    got = _forward(params, q_vec, rows)["attn"]
 
     # Reference: explicit per-head computation, scaled by sqrt(d/h).
     Q = q_vec @ params.w_q
@@ -186,14 +195,14 @@ def test_single_position_attention_is_exactly_the_value_path():
         params = init_params(64, heads=32, seed=seed)
         q, kgs = rng.standard_normal(64), rng.standard_normal(64)
         np.testing.assert_array_equal(
-            attention_forward(q, kgs, params), (kgs @ params.w_v) @ params.w_o
+            _forward(params, q, kgs)["attn"], (kgs @ params.w_v) @ params.w_o
         )
 
 
 def test_heads_must_divide_dim():
     params = _identity_params(4, heads=3)
     with pytest.raises(ValidationError):
-        attention_forward(np.ones(4), np.ones(4), params)
+        _forward(params, np.ones(4), np.ones(4))["attn"]
 
 
 # ---------------------------------------------------------------------------

@@ -717,6 +717,46 @@ def test_settled_stop_waits_for_a_late_overtaker():
     assert pagerank_subgraph(g, "c", 1, cfg).members == {"c", "x"}
 
 
+def test_settled_stop_when_the_centre_reaches_at_most_k_others():
+    # c and a form a 2-cycle beside isolated entities. Every other score
+    # stays exactly 0, so the k-th and next outside scores tie at 0 and no
+    # gap opens, while the cycle's own scores oscillate past max_iters. No
+    # entity gains mass after iteration 1, so the zeros are final.
+    g = KnowledgeGraph()
+    g.add_triple(Triple("c", "r", "a"))
+    g.add_triple(Triple("a", "r", "c"))
+    for name in ("z1", "z2", "z3"):
+        g.add_entity(name)
+    cfg = PageRankConfig()
+    p = {"c": 1.0}
+    full = personalized_pagerank(g, p, cfg)
+    assert (full.iterations, full.converged) == (cfg.max_iters, False)
+    for k in (1, 2, 3):
+        settled = personalized_pagerank(g, p, cfg, top=k)
+        assert settled.converged and settled.iterations <= 12, k
+        assert _top_outside(settled, p, k) == _top_outside(full, p, k)
+        assert pagerank_subgraph(g, "c", k, cfg).members == {"c", *_top_outside(full, p, k)}
+    assert pagerank_subgraph(g, "c", 3, cfg).members == {"c", "a", "z1", "z2"}
+
+
+def test_settled_stop_on_a_zero_next_score_waits_for_the_reach_to_close():
+    # c -> x5 -> x4 -> ... -> x1: after iteration 1 only x5 has mass, so
+    # the next outside score is 0, but x4 gains mass at iteration 2. A stop
+    # on that zero alone would fill the top-k with the smallest ids (x1).
+    g = KnowledgeGraph()
+    chain = ["c", "x5", "x4", "x3", "x2", "x1"]
+    for h, t in zip(chain, chain[1:]):
+        g.add_triple(Triple(h, "r", t))
+    cfg = PageRankConfig()
+    p = {"c": 1.0}
+    full = personalized_pagerank(g, p, cfg)
+    for k in (1, 2, 3, 4):
+        settled = personalized_pagerank(g, p, cfg, top=k)
+        assert settled.converged and settled.iterations <= full.iterations, k
+        assert _top_outside(settled, p, k) == _top_outside(full, p, k) == set(chain[1 : k + 1])
+        assert pagerank_subgraph(g, "c", k, cfg).members == set(chain[: k + 1])
+
+
 # ---------------------------------------------------------------------------
 # ranking once and the similarity memo
 # ---------------------------------------------------------------------------

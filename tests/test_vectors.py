@@ -95,7 +95,7 @@ def test_top_k_matches_exhaustive_sort_oracle():
     query = rng.standard_normal(6)
     got = top_k(index, query, 5)
     # Oracle: score every entry, sort, truncate.
-    scored = [(key, cosine(index.get(key), query)) for key in index.entries]
+    scored = [(key, cosine(index.entries[key], query)) for key in index.entries]
     scored.sort(key=lambda p: (-p[1], p[0]))
     expected = scored[:5]
     assert [g[0] for g in got] == [e[0] for e in expected]
@@ -112,7 +112,7 @@ def test_top_k_full_order_consistent_with_pairwise_cosine():
     order = top_k(index, query, len(index))
     for (id_a, score_a), (id_b, score_b) in zip(order, order[1:]):
         assert score_a >= score_b - 1e-12
-        assert cosine(index.get(id_a), query) >= cosine(index.get(id_b), query) - 1e-12
+        assert cosine(index.entries[id_a], query) >= cosine(index.entries[id_b], query) - 1e-12
 
 
 def _sort_oracle(index: VectorIndex, query, k: int) -> list[tuple[str, float]]:
@@ -237,7 +237,7 @@ def test_cosine_block_rows_are_bitwise_the_lone_query_scores():
     queries = list(rng.standard_normal((30, 64)))
     ids, scores = cosine_block(index, queries)
     assert ids == index.ids()
-    matrix = np.stack([index.get(i) for i in ids])
+    matrix = np.stack([index.entries[i] for i in ids])
     norms = np.linalg.norm(matrix, axis=1)
     for q, row in zip(queries, scores):
         expected = np.clip(matrix @ q / (norms * np.linalg.norm(q)), -1.0, 1.0)
@@ -321,7 +321,7 @@ def test_qvec_round_trip():
     assert loaded.ids() == index.ids()
     for key in index.entries:
         # float32 storage: round trip to float32 precision
-        np.testing.assert_allclose(loaded.get(key), index.get(key), atol=1e-6)
+        np.testing.assert_allclose(loaded.entries[key], index.entries[key], atol=1e-6)
 
 
 def test_qvec_rejects_bad_magic_and_truncation():
