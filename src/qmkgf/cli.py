@@ -34,8 +34,10 @@ RM_PARAMS_FILE = "rm.qrmw"
 
 
 def _make_client(cfg: PipelineConfig):
+    """The stub or the HTTP client. Like a hosted model's, the stub's vectors
+    do not move with ``cfg.seed``, which seeds only the reward model."""
     if cfg.stub or cfg.service_url is None:
-        return StubModelClient(dim=cfg.dim, seed=cfg.seed)
+        return StubModelClient(dim=cfg.dim)
     return HttpModelClient(cfg.service_url, temperature=cfg.temperature)
 
 
@@ -54,9 +56,7 @@ def _require_file(path: str) -> Path:
     return p
 
 
-def cmd_build_kg(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    client = _make_client(cfg)
+def cmd_build_kg(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
     chunks = pipe.load_corpus(str(_require_file(args.corpus)))
     records = []
     for chunk_id in sorted(chunks):
@@ -73,9 +73,7 @@ def cmd_build_kg(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    client = _make_client(cfg)
+def cmd_index(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
     kg_path = _require_file(args.kg)
     corpus_path = _require_file(args.corpus)
     graph = kg_mod.load(kg_path.read_bytes())
@@ -94,9 +92,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train_rm(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    client = _make_client(cfg)
+def cmd_train_rm(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
     examples = reward.load_rm_training_file(str(_require_file(args.training)))
     if not examples:
         raise ValidationError("training file contains no examples")
@@ -144,9 +140,7 @@ def _load_artifacts(artifacts: str, cfg: PipelineConfig):
     return graph, indices, params
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    client = _make_client(cfg)
+def cmd_query(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
     graph, indices, params = _load_artifacts(args.artifacts, cfg)
     result = pipe.run_qmkgf(args.question, graph, indices, params, cfg, client)
     print(result.answer)
@@ -155,9 +149,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    client = _make_client(cfg)
+def cmd_eval(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
     rows = metrics_mod.load_eval_file(str(_require_file(args.eval_file)))
     if not rows:
         raise ValidationError("eval file contains no examples")
@@ -183,9 +175,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_inspect_subgraph(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    client = _make_client(cfg)
+def cmd_inspect_subgraph(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
     graph, indices, params = _load_artifacts(args.artifacts, cfg)
     if args.entity not in graph:
         raise NotFoundError(f"unknown entity: {args.entity!r}")
@@ -200,7 +190,8 @@ def cmd_inspect_subgraph(args: argparse.Namespace) -> int:
         candidates = pipe.candidate_subgraphs(graph, args.entity, cfg, sim)
         sg = next(c for c in candidates if c.path_kind == args.kind)
         if args.kind == subgraphs.PAGERANK:
-            scores = subgraphs.personalized_pagerank(graph, {args.entity: 1.0}, cfg.pagerank).scores
+            p = subgraphs.personalization_vector(args.entity)
+            scores = subgraphs.personalized_pagerank(graph, p, cfg.pagerank).scores
     sys.stdout.write(subgraphs.dump_subgraph(sg, scores))
     return 0
 
@@ -266,7 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        cfg = _config_from_args(args)
+        code = args.func(args, cfg, _make_client(cfg))
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError:  # the reader left, as in `qmkgf ... | head`: exit 1 quietly

@@ -233,8 +233,9 @@ class HttpModelClient:
         return entities
 
     def extract_triples(self, text: str) -> list[dict]:
+        """The records as sent; ``kg.ingest_extraction`` rejects malformed ones."""
         body = self._post("/extract", {"text": text, "mode": "triples"})
         records = body.get("records")
         if not isinstance(records, list):
             raise ModelServiceError("/extract response missing records")
-        return [r for r in records if isinstance(r, dict)]
+        return records

@@ -199,7 +199,7 @@ def expand_query(query: str, fused: Subgraph | None) -> ExpandedQuery:
         parts = (
             fused.entity_names()
             + fused.relation_labels()
-            + [t.text() for t in fused.sorted_triples()]
+            + [t.text() for t in fused.triples]
         )
         for part in parts:
             rendered = f"{query} {SEPARATOR} {part}"
@@ -369,13 +369,12 @@ def run_qmkgf(
 
     entities = extract_query_entities(query, client)
     trace["entities"] = entities
+    mappable = entities if len(indices.entities) else []  # an empty index maps nothing
     embed = QueryEmbeddings(client)
-    embed.prefetch([query, *(entities if len(indices.entities) else [])])
+    embed.prefetch([query, *mappable])
 
     mapped: list[dict] = []
-    for entity_text in entities:
-        if len(indices.entities) == 0:
-            break
+    for entity_text in mappable:
         entity_id, sim = map_entity(entity_text, indices.entities, embed)
         mapped.append({"extracted": entity_text, "entity": entity_id, "score": sim})
     # Keep one pipeline per distinct mapped entity, in extraction order.
@@ -401,7 +400,7 @@ def run_qmkgf(
                 "base_kind": result.base_kind,
                 "threshold": float(result.threshold_used),
                 "selected": [t.key for t in result.selected],
-                "fused_triples": [t.key for t in result.fused.sorted_triples()],
+                "fused_triples": [t.key for t in result.fused.triples],
             }
             for center, (scored, result) in zip(centers, fused_per_centre)
         ]

@@ -100,8 +100,8 @@ def init_params(dim: int, heads: int = DEFAULT_HEADS, seed: int = 0) -> Attentio
 
 
 def serialize_subgraph(sg: Subgraph) -> str:
-    """Deterministic text form: triples sorted by key, "h r t" joined by "; "."""
-    return "; ".join(t.text() for t in sg.sorted_triples())
+    """Deterministic text form: each triple's "h r t" in key order, joined by "; "."""
+    return "; ".join(t.text() for t in sg.triples)
 
 
 def _forward(params: AttentionParams, q_vec: np.ndarray, kgs: np.ndarray) -> dict:

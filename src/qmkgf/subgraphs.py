@@ -31,10 +31,15 @@ PATH_KINDS = (ONEHOP, MULTIHOP, PAGERANK, FUSED)
 
 @dataclass
 class Subgraph:
+    """A centre, its members and their triples, held in key order."""
+
     center: str
     triples: list[Triple]
     members: set[str]
     path_kind: str
+
+    def __post_init__(self) -> None:
+        self.triples = sorted(self.triples, key=lambda t: t.key)
 
     def validate(self) -> None:
         """Check structural invariants; raises ValidationError on breach."""
@@ -68,9 +73,6 @@ class Subgraph:
 
     def relation_labels(self) -> list[str]:
         return sorted({t.relation for t in self.triples})
-
-    def sorted_triples(self) -> list[Triple]:
-        return sorted(self.triples, key=lambda t: t.key)
 
 
 @dataclass
@@ -150,7 +152,7 @@ def one_hop_subgraph(
     triples = {t for n, t in g.neighbors(center) if n in leaves}
     sg = Subgraph(
         center=center,
-        triples=sorted(triples, key=lambda t: t.key),
+        triples=triples,
         members={center, *chosen},
         path_kind=ONEHOP,
     )
@@ -191,7 +193,7 @@ def multi_hop_subgraph(
     triples = {t for pairs in adjacent for n, t in pairs if n in ends}
     sg = Subgraph(
         center=center,
-        triples=sorted(triples, key=lambda t: t.key),
+        triples=triples,
         members={center, *bridges, *second_hop},
         path_kind=MULTIHOP,
     )
@@ -302,10 +304,10 @@ def pagerank_subgraph(
     ranks = -result.scores.array
     ranks[pos[center]] = np.inf
     members = {center, *(ids[i] for i in smallest_first(ranks, min(k, len(ids) - 1)))}
-    triples = [g.triples[i] for m in members for i in g.out_adj[m] if g.triples[i].tail in members]
+    triples = {g.triples[i] for m in members for i in g.out_adj[m] if g.triples[i].tail in members}
     sg = Subgraph(
         center=center,
-        triples=sorted(set(triples), key=lambda t: t.key),
+        triples=triples,
         members=members,
         path_kind=PAGERANK,
     )
@@ -324,7 +326,7 @@ def dump_subgraph(sg: Subgraph, scores: Mapping[str, float] | None = None) -> st
     if scores is not None:
         header["scores"] = {e: scores[e] for e in sorted(scores)}
     lines = [json.dumps(header, sort_keys=True)]
-    for t in sg.sorted_triples():
+    for t in sg.triples:
         row: dict = {"head": t.head, "relation": t.relation, "tail": t.tail, "weight": t.weight}
         if t.source_chunk is not None:
             row["source_chunk"] = t.source_chunk

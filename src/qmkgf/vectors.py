@@ -6,7 +6,8 @@ keeps results exactly reproducible; ties are always broken by ascending
 id.
 
 Each index caches its entries frozen into (sorted ids, stacked matrix,
-row norms), built on the first search and reused by every later one;
+row norms), built and checked on the first search and reused by every
+later one, which holds each entry only as its row of that matrix;
 ``VectorIndex.add`` drops the cache, so the next search rebuilds it.
 ``top_k`` is the one-query case of ``cosine_block``, which scores a block
 of queries against that matrix; ``top_k_union`` selects from such blocks
@@ -80,15 +81,21 @@ class VectorIndex:
         self._frozen = None
 
     def frozen(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """(sorted ids, one row per id, row norms), cached until the next add."""
+        """(sorted ids, one row per id, row norms), cached until the next add;
+        each entry is then its row. Raises, caching nothing, for a stored
+        vector whose norm overflows, then for a zero one."""
         if self._frozen is None:
             ids = self.ids()
-            matrix = np.stack([self.entries[i] for i in ids])
+            matrix = np.array([self.entries[i] for i in ids]).reshape(len(ids), self.dimension)
             with np.errstate(over="ignore"):
                 norms = np.linalg.norm(matrix, axis=1)
             if not np.isfinite(norms).all():
                 bad = ids[int(np.argmin(np.isfinite(norms)))]
                 raise ValidationError(f"stored vector {bad!r} is too large: its norm overflows")
+            if not norms.all():
+                bad = ids[int(np.argmin(norms))]
+                raise UndefinedSimilarityError(f"stored vector {bad!r} is zero")
+            self.entries = dict(zip(ids, matrix))
             self._frozen = (ids, matrix, norms)
         return self._frozen
 
@@ -182,11 +189,11 @@ def cosine_block(index: VectorIndex, queries: list) -> tuple[list[str], np.ndarr
     block, qnorms = normed_block(queries, index.dimension) or (None, None)
     if block is None or not (np.isfinite(qnorms).all() and qnorms.all()):
         _checked_query(queries[0], index.dimension)
-        _checked_rows(index)
+        index.frozen()
         for query in queries[1:]:
             _checked_query(query, index.dimension)
         raise AssertionError("a query failed the block checks but passes alone")
-    ids, matrix, norms = _checked_rows(index)
+    ids, matrix, norms = index.frozen()
     scores = np.empty((len(block), len(ids)))
     for row, q, qn in zip(scores, block, qnorms):
         np.matmul(matrix, q, out=row)
@@ -202,14 +209,6 @@ def _checked_query(query, dimension: int) -> None:
         raise ValidationError("query vector too large: its norm overflows")
     if qn == 0.0:
         raise UndefinedSimilarityError("cosine undefined for a zero query vector")
-
-
-def _checked_rows(index: VectorIndex) -> tuple[list[str], np.ndarray, np.ndarray]:
-    ids, matrix, norms = index.frozen()
-    if np.any(norms == 0.0):
-        bad = ids[int(np.argmin(norms))]
-        raise UndefinedSimilarityError(f"stored vector {bad!r} is zero")
-    return ids, matrix, norms
 
 
 def smallest_mask(values: np.ndarray, k: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -94,6 +95,20 @@ def test_build_kg_prints_the_ingest_totals_over_every_chunk(tmp_path, monkeypatc
     graph = load_kg(out.read_bytes())
     assert {t.key: t.source_chunk for t in graph.triples} == {
         ("A", "r", "B"): "d1", ("B", "s", "C"): "d2"}
+
+
+def test_build_kg_over_http_counts_records_that_are_not_objects(tmp_path, monkeypatch, capsys):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    corpus = tmp_path / "corpus.jsonl"
+    _write_corpus(corpus, [{"id": "d1", "text": "first"}])
+    records = [1, "x", None, {"head": "A", "relation": "r", "tail": "B"}]
+    _StubHandler.stub = SimpleNamespace(extract_triples=lambda text: records)
+    _StubHandler.requests = []
+    out = tmp_path / "kg.jsonl"
+    with _serving(_StubHandler) as url:
+        assert main(["build-kg", str(corpus), str(out), "--service-url", url]) == 0
+    assert capsys.readouterr().out == "entities=2 triples=1 added=1 merged=0 rejected=3\n"
 
 
 def test_build_kg_empty_corpus(tmp_path):
@@ -236,6 +251,29 @@ def test_query_prints_answer_and_trace(artifacts, capsys):
     assert trace["query"] == "what lies beside Ashford"
     assert trace["entities"] == ["Ashford"]
     assert trace["per_entity"]
+
+
+def test_seed_does_not_move_the_stub_embedding_space(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    _write_corpus(corpus, [
+        {"id": "c1", "text": "Northgate Bridge spans the Silverrun River"},
+        {"id": "c2", "text": "Silverrun River powers the Old Mill"},
+        {"id": "c3", "text": "the Old Mill grinds barley for local bakeries"},
+    ])
+    kg_path, artifacts = tmp_path / "kg.jsonl", tmp_path / "artifacts"
+    assert main(["build-kg", str(corpus), str(kg_path), "--stub", "--seed", "0"]) == 0
+    assert main(["index", str(kg_path), str(corpus), str(artifacts), "--stub", "--seed", "0"]) == 0
+    capsys.readouterr()
+    mapped = []
+    for seed in ("0", "5"):
+        argv = ["query", "what does the Silverrun power", "--artifacts", str(artifacts), "--stub"]
+        assert main([*argv, "--trace", "--seed", seed]) == 0
+        out = capsys.readouterr().out
+        mapped.append(json.loads(out[out.index("{") :])["mapped"])
+    [hit] = mapped[0]
+    assert (hit["extracted"], hit["entity"]) == ("Silverrun", "Silverrun")
+    assert hit["score"] == pytest.approx(1.0)
+    assert mapped[1] == mapped[0]
 
 
 def test_query_rejects_a_negative_seed(artifacts, tmp_path, capsys):
@@ -407,6 +445,25 @@ def test_inspect_subgraph_fused(artifacts, capsys):
     assert rc == 0
     header = json.loads(capsys.readouterr().out.split("\n")[0])
     assert header["path_kind"] == "fused"
+
+
+def test_query_and_inspect_fused_reject_a_zero_entity_vector(artifacts, capsys):
+    path = artifacts / "entities.qvec"
+    index = load_index(path.read_bytes(), kind="entity")
+    index.add("Zero", np.zeros(index.dimension))  # in the index only, so no centre reaches it
+    path.write_bytes(save_index(index))
+    inspect = ["inspect-subgraph", "Birchwood", "--kind", "fused"]
+    for argv in (["query", "where is Birchwood"], inspect):
+        assert main([*argv, "--artifacts", str(artifacts), "--stub"]) == 2
+        assert capsys.readouterr().err == "error: stored vector 'Zero' is zero\n"
+
+
+def test_inspect_fused_runs_on_an_empty_entity_index(artifacts, capsys):
+    (artifacts / "entities.qvec").write_bytes(save_index(VectorIndex(64, kind="entity")))
+    argv = ["inspect-subgraph", "Birchwood", "--kind", "fused", "--artifacts", str(artifacts)]
+    assert main([*argv, "--stub"]) == 0
+    header = json.loads(capsys.readouterr().out.split("\n")[0])
+    assert (header["center"], header["path_kind"]) == ("Birchwood", "fused")
 
 
 def _inspect_fused_triples(out: str) -> list[list[str]]:

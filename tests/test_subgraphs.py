@@ -396,7 +396,7 @@ def test_pagerank_subgraph_tied_leaves_chosen_by_ascending_id():
     scores = personalized_pagerank(g, personalization_vector("e")).scores
     assert len({scores[leaf] for leaf in leaves}) == 1
     assert sg.members == {"e", "a", "c"}
-    assert sg.sorted_triples() == [
+    assert sg.triples == [
         Triple("a", "r", "e"), Triple("c", "r", "e"), Triple("e", "r", "a"), Triple("e", "r", "c"),
     ]
 
@@ -410,6 +410,12 @@ def test_dump_subgraph_format():
     assert '"center": "a"' in lines[0]
     assert '"path_kind": "onehop"' in lines[0]
     assert len(lines) == 2
+
+
+def test_subgraph_holds_its_triples_in_key_order():
+    triples = [Triple("a", "r", "b"), Triple("a", "s", "b"), Triple("b", "r", "a")]
+    sg = Subgraph(center="a", triples=triples[::-1], members={"a", "b"}, path_kind="fused")
+    assert sg.triples == triples
 
 
 def test_subgraph_validate_rejects_breaches():

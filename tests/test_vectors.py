@@ -154,6 +154,39 @@ def test_top_k_sees_vectors_added_after_a_search():
     assert [h[0] for h in top_k(index, query, 3)] == ["b", "c", "a"]
 
 
+def test_first_search_makes_each_entry_its_row_of_the_frozen_matrix():
+    rng = np.random.default_rng(17)
+    stored = VectorIndex(6)
+    for i in range(5):
+        stored.add(f"e{i}", rng.standard_normal(6))
+    index = load_index(save_index(stored))
+    loaded = {key: vec.copy() for key, vec in index.entries.items()}
+    top_k(index, rng.standard_normal(6), 2)
+    ids, matrix, _ = index.frozen()
+    for row, key in enumerate(ids):
+        assert np.shares_memory(index.entries[key], matrix)
+        assert index.entries[key].tobytes() == matrix[row].tobytes() == loaded[key].tobytes()
+
+
+def test_empty_index_freezes_to_an_empty_matrix():
+    ids, matrix, norms = VectorIndex(3).frozen()
+    assert (ids, matrix.shape, norms.shape) == ([], (0, 3), (0,))
+
+
+def test_add_after_a_search_refreezes_with_the_new_row():
+    index = _index_from({"a": [1.0, 0.0], "c": [0.0, 1.0]})
+    top_k(index, [1.0, 1.0], 1)
+    before = index.frozen()
+    index.add("b", [3.0, 4.0])
+    assert top_k(index, [3.0, 4.0], 1) == [("b", 1.0)]
+    ids, matrix, norms = index.frozen()
+    assert index.frozen() is not before
+    assert ids == ["a", "b", "c"]
+    assert matrix.tolist() == [[1.0, 0.0], [3.0, 4.0], [0.0, 1.0]]
+    assert norms.tolist() == [1.0, 5.0, 1.0]
+    assert all(np.shares_memory(index.entries[key], matrix) for key in ids)
+
+
 def test_top_k_stored_zero_vector_raises_on_every_call():
     index = _index_from({"a": [1.0, 0.0], "z": [0.0, 0.0]})
     for _ in range(2):
