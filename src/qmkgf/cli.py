@@ -94,8 +94,6 @@ def cmd_index(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
 
 def cmd_train_rm(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
     examples = reward.load_rm_training_file(str(_require_file(args.training)))
-    if not examples:
-        raise ValidationError("training file contains no examples")
     history: list[float] = []
     params = reward.train_rm(
         examples,
@@ -177,6 +175,7 @@ def cmd_eval(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
 
 def cmd_inspect_subgraph(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
     graph, indices, params = _load_artifacts(args.artifacts, cfg)
+    memo = pipe.graph_memo(graph, indices.entities, cfg, client)  # checks the artifacts agree
     if args.entity not in graph:
         raise NotFoundError(f"unknown entity: {args.entity!r}")
     scores = None
@@ -186,8 +185,7 @@ def cmd_inspect_subgraph(args: argparse.Namespace, cfg: PipelineConfig, client) 
         )
         sg = result.fused
     else:
-        sim = subgraphs.similarity_from_index(indices.entities, client.embed)
-        candidates = pipe.candidate_subgraphs(graph, args.entity, cfg, sim)
+        candidates = pipe.candidate_subgraphs(graph, args.entity, cfg, memo.sim)
         sg = next(c for c in candidates if c.path_kind == args.kind)
         if args.kind == subgraphs.PAGERANK:
             p = subgraphs.personalization_vector(args.entity)

@@ -20,6 +20,9 @@ Wire protocol (JSON bodies, all POST):
     /rerank   {"query": str, "texts": [str]}     -> {"scores": [float]}
     /extract  {"text": str, "mode": "entities"}  -> {"entities": [str]}
     /extract  {"text": str, "mode": "triples"}   -> {"records": [{...}]}
+
+No prompt is sent: README's wire-protocol section gives the extraction
+prompt templates an ``/extract`` server is expected to run.
 """
 
 from __future__ import annotations
@@ -32,22 +35,6 @@ import numpy as np
 import requests
 
 from .errors import ModelServiceError
-
-# Prompt templates the extraction endpoints are expected to run server-side.
-ENTITY_EXTRACTION_PROMPT = (
-    "List every named entity that appears in the text below, one per line, "
-    "using the exact surface form from the text. Output nothing else.\n\n"
-    "Text:\n{text}\n"
-)
-
-TRIPLE_EXTRACTION_PROMPT = (
-    "Extract factual (head, relation, tail) triples from the text below. "
-    "Output one JSON object per line with keys head, relation, tail. "
-    "Use entity surface forms from the text and short snake_case relation "
-    "labels. Output nothing else.\n\n"
-    "Text:\n{text}\n"
-)
-
 
 class ModelServiceClient(Protocol):
     """Operations the retrieval pipeline needs from model services."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -48,11 +48,21 @@ class Entity:
 
 @dataclass(frozen=True)
 class Triple:
+    """A weighted (head, relation, tail) edge; constructing one raises
+    ValidationError for a blank field or a weight outside (0, MAX_WEIGHT]."""
+
     head: str
     relation: str
     tail: str
     weight: float = 1.0
     source_chunk: str | None = None
+
+    def __post_init__(self) -> None:
+        for label, value in (("head", self.head), ("relation", self.relation), ("tail", self.tail)):
+            if not value or not value.strip():
+                raise ValidationError(f"triple {label} must be non-empty")
+        if not 0.0 < self.weight <= MAX_WEIGHT:
+            raise ValidationError(f"triple weight must be finite and > 0, got {self.weight!r}")
 
     @property
     def key(self) -> TripleKey:
@@ -126,25 +136,12 @@ class KnowledgeGraph:
 
     def _upsert(self, triple: Triple) -> bool:
         """Insert or merge one triple. Returns True if newly added."""
-        for label, value in (
-            ("head", triple.head),
-            ("relation", triple.relation),
-            ("tail", triple.tail),
-        ):
-            if not value or not value.strip():
-                raise ValidationError(f"triple {label} must be non-empty")
-        if not 0.0 < triple.weight <= MAX_WEIGHT:
-            raise ValidationError(f"triple weight must be finite and > 0, got {triple.weight!r}")
-
         self._compiled = self.candidate_memo = None
         existing_idx = self._by_key.get(triple.key)
         if existing_idx is not None:
             old = self.triples[existing_idx]
-            self.triples[existing_idx] = Triple(
-                head=old.head,
-                relation=old.relation,
-                tail=old.tail,
-                weight=max(old.weight, triple.weight),
+            self.triples[existing_idx] = replace(
+                old, weight=max(old.weight, triple.weight),
                 source_chunk=old.source_chunk or triple.source_chunk,
             )
             return False
@@ -213,28 +210,25 @@ def ingest_extraction(
 
 
 def _record_to_triple(record: object) -> Triple | None:
+    """The triple a record describes, fields stripped; None for a record of
+    the wrong JSON types, a weight that overflows a float, or one ``Triple`` rejects."""
     if not isinstance(record, dict):
         return None
     head = record.get("head")
     relation = record.get("relation")
     tail = record.get("tail")
-    if not all(isinstance(v, str) and v.strip() for v in (head, relation, tail)):
+    if not all(isinstance(v, str) for v in (head, relation, tail)):
         return None
     weight = record.get("weight", 1.0)
     if isinstance(weight, bool) or not isinstance(weight, (int, float)):
         return None
-    if not 0.0 < weight <= MAX_WEIGHT:
-        return None
     source_chunk = record.get("source_chunk")
     if source_chunk is not None and not isinstance(source_chunk, str):
         return None
-    return Triple(
-        head=head.strip(),
-        relation=relation.strip(),
-        tail=tail.strip(),
-        weight=float(weight),
-        source_chunk=source_chunk,
-    )
+    try:
+        return Triple(head.strip(), relation.strip(), tail.strip(), float(weight), source_chunk)
+    except (OverflowError, ValidationError):
+        return None
 
 
 def save(g: KnowledgeGraph) -> bytes:

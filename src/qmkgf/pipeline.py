@@ -18,8 +18,10 @@ The candidate subgraphs depend on the graph, the entity index and the
 subgraph settings, not on the query, so ``score_and_fuse`` builds each
 centre's once per graph and keeps them on the graph until it changes (at
 most one entry per graph entity), with the embedding and norm of every
-text of theirs the strategy reads. Everything downstream (reward scores,
-fusion, expansion, retrieval) runs afresh for every query.
+text of theirs the strategy reads. Every query resolves that memo
+(``graph_memo``), which checks that the graph and entity index agree,
+before any service call. Everything downstream (reward scores, fusion,
+expansion, retrieval) runs afresh for every query.
 
 Each stage sends the texts it needs and has no vector for in one
 ``client.embed_many`` call: the query and extracted entities, the texts
@@ -172,11 +174,7 @@ def extract_query_entities(query: str, client) -> list[str]:
     """Client-extracted entity strings, deduplicated, first occurrence kept."""
     if not query or not query.strip():
         raise ValidationError("query must be non-empty")
-    seen: list[str] = []
-    for entity in client.extract_entities(query):
-        if entity and entity not in seen:
-            seen.append(entity)
-    return seen
+    return list(dict.fromkeys(e for e in client.extract_entities(query) if e))
 
 
 def map_entity(entity_text: str, ent_index: VectorIndex, embedder) -> tuple[str, float]:
@@ -193,20 +191,11 @@ def expand_query(query: str, fused: Subgraph | None) -> ExpandedQuery:
     A fused subgraph without triples carries no information beyond the
     query itself, so it expands to nothing (base-only retrieval).
     """
-    items: list[str] = []
-    seen: set[str] = set()
+    parts: list[str] = []
     if fused is not None and fused.triples:
-        parts = (
-            fused.entity_names()
-            + fused.relation_labels()
-            + [t.text() for t in fused.triples]
-        )
-        for part in parts:
-            rendered = f"{query} {SEPARATOR} {part}"
-            if rendered not in seen:
-                seen.add(rendered)
-                items.append(rendered)
-    return ExpandedQuery(base=query, items=items)
+        parts = fused.entity_names() + fused.relation_labels() + [t.text() for t in fused.triples]
+    items = dict.fromkeys(f"{query} {SEPARATOR} {part}" for part in parts)
+    return ExpandedQuery(base=query, items=list(items))
 
 
 def retrieve(
@@ -288,8 +277,9 @@ def candidate_subgraphs(kg: KnowledgeGraph, center: str, cfg: PipelineConfig, si
 
 class GraphMemo(NamedTuple):
     """What queries derive from the graph alone: each centre's candidates,
-    the similarity that ranks them, and the ``normed`` embedding of every
-    text of a stored centre's candidates that the strategy reads."""
+    the similarity that ranks them (entity vectors from the index alone),
+    and the ``normed`` embedding of every text of a stored centre's
+    candidates that the strategy reads."""
 
     snapshot: tuple  # the entity index's ``frozen()`` snapshot
     params: tuple  # (K, PageRankConfig, whether the strategy is all_fusion)
@@ -299,7 +289,7 @@ class GraphMemo(NamedTuple):
     pairs: dict[str, tuple[np.ndarray, np.float64]]  # graph-derived text -> ``normed``
 
 
-def _graph_memo(
+def graph_memo(
     kg: KnowledgeGraph, entities: VectorIndex, cfg: PipelineConfig, client
 ) -> GraphMemo:
     """The graph's memo, kept on ``kg``, which drops it on every mutation.
@@ -308,13 +298,21 @@ def _graph_memo(
     a call with another owner starts it afresh. A centre is in it only with
     all of its texts; its entries are shared, so callers must not mutate
     them. It assumes that the client embeds each text deterministically.
+    Starting afresh checks the stored vectors (``frozen()``), then raises
+    ValidationError naming the smallest id that only the graph or only the
+    index holds; a memo that is still valid checks nothing.
     """
     snapshot = entities.frozen()
     params = (cfg.K, cfg.pagerank, cfg.strategy == ALL_FUSION)
     memo = kg.candidate_memo
     stale = memo is None or memo.snapshot is not snapshot or memo.client is not client
     if stale or memo.params != params:
-        sim = similarity_from_index(entities, client.embed)
+        differ = kg.entities.keys() ^ set(snapshot[0])
+        if differ:
+            e = min(differ)
+            has, lacks = ("graph", "entity index") if e in kg else ("entity index", "graph")
+            raise ValidationError(f"entity {e!r} is in the {has} but not in the {lacks}")
+        sim = similarity_from_index(entities)
         memo = kg.candidate_memo = GraphMemo(snapshot, params, {}, client, sim, {})
     return memo
 
@@ -338,7 +336,7 @@ def score_and_fuse(
     """
     q_vec = np.asarray(embed(query), dtype=np.float64)
     fusion_cfg = cfg.fusion
-    memo = _graph_memo(kg, indices.entities, cfg, embed.client)
+    memo = graph_memo(kg, indices.entities, cfg, embed.client)
     embed.graph = memo.pairs
     built = {
         c: candidate_subgraphs(kg, c, cfg, memo.sim) for c in centers if c not in memo.candidates
@@ -367,6 +365,7 @@ def run_qmkgf(
     """Run the full pipeline for one query and record a stage-by-stage trace."""
     trace: dict = {"query": query, "fallback": False}
 
+    graph_memo(kg, indices.entities, cfg, client)  # mismatched artifacts fail before any call
     entities = extract_query_entities(query, client)
     trace["entities"] = entities
     mappable = entities if len(indices.entities) else []  # an empty index maps nothing
@@ -378,10 +377,7 @@ def run_qmkgf(
         entity_id, sim = map_entity(entity_text, indices.entities, embed)
         mapped.append({"extracted": entity_text, "entity": entity_id, "score": sim})
     # Keep one pipeline per distinct mapped entity, in extraction order.
-    centers: list[str] = []
-    for m in mapped:
-        if m["entity"] in kg and m["entity"] not in centers:
-            centers.append(m["entity"])
+    centers = list(dict.fromkeys(m["entity"] for m in mapped))
     trace["mapped"] = mapped
 
     fused: Subgraph | None = None

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotFoundError, ValidationError
 from .kg import MAX_WEIGHT, KnowledgeGraph, Triple
-from .vectors import as_vector, cosine_from_norms, smallest_first, vector_norm
+from .vectors import cosine_from_norms, smallest_first, vector_norm
 
 SimilarityProvider = Callable[[str, str], float]
 
@@ -334,20 +334,23 @@ def dump_subgraph(sg: Subgraph, scores: Mapping[str, float] | None = None) -> st
     return "\n".join(lines) + "\n"
 
 
-def similarity_from_index(index, embed: Callable[[str], np.ndarray]) -> SimilarityProvider:
-    """Similarity provider backed by an entity VectorIndex.
-
-    Entities missing from the index are embedded from their id text on
-    the fly, so freshly added nodes still score. Each entity's vector
-    (validated by ``VectorIndex.add`` or here) and its norm are computed
-    once per provider, which must not outlive the index's current entries.
+def similarity_from_index(index) -> SimilarityProvider:
+    """Cosine of two entities' vectors in an entity VectorIndex, the only
+    source of entity vectors. An entity the index lacks raises
+    ValidationError naming it on every use. Building the provider calls
+    ``index.frozen()``, which raises for a zero or overflowing stored
+    vector. Each entity's norm is computed once per provider, which must
+    not outlive the index's current entries.
     """
+    index.frozen()
     memo: dict[str, tuple[np.ndarray, np.float64]] = {}
 
     def normed(e: str) -> tuple[np.ndarray, np.float64]:
         hit = memo.get(e)
         if hit is None:
-            v = index.entries[e] if e in index else as_vector(embed(e))
+            if e not in index:
+                raise ValidationError(f"entity {e!r} has no vector in the entity index")
+            v = index.entries[e]
             hit = memo[e] = (v, vector_norm(v))
         return hit
 

@@ -252,6 +252,8 @@ def save_index(index: VectorIndex) -> bytes:
 
 
 def load_index(data: bytes, kind: str = "document") -> VectorIndex:
+    """Parse a QVEC file; ParseError names the record that is truncated,
+    has a corrupt or duplicate id or holds a non-finite value."""
     if len(data) < 16 or data[:4] != QVEC_MAGIC:
         raise ParseError("not a QVEC file (bad magic)")
     version, dimension, count = struct.unpack_from("<III", data, 4)
@@ -276,7 +278,12 @@ def load_index(data: bytes, kind: str = "document") -> VectorIndex:
         offset += id_len
         values = np.frombuffer(data[offset : offset + 4 * dimension], dtype="<f4")
         offset += 4 * dimension
-        index.add(key, values.astype(np.float64))
+        try:  # ``add`` checks the values, so a clean record pays for no second check
+            index.add(key, values.astype(np.float64))
+        except ValidationError:
+            if not np.isfinite(values).all():
+                raise ParseError(f"non-finite value in QVEC record {n} ({key!r})") from None
+            raise
     if offset != len(data):
         raise ParseError(f"{len(data) - offset} unexpected bytes after the last QVEC record")
     return index

@@ -239,6 +239,13 @@ def test_train_rm_empty_file_is_error(tmp_path):
     assert main(["train-rm", str(training), str(tmp_path / "o"), "--stub"]) == 2
 
 
+def test_train_rm_empty_file_names_the_empty_training_set(tmp_path, capsys):
+    training = tmp_path / "rm.jsonl"
+    training.write_text("")
+    assert main(["train-rm", str(training), str(tmp_path / "o"), "--stub"]) == 2
+    assert capsys.readouterr().err == "error: training set must be non-empty\n"
+
+
 def test_query_prints_answer_and_trace(artifacts, capsys):
     rc = main(
         ["query", "what lies beside Ashford", "--artifacts", str(artifacts), "--stub",
@@ -459,11 +466,92 @@ def test_query_and_inspect_fused_reject_a_zero_entity_vector(artifacts, capsys):
 
 
 def test_inspect_fused_runs_on_an_empty_entity_index(artifacts, capsys):
+    # An empty index beside a non-empty graph is a mismatch, not an index to run on.
     (artifacts / "entities.qvec").write_bytes(save_index(VectorIndex(64, kind="entity")))
     argv = ["inspect-subgraph", "Birchwood", "--kind", "fused", "--artifacts", str(artifacts)]
-    assert main([*argv, "--stub"]) == 0
-    header = json.loads(capsys.readouterr().out.split("\n")[0])
-    assert (header["center"], header["path_kind"]) == ("Birchwood", "fused")
+    assert main([*argv, "--stub"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: entity 'Ashford' is in the graph but not in the entity index\n"
+    assert captured.out == ""
+
+
+README_CORPUS = [
+    {"id": "c1", "text": "Northgate Bridge spans the Silverrun River"},
+    {"id": "c2", "text": "Silverrun River powers the Old Mill"},
+    {"id": "c3", "text": "the Old Mill grinds barley for local bakeries"},
+]
+
+
+@pytest.fixture()
+def readme_artifacts(tmp_path):
+    """Stub artifacts of README's walkthrough corpus, and an eval file."""
+    corpus, kg_path, out_dir = tmp_path / "corpus.jsonl", tmp_path / "kg.jsonl", tmp_path / "art"
+    _write_corpus(corpus, README_CORPUS)
+    assert main(["build-kg", str(corpus), str(kg_path), "--stub"]) == 0
+    assert main(["index", str(kg_path), str(corpus), str(out_dir), "--stub"]) == 0
+    row = {"query": "what does the Silverrun power", "reference": "r", "gold_chunks": ["c2"]}
+    (tmp_path / "eval.jsonl").write_text(json.dumps(row) + "\n")
+    return out_dir
+
+
+def _commands_reading_artifacts(artifacts) -> list[list[str]]:
+    """Every command that reads the graph and the entity index: a query
+    with an entity, one without (the fallback path), eval, and each kind
+    of inspect-subgraph."""
+    return [
+        ["query", "what does the Silverrun power"],
+        ["query", "what is ground here"],
+        ["eval", str(artifacts.parent / "eval.jsonl")],
+        *(["inspect-subgraph", "Silverrun", "--kind", kind]
+          for kind in ("onehop", "multihop", "pagerank", "fused")),
+    ]
+
+
+def _drop_silverrun(artifacts) -> None:
+    graph = load_kg((artifacts / "kg.jsonl").read_bytes())
+    kept = KnowledgeGraph()
+    for t in graph.triples:
+        if "Silverrun" not in (t.head, t.tail):
+            kept.add_triple(t)
+    assert set(kept.entities) == set(graph.entities) - {"Silverrun"}
+    (artifacts / "kg.jsonl").write_bytes(save_kg(kept))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("graph_gains_an_entity", "entity 'Zephyrlake' is in the graph but not in the entity index"),
+    ("graph_loses_an_entity", "entity 'Silverrun' is in the entity index but not in the graph"),
+], ids=["graph_gains_an_entity", "graph_loses_an_entity"])
+def test_mismatched_graph_and_entity_index_exit_2_before_any_service_call(
+    readme_artifacts, capsys, monkeypatch, case, message
+):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    artifacts = readme_artifacts
+    if case == "graph_gains_an_entity":  # a triple added to kg.jsonl after `index`
+        with open(artifacts / "kg.jsonl", "a") as fh:
+            fh.write(json.dumps({"head": "Silverrun", "relation": "feeds", "tail": "Zephyrlake"}))
+    else:
+        _drop_silverrun(artifacts)
+    capsys.readouterr()
+    _StubHandler.stub = StubModelClient(dim=64, seed=0)
+    _StubHandler.requests = []
+    with _serving(_StubHandler) as url:
+        for argv in _commands_reading_artifacts(artifacts):
+            for client in (["--stub"], ["--service-url", url]):
+                assert main([*argv, "--artifacts", str(artifacts), *client]) == 2, argv
+                assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+    assert _StubHandler.requests == []
+
+
+@pytest.mark.parametrize("kind", ["onehop", "multihop", "pagerank"])
+def test_inspect_subgraph_names_a_zero_entity_vector(readme_artifacts, capsys, kind):
+    path = readme_artifacts / "entities.qvec"
+    index = load_index(path.read_bytes(), kind="entity")
+    index.add("Silverrun", np.zeros(index.dimension))
+    path.write_bytes(save_index(index))
+    argv = ["inspect-subgraph", "River", "--kind", kind, "--artifacts", str(readme_artifacts)]
+    assert main([*argv, "--stub"]) == 2
+    assert capsys.readouterr().err == "error: stored vector 'Silverrun' is zero\n"
 
 
 def _inspect_fused_triples(out: str) -> list[list[str]]:

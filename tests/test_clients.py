@@ -7,12 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from qmkgf.clients import (
-    ENTITY_EXTRACTION_PROMPT,
-    TRIPLE_EXTRACTION_PROMPT,
-    HttpModelClient,
-    StubModelClient,
-)
+from qmkgf.clients import HttpModelClient, StubModelClient
 from qmkgf.errors import ModelServiceError
 from qmkgf.pipeline import Chunk, rerank_chunks, run_qmkgf
 from qmkgf.vectors import cosine
@@ -88,11 +83,6 @@ def test_stub_rerank_table_overrides_cosine():
     scores = client.rerank("q", ["special", "q"])
     assert scores[0] == 9.0
     assert scores[1] == pytest.approx(1.0, abs=1e-9)  # identical token bag
-
-
-def test_extraction_prompts_have_text_slot():
-    assert "{text}" in ENTITY_EXTRACTION_PROMPT
-    assert "{text}" in TRIPLE_EXTRACTION_PROMPT
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def dump_digests(graph, indices, params, stub) -> dict:
     cfg = PipelineConfig(stub=True)
     hashes = {kind: hashlib.sha256() for kind in KINDS}
     for entity in top:
-        sim = subgraphs.similarity_from_index(indices.entities, stub.embed)
+        sim = pipe.graph_memo(graph, indices.entities, cfg, stub).sim
         candidates = pipe.candidate_subgraphs(graph, entity, cfg, sim)
         [(_, fused)] = pipe.score_and_fuse(
             entity, graph, [entity], indices, params, cfg, pipe.QueryEmbeddings(stub)

@@ -79,6 +79,20 @@ def test_add_triple_rejects_non_finite_weight(weight):
     assert len(g) == 0
 
 
+@pytest.mark.parametrize("fields, message", [
+    (("", "r", "B"), "triple head must be non-empty"),
+    (("A", " ", "B"), "triple relation must be non-empty"),
+    (("A", "r", ""), "triple tail must be non-empty"),
+    (("A", "r", "B", 0.0), "triple weight must be finite and > 0, got 0.0"),
+    (("A", "r", "B", math.nan), "triple weight must be finite and > 0, got nan"),
+    (("A", "r", "B", math.inf), "triple weight must be finite and > 0, got inf"),
+], ids=["head", "relation", "tail", "zero", "nan", "inf"])
+def test_constructing_an_invalid_triple_raises(fields, message):
+    with pytest.raises(ValidationError) as exc:
+        Triple(*fields)
+    assert str(exc.value) == message
+
+
 def test_neighbors_isolated_node_empty():
     g = KnowledgeGraph()
     g.add_entity("X")

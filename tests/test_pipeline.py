@@ -518,7 +518,7 @@ def test_candidate_subgraphs_rank_the_centre_neighbours_once():
         g.add_triple(Triple("hub", "r", f"n{i}"))
         g.add_triple(Triple(f"n{i}", "s", f"m{i}"))
         g.add_triple(Triple(f"m{i}", "t", f"n{(i + 1) % 6}"))
-    base = similarity_from_index(build_entity_index(g, client.embed, DIM), client.embed)
+    base = similarity_from_index(build_entity_index(g, client.embed, DIM))
     calls = []
 
     def sim(a, b):
@@ -540,7 +540,7 @@ def test_candidate_subgraphs_rank_the_centre_neighbours_once():
 
 def test_candidate_subgraphs_and_fusion_config_follow_the_config():
     g, indices, _, _, client = _toy_world()
-    sim = similarity_from_index(indices.entities, client.embed)
+    sim = similarity_from_index(indices.entities)
     cfg = PipelineConfig(stub=True, K=2, damping=0.5, pagerank_max_iters=3)
     candidates = candidate_subgraphs(g, "hilltown", cfg, sim)
     assert [sg.path_kind for sg in candidates] == ["onehop", "multihop", "pagerank"]
@@ -614,6 +614,8 @@ def _change(g, indices, cfg, client, change):
     elif change == "add_entity":
         # Isolated, and first by id among the nodes PageRank scores zero.
         g.add_entity("aaa_outpost")
+        assert g.candidate_memo is None
+        indices.entities.add("aaa_outpost", client.embed("aaa_outpost"))
     elif change == "index_add":
         indices.entities.add("cedarfield", client.embed("hilltown fish"))
     elif change == "K":
@@ -644,7 +646,7 @@ def test_memo_entries_equal_fresh_candidates_without_scores():
     snapshot, entries = g.candidate_memo.snapshot, g.candidate_memo.candidates
     assert snapshot is indices.entities.frozen()
     assert set(entries) == {"hilltown", "quarry"}
-    sim = similarity_from_index(indices.entities, client.embed)
+    sim = similarity_from_index(indices.entities)
     owned = {id(t) for t in g.triples}
     for center, parts in entries.items():
         assert parts == candidate_subgraphs(g, center, cfg, sim)
@@ -672,7 +674,7 @@ def test_threads_sharing_a_graph_get_the_traces_of_a_fresh_graph():
     finally:
         sys.setswitchinterval(interval)
     assert got == [expected[q] for q in queries]
-    sim = similarity_from_index(indices.entities, client.embed)
+    sim = similarity_from_index(indices.entities)
     for center, parts in g.candidate_memo[2].items():
         assert parts == candidate_subgraphs(g, center, cfg, sim)
 
@@ -762,7 +764,7 @@ def test_all_fusion_embeds_only_the_serializations_of_a_new_centre():
     cfg.strategy = "all_fusion"
     client = _CountingEmbeds(stub)
     run_qmkgf("which roads leave hilltown", g, indices, params, cfg, client)
-    sim = similarity_from_index(indices.entities, stub.embed)
+    sim = similarity_from_index(indices.entities)
     parts = candidate_subgraphs(g, "hilltown", cfg, sim)
     assert any(sg.triples for sg in parts)
     serializations = list(dict.fromkeys(map(serialize_subgraph, parts)))

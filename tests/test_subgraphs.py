@@ -788,31 +788,26 @@ def test_similarity_from_index_is_bitwise_cosine():
     rng = np.random.default_rng(8)
     vectors = {f"e{i}": rng.standard_normal(16) * rng.uniform(1e-3, 1e3) for i in range(12)}
     vectors["twin"] = vectors["e0"] * 3.0
-    embedded = {"fresh": rng.standard_normal(16)}
-    calls = []
-
-    def embed(text):
-        calls.append(text)
-        return embedded[text]
-
-    sim = similarity_from_index(_index_of(vectors), embed)
-    everything = {**vectors, **embedded}
-    for a in everything:
-        for b in everything:
-            assert sim(a, b).hex() == cosine(everything[a], everything[b]).hex()
-    assert calls == ["fresh"]
+    sim = similarity_from_index(_index_of(vectors))
+    for a in vectors:
+        for b in vectors:
+            assert sim(a, b).hex() == cosine(vectors[a], vectors[b]).hex()
+    # No entity is embedded on the fly: one the index lacks is named.
+    for pair in (("fresh", "e0"), ("e0", "fresh")):
+        with pytest.raises(ValidationError, match="'fresh' has no vector in the entity index"):
+            sim(*pair)
 
 
 def test_similarity_from_index_raises_on_every_use_of_a_bad_vector():
-    vectors = {"ok": np.ones(3), "zero": np.zeros(3), "huge": np.full(3, 1e200)}
-    embedded = {"short": np.ones(2), "nan": np.array([1.0, float("nan"), 0.0])}
-    sim = similarity_from_index(_index_of(vectors), embedded.__getitem__)
+    ok = {"ok": np.ones(3), "other": np.arange(3.0)}
+    # A bad stored vector is named when the provider is built.
+    with pytest.raises(UndefinedSimilarityError, match="stored vector 'zero' is zero"):
+        similarity_from_index(_index_of({**ok, "zero": np.zeros(3)}))
+    with pytest.raises(ValidationError, match="stored vector 'huge' is too large"):
+        similarity_from_index(_index_of({**ok, "huge": np.full(3, 1e200)}))
+    sim = similarity_from_index(_index_of(ok))
     for _ in range(2):
-        with pytest.raises(UndefinedSimilarityError):
-            sim("ok", "zero")
-        with pytest.raises(ValidationError, match="overflows"):
-            sim("huge", "ok")
-        with pytest.raises(ValidationError, match="dimension mismatch"):
-            sim("ok", "short")
-        with pytest.raises(ValidationError, match="finite"):
-            sim("nan", "ok")
+        for pair in (("ok", "missing"), ("missing", "other")):
+            with pytest.raises(ValidationError, match="entity 'missing' has no vector"):
+                sim(*pair)
+    assert sim("ok", "other") == cosine(ok["ok"], ok["other"])

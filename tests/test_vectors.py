@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -373,6 +374,19 @@ def test_qvec_rejects_bad_magic_and_truncation():
     repeated = data[:12] + (3).to_bytes(4, "little") + data[16:] + record_a
     with pytest.raises(ParseError, match="duplicate id 'a'"):
         load_index(repeated)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_qvec_names_the_record_holding_a_non_finite_value(value):
+    index = VectorIndex(3)
+    index.add("a", [1.0, 2.0, 3.0])
+    index.add("b", [4.0, 5.0, 6.0])
+    data = bytearray(save_index(index))
+    # Record 1 ('b') starts after the header and record 0: 4 + 1 + 3 * 4 bytes.
+    struct.pack_into("<f", data, 16 + 17 + 4 + 1 + 4, value)
+    with pytest.raises(ParseError) as exc:
+        load_index(bytes(data))
+    assert str(exc.value) == "non-finite value in QVEC record 1 ('b')"
 
 
 def test_index_validates_dimension_and_finiteness():
