@@ -31,6 +31,8 @@ CORPUS_FILE = "corpus.jsonl"
 ENTITY_VECTORS_FILE = "entities.qvec"
 DOCUMENT_VECTORS_FILE = "documents.qvec"
 RM_PARAMS_FILE = "rm.qrmw"
+# Texts per /embed POST when `index` and `train-rm` embed their inputs.
+EMBED_BATCH = 256
 
 
 def _make_client(cfg: PipelineConfig):
@@ -47,6 +49,22 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     overrides = {name: value for name, value in vars(args).items() if name in fields}
     return load_config(args.config, overrides)
+
+
+def _batched_embedder(client, texts: list[str]):
+    """An embedder for ``texts`` alone. Its first call embeds each distinct
+    text, EMBED_BATCH per ``embed_many``, so bad arguments fail before any."""
+    vectors: dict = {}
+
+    def embed(text: str):
+        if not vectors:
+            distinct = list(dict.fromkeys(texts))
+            for start in range(0, len(distinct), EMBED_BATCH):
+                batch = distinct[start : start + EMBED_BATCH]
+                vectors.update(zip(batch, client.embed_many(batch)))
+        return vectors[text]
+
+    return embed
 
 
 def _require_file(path: str) -> Path:
@@ -81,8 +99,10 @@ def cmd_index(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ent_index = pipe.build_entity_index(graph, client.embed, cfg.dim)
-    doc_index = pipe.build_document_index(chunks, client.embed, cfg.dim)
+    texts = [e.name for e in graph.entities.values()] + [c.text for c in chunks.values()]
+    embedded = _batched_embedder(client, texts)
+    ent_index = pipe.build_entity_index(graph, embedded, cfg.dim)
+    doc_index = pipe.build_document_index(chunks, embedded, cfg.dim)
     (out_dir / ENTITY_VECTORS_FILE).write_bytes(vectors.save_index(ent_index))
     (out_dir / DOCUMENT_VECTORS_FILE).write_bytes(vectors.save_index(doc_index))
     # Keep the artifacts directory self-contained for query/eval.
@@ -95,11 +115,12 @@ def cmd_index(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
 def cmd_train_rm(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
     examples = reward.load_rm_training_file(str(_require_file(args.training)))
     history: list[float] = []
+    texts = [t for ex in examples for t in (ex.query, ex.subgraph_text)]
     params = reward.train_rm(
         examples,
         epochs=args.epochs,
         lr=args.lr,
-        embedder=client.embed,
+        embedder=_batched_embedder(client, texts),
         seed=cfg.seed,
         heads=cfg.heads,
         callback=lambda epoch, loss: history.append(loss),

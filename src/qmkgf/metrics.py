@@ -4,10 +4,15 @@ Tokenization is fixed and documented: lowercase, tokens are maximal
 alphanumeric runs, and CJK characters are split into single-character
 tokens (so Chinese text is scored per character). All metrics return
 values in [0, 1].
+
+A row scores exactly, in about linear time in the answer's length:
+ROUGE-L's LCS is bit-parallel (Hyyrö 2004) and METEOR's longest-run-first
+alignment (Banerjee & Lavie 2005) runs off a lazy max-heap.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from collections import Counter
@@ -29,8 +34,12 @@ _CJK_RE = re.compile("([" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RA
 
 
 def tokenize(text: str) -> list[str]:
+    lowered = text.lower()
+    # Text without a CJK character has none in any run: its runs are its tokens.
+    if _CJK_RE.search(lowered) is None:
+        return _WORD_RE.findall(lowered)
     tokens: list[str] = []
-    for run in _WORD_RE.findall(text.lower()):
+    for run in _WORD_RE.findall(lowered):
         if _CJK_RE.search(run) is None:
             tokens.append(run)
         else:
@@ -45,30 +54,22 @@ def _f_measure(precision: float, recall: float) -> float:
 
 
 def rouge_1(candidate: str, reference: str) -> float:
-    """Unigram F1 with counts clipped per reference multiplicity."""
-    return _rouge_1(tokenize(candidate), tokenize(reference))
-
-
-def _rouge_1(cand: list[str], ref: list[str]) -> float:
-    if not cand or not ref:
-        return 0.0
-    overlap = sum((Counter(cand) & Counter(ref)).values())
-    return _f_measure(overlap / len(cand), overlap / len(ref))
+    """Unigram F1 with counts clipped per reference multiplicity: token F1."""
+    return token_prf(candidate, reference)[2]
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for token in a:
-        cur = [0] * (len(b) + 1)
-        for j, other in enumerate(b, start=1):
-            if token == other:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+    """LCS length, bit-parallel (Hyyrö): a zero bit j of ``v`` marks a step of
+    the DP row at b[j]. Carries above bit len(b) never reach the lower
+    bits, so one mask at the end is enough."""
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = v = (1 << len(b)) - 1
+    for mask in filter(None, map(masks.get, a)):  # a token not in b leaves v as it is
+        u = v & mask
+        v = (v + u) | (v - u)
+    return len(b) - (v & full).bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> float:
@@ -85,16 +86,15 @@ def _rouge_l(cand: list[str], ref: list[str]) -> float:
 
 def bleu_1(candidate: str, reference: str) -> float:
     """Clipped unigram precision times the brevity penalty."""
-    return _bleu_1(tokenize(candidate), tokenize(reference))
+    cand, ref = tokenize(candidate), tokenize(reference)
+    return _token_prf(cand, ref)[0] * _brevity(cand, ref)
 
 
-def _bleu_1(cand: list[str], ref: list[str]) -> float:
+def _brevity(cand: list[str], ref: list[str]) -> float:
+    """BLEU's brevity penalty; 0.0 for an empty candidate, whose BLEU is 0."""
     if not cand:
         return 0.0
-    overlap = sum((Counter(cand) & Counter(ref)).values())
-    precision = overlap / len(cand)
-    brevity = math.exp(min(0.0, 1.0 - len(ref) / len(cand)))
-    return precision * brevity
+    return math.exp(min(0.0, 1.0 - len(ref) / len(cand)))
 
 
 def _align_chunks(cand: list[str], ref: list[str]) -> tuple[int, int]:
@@ -104,43 +104,47 @@ def _align_chunks(cand: list[str], ref: list[str]) -> tuple[int, int]:
     between the unmatched parts (leftmost in candidate, then reference,
     on ties), each run counting as one chunk, until no unmatched token
     pair agrees. Total matches always equal the clipped-count maximum.
+
+    A lazy max-heap holds each agreeing start pair (i, j) by (-run, i, j).
+    Runs only shrink as tokens are taken, so a stored run bounds the current
+    one: the top entry, rechecked over free tokens, is taken when its run
+    still holds (no pair can then beat it or tie it with a smaller (i, j))
+    and goes back at its new length otherwise.
     """
-    cand_free = [True] * len(cand)
-    ref_free = [True] * len(ref)
-    # Only starts where the tokens agree can begin a run; visiting them
-    # in (i, j) order keeps the leftmost-then-reference tie rule.
     ref_positions: dict[str, list[int]] = {}
     for j, token in enumerate(ref):
         ref_positions.setdefault(token, []).append(j)
-    chunks = 0
-    matches = 0
-    while True:
-        best_len = 0
-        best = None
-        for i in range(len(cand)):
-            if not cand_free[i]:
-                continue
-            for j in ref_positions.get(cand[i], ()):
-                length = 0
-                while (
-                    i + length < len(cand)
-                    and j + length < len(ref)
-                    and cand_free[i + length]
-                    and ref_free[j + length]
-                    and cand[i + length] == ref[j + length]
-                ):
-                    length += 1
-                if length > best_len:
-                    best_len = length
-                    best = (i, j)
-        if best is None:
-            return matches, chunks
-        i, j = best
-        for off in range(best_len):
-            cand_free[i + off] = False
-            ref_free[j + off] = False
-        chunks += 1
-        matches += best_len
+    # Pair (i, j) is keyed i * width + j, in (i, j) order; column len(ref)
+    # stays unused, so (i + 1, j + 1) is always key + width + 1.
+    width = len(ref) + 1
+    starts = [i * width + j for i, token in enumerate(cand) for j in ref_positions.get(token, ())]
+    runs: dict[int, int] = {}
+    for key in reversed(starts):
+        runs[key] = runs.get(key + width + 1, 0) + 1
+    heap = [(-length, key) for key, length in runs.items()]
+    heapq.heapify(heap)
+    cand_free = [True] * len(cand)
+    ref_free = [True] * len(ref)
+    matches = chunks = 0
+    while heap:
+        stored, key = heap[0]
+        stored = -stored
+        i, j = divmod(key, width)
+        # The stored run's tokens agree, so only a taken token can end it.
+        length = 0
+        while length < stored and cand_free[i + length] and ref_free[j + length]:
+            length += 1
+        if length == stored:
+            heapq.heappop(heap)
+            cand_free[i : i + length] = [False] * length
+            ref_free[j : j + length] = [False] * length
+            chunks += 1
+            matches += length
+        elif length:
+            heapq.heapreplace(heap, (-length, key))
+        else:
+            heapq.heappop(heap)
+    return matches, chunks
 
 
 # METEOR's F-mean weight and its fragmentation penalty's exponent and scale.
@@ -173,7 +177,8 @@ def token_prf(candidate: str, reference: str) -> tuple[float, float, float]:
 def _token_prf(cand: list[str], ref: list[str]) -> tuple[float, float, float]:
     if not cand or not ref:
         return (0.0, 0.0, 0.0)
-    overlap = sum((Counter(cand) & Counter(ref)).values())
+    # & loops over its left side: the reference is usually the shorter.
+    overlap = sum((Counter(ref) & Counter(cand)).values())
     precision = overlap / len(cand)
     recall = overlap / len(ref)
     return (precision, recall, _f_measure(precision, recall))
@@ -231,13 +236,16 @@ class MetricReport:
 def score_example(
     answer: str, reference: str, ranked_ids: list[str], gold_ids: set[str], k: int
 ) -> MetricReport:
+    """Every metric of one eval row. One unigram overlap gives precision,
+    recall and F1, so rouge1 (token F1 by definition) and bleu1 (precision
+    times the brevity penalty) reuse it."""
     cand, ref = tokenize(answer), tokenize(reference)
     p, r, f1 = _token_prf(cand, ref)
     hit, mrr, recall_k, ndcg = retrieval_metrics(ranked_ids, gold_ids, k)
     return MetricReport(
-        rouge1=_rouge_1(cand, ref),
+        rouge1=f1,
         rougeL=_rouge_l(cand, ref),
-        bleu1=_bleu_1(cand, ref),
+        bleu1=p * _brevity(cand, ref),
         meteor=_meteor(cand, ref),
         precision=p,
         recall=r,

@@ -494,6 +494,50 @@ def readme_artifacts(tmp_path):
     return out_dir
 
 
+def test_index_over_http_sends_one_embed_post_for_the_readme_corpus(tmp_path, capsys, monkeypatch):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    corpus, kg_path = tmp_path / "corpus.jsonl", tmp_path / "kg.jsonl"
+    _write_corpus(corpus, README_CORPUS)
+    assert main(["build-kg", str(corpus), str(kg_path), "--stub"]) == 0
+    assert main(["index", str(kg_path), str(corpus), str(tmp_path / "stub"), "--stub"]) == 0
+    capsys.readouterr()
+    _StubHandler.stub = StubModelClient(dim=64, seed=0)
+    _StubHandler.requests = []
+    with _serving(_StubHandler) as url:
+        argv = ["index", str(kg_path), str(corpus), str(tmp_path / "http"), "--service-url", url]
+        assert main(argv) == 0
+    assert capsys.readouterr().out == "entity_vectors=6 document_vectors=3 dim=64\n"
+    [(path, payload)] = _StubHandler.requests
+    assert path == "/embed" and len(payload["texts"]) == 9
+    for name in ("entities.qvec", "documents.qvec"):
+        assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "stub" / name).read_bytes()
+
+
+def test_train_rm_over_http_sends_one_embed_post_per_256_distinct_texts(tmp_path, monkeypatch):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    training = tmp_path / "rm.jsonl"
+    # 200 distinct queries, each twice, and 400 distinct subgraph texts.
+    rows = [{"query": f"where is place{i % 200}", "subgraph": f"place{i} lies beside river",
+             "score": (i % 3) / 2} for i in range(400)]
+    training.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    args = ["--epochs", "3", "--lr", "0.5", "--dim", "16", "--heads", "4"]
+    assert main(["train-rm", str(training), str(tmp_path / "stub.qrmw"), "--stub", *args]) == 0
+    _StubHandler.stub = StubModelClient(dim=16, seed=0)
+    _StubHandler.requests = []
+    with _serving(_StubHandler) as url:
+        argv = ["train-rm", str(training), str(tmp_path / "http.qrmw"), "--service-url", url]
+        assert main([*argv, *args, "--lr", "0"]) == 2  # a bad argument fails before any POST
+        assert _StubHandler.requests == []
+        assert main([*argv, *args]) == 0
+    assert [path for path, _ in _StubHandler.requests] == ["/embed"] * 3  # ceil(600 / 256)
+    sent = [text for _, payload in _StubHandler.requests for text in payload["texts"]]
+    assert [len(p["texts"]) for _, p in _StubHandler.requests] == [256, 256, 88]
+    assert sorted(sent) == sorted({t for r in rows for t in (r["query"], r["subgraph"])})
+    assert (tmp_path / "http.qrmw").read_bytes() == (tmp_path / "stub.qrmw").read_bytes()
+
+
 def _commands_reading_artifacts(artifacts) -> list[list[str]]:
     """Every command that reads the graph and the entity index: a query
     with an entity, one without (the fallback path), eval, and each kind

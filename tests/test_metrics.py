@@ -5,9 +5,16 @@ from collections import Counter
 
 import pytest
 
+from qmkgf import pipeline as pipe
+from qmkgf.config import PipelineConfig
+from qmkgf.fusion import STRATEGIES
 from qmkgf.metrics import (
+    ALPHA,
+    BETA,
+    GAMMA,
     MetricReport,
     _align_chunks,
+    _lcs_length,
     aggregate_reports,
     bleu_1,
     format_report_table,
@@ -19,6 +26,7 @@ from qmkgf.metrics import (
     token_prf,
     tokenize,
 )
+from test_golden import _build
 
 
 def test_tokenize_lowercases_and_splits_on_non_alnum():
@@ -287,6 +295,149 @@ def test_align_chunks_matches_all_pairs_oracle_on_adversarial_tokens():
         assert _align_chunks(cand, ref) == _all_pairs_align_chunks(cand, ref), (cand, ref)
     assert _align_chunks([a, b, c], [c, b, a]) == (3, 3)
     assert _align_chunks([a] * 30, [a] * 7) == (7, 1)
+
+
+# ---------------------------------------------------------------------------
+# the bit-parallel LCS and the lazy-heap alignment against the quadratic forms
+# ---------------------------------------------------------------------------
+
+def _dp_lcs_length(a: list[str], b: list[str]) -> int:
+    """Reference LCS: the row-by-row dynamic programme."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for token in a:
+        cur = [0] * (len(b) + 1)
+        for j, other in enumerate(b, start=1):
+            if token == other:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
+def _greedy_align_chunks(cand: list[str], ref: list[str]) -> tuple[int, int]:
+    """Reference alignment: rescans every free matching start pair in (i, j)
+    order for the longest free run, takes it, and repeats."""
+    cand_free = [True] * len(cand)
+    ref_free = [True] * len(ref)
+    ref_positions: dict[str, list[int]] = {}
+    for j, token in enumerate(ref):
+        ref_positions.setdefault(token, []).append(j)
+    chunks = 0
+    matches = 0
+    while True:
+        best_len = 0
+        best = None
+        for i in range(len(cand)):
+            if not cand_free[i]:
+                continue
+            for j in ref_positions.get(cand[i], ()):
+                length = 0
+                while (
+                    i + length < len(cand)
+                    and j + length < len(ref)
+                    and cand_free[i + length]
+                    and ref_free[j + length]
+                    and cand[i + length] == ref[j + length]
+                ):
+                    length += 1
+                if length > best_len:
+                    best_len = length
+                    best = (i, j)
+        if best is None:
+            return matches, chunks
+        i, j = best
+        for off in range(best_len):
+            cand_free[i + off] = False
+            ref_free[j + off] = False
+        chunks += 1
+        matches += best_len
+
+
+def _oracle_report(answer, reference, ranked_ids, gold_ids, k) -> MetricReport:
+    """``score_example`` from the reference tokenizer, LCS and alignment, with
+    each overlap metric counted on its own."""
+    cand, ref = _per_character_tokenize(answer), _per_character_tokenize(reference)
+
+    def f_measure(p, r):
+        return 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
+
+    overlap = sum((Counter(cand) & Counter(ref)).values())
+    p = r = f1 = rouge1 = rouge_l_ = meteor_ = 0.0
+    bleu1 = overlap / len(cand) * math.exp(min(0.0, 1.0 - len(ref) / len(cand))) if cand else 0.0
+    if cand and ref:
+        p, r = overlap / len(cand), overlap / len(ref)
+        f1 = f_measure(p, r)
+        rouge1 = f_measure(overlap / len(cand), overlap / len(ref))
+        lcs = _dp_lcs_length(cand, ref)
+        rouge_l_ = f_measure(lcs / len(cand), lcs / len(ref))
+        matches, chunks = _greedy_align_chunks(cand, ref)
+        if matches:
+            mp, mr = matches / len(cand), matches / len(ref)
+            f_mean = mp * mr / (ALPHA * mp + (1.0 - ALPHA) * mr)
+            meteor_ = f_mean * (1.0 - GAMMA * (chunks / matches) ** BETA)
+    hit, mrr, recall_k, ndcg = retrieval_metrics(ranked_ids, gold_ids, k)
+    return MetricReport(rouge1=rouge1, rougeL=rouge_l_, bleu1=bleu1, meteor=meteor_, precision=p,
+                        recall=r, f1=f1, hit_at_k=hit, mrr_at_k=mrr, ndcg_at_k=ndcg,
+                        recall_at_k=recall_k)
+
+
+def test_lcs_and_alignment_match_the_quadratic_forms_on_dense_repeats():
+    rng = random.Random(20)
+    for _ in range(1000):
+        vocab = [f"t{i}" for i in range(rng.randint(1, 5))]
+        cand = rng.choices(vocab, k=rng.randint(0, 60))
+        ref = rng.choices(vocab, k=rng.randint(0, 60))
+        assert _lcs_length(cand, ref) == _dp_lcs_length(cand, ref), (cand, ref)
+        assert _align_chunks(cand, ref) == _greedy_align_chunks(cand, ref), (cand, ref)
+
+
+def test_lcs_and_alignment_match_the_quadratic_forms_on_long_pairs():
+    rng = random.Random(21)
+    for vocab_size in (8, 60, 400):
+        vocab = [f"w{i}" for i in range(vocab_size)]
+        cand, ref = rng.choices(vocab, k=1000), rng.choices(vocab, k=200)
+        assert _lcs_length(cand, ref) == _dp_lcs_length(cand, ref), vocab_size
+        assert _align_chunks(cand, ref) == _greedy_align_chunks(cand, ref), vocab_size
+    # Long shared runs, cut by edits, as an answer quoting its reference has.
+    ref = rng.choices([f"w{i}" for i in range(30)], k=200)
+    cand = [t for t in ref * 5 if rng.random() > 0.05]
+    assert _lcs_length(cand, ref) == _dp_lcs_length(cand, ref)
+    assert _align_chunks(cand, ref) == _greedy_align_chunks(cand, ref)
+
+
+def test_tokenize_matches_the_oracle_on_texts_with_and_without_cjk():
+    rng = random.Random(22)
+    latin = list("abcXYZ 09_,.-é\u00df\u0130") + ["  "]
+    for pool in (latin, latin + list("北京アイ\u30a0\u30fb\uf900")):
+        for _ in range(2000):
+            text = "".join(rng.choices(pool, k=rng.randint(0, 40)))
+            assert tokenize(text) == _per_character_tokenize(text), text
+
+
+def test_score_example_equals_the_oracle_report_on_random_texts():
+    rng = random.Random(23)
+    vocab = ["the", "Cat", "sat", "mat", "北", "京", "x1", "on", ",", "a_b"]
+    for _ in range(2000):
+        answer = " ".join(rng.choices(vocab, k=rng.randint(0, 30)))
+        reference = " ".join(rng.choices(vocab, k=rng.randint(0, 12)))
+        args = (answer, reference, ["c1", "c2"], {"c2"}, 5)
+        assert score_example(*args) == _oracle_report(*args), args
+
+
+@pytest.mark.parametrize("name", ["doc_heavy", "graph_heavy"])
+def test_score_example_equals_the_oracle_report_on_the_golden_rows(name):
+    """The answers the golden module's seed-41 rows get under every strategy."""
+    graph, indices, params, stub, rows = _build(name)
+    for strategy in STRATEGIES:
+        cfg = PipelineConfig(stub=True, strategy=strategy)
+        for row in rows:
+            result = pipe.run_qmkgf(row["query"], graph, indices, params, cfg, stub)
+            args = (result.answer, row["reference"], result.ranked.ids(),
+                    set(row["gold_chunks"]), cfg.k)
+            assert score_example(*args) == _oracle_report(*args), (strategy, row["query"])
 
 
 # ---------------------------------------------------------------------------
