@@ -38,7 +38,7 @@ EMBED_BATCH = 256
 def _make_client(cfg: PipelineConfig):
     """The stub or the HTTP client. Like a hosted model's, the stub's vectors
     do not move with ``cfg.seed``, which seeds only the reward model."""
-    if cfg.stub or cfg.service_url is None:
+    if cfg.stub:
         return StubModelClient(dim=cfg.dim)
     return HttpModelClient(cfg.service_url, temperature=cfg.temperature)
 
@@ -145,6 +145,11 @@ def _load_artifacts(artifacts: str, cfg: PipelineConfig):
             f"{root / ENTITY_VECTORS_FILE} has dimension {ent_index.dimension} but "
             f"{root / DOCUMENT_VECTORS_FILE} has {doc_index.dimension}"
         )
+    differ = chunks.keys() ^ doc_index.entries.keys()
+    if differ:  # else a chunk is never retrieved, or fails only the queries reaching it
+        c = min(differ)
+        has, lacks = ("corpus", "document index") if c in chunks else ("document index", "corpus")
+        raise ValidationError(f"chunk {c!r} is in the {has} but not in the {lacks}")
     rm_path = root / RM_PARAMS_FILE
     if rm_path.is_file():
         params = reward.load_params(rm_path.read_bytes())
@@ -201,8 +206,9 @@ def cmd_inspect_subgraph(args: argparse.Namespace, cfg: PipelineConfig, client) 
         raise NotFoundError(f"unknown entity: {args.entity!r}")
     scores = None
     if args.kind == subgraphs.FUSED:  # the query path, with the entity itself as the query
+        embed = pipe.QueryEmbeddings(client, memo.pairs)
         [(_, result)] = pipe.score_and_fuse(
-            args.entity, graph, [args.entity], indices, params, cfg, pipe.QueryEmbeddings(client)
+            args.entity, graph, [args.entity], memo, params, cfg, embed
         )
         sg = result.fused
     else:

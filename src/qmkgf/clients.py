@@ -1,8 +1,9 @@
-"""Model-service clients: the protocol, a deterministic stub, and an HTTP client.
+"""Model-service clients: a deterministic stub and an HTTP client.
 
 Everything that would normally hit a hosted model (embedding,
 generation, reranking, entity/triple extraction) goes through a single
-client interface. The stub implementation is fully deterministic given
+client interface (``embed``, ``embed_many``, ``generate``, ``rerank``,
+``extract_entities``, ``extract_triples``). The stub implementation is fully deterministic given
 its seed, so the whole pipeline runs offline and reproducibly; the HTTP
 client speaks the wire protocol below.
 
@@ -29,27 +30,11 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import Protocol
 
 import numpy as np
 import requests
 
 from .errors import ModelServiceError
-
-class ModelServiceClient(Protocol):
-    """Operations the retrieval pipeline needs from model services."""
-
-    def embed(self, text: str) -> np.ndarray: ...
-
-    def embed_many(self, texts: list[str]) -> list[np.ndarray]: ...
-
-    def generate(self, prompt: str) -> str: ...
-
-    def rerank(self, query: str, texts: list[str]) -> list[float]: ...
-
-    def extract_entities(self, text: str) -> list[str]: ...
-
-    def extract_triples(self, text: str) -> list[dict]: ...
 
 
 class StubModelClient:

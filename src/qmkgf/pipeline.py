@@ -18,10 +18,11 @@ The candidate subgraphs depend on the graph, the entity index and the
 subgraph settings, not on the query, so ``score_and_fuse`` builds each
 centre's once per graph and keeps them on the graph until it changes (at
 most one entry per graph entity), with the embedding and norm of every
-text of theirs the strategy reads. Every query resolves that memo
+text of theirs the strategy reads. Every query resolves that memo once
 (``graph_memo``), which checks that the graph and entity index agree,
-before any service call. Everything downstream (reward scores, fusion,
-expansion, retrieval) runs afresh for every query.
+before any service call, and hands it to ``score_and_fuse``; the query's
+``QueryEmbeddings`` reads its store from the start. Everything downstream
+(reward scores, fusion, expansion, retrieval) runs afresh for every query.
 
 Each stage sends the texts it needs and has no vector for in one
 ``client.embed_many`` call: the query and extracted entities, the texts
@@ -101,19 +102,19 @@ class QmkgfResult:
 
 
 class QueryEmbeddings:
-    """One query's text -> vector memo, over ``graph``, a store of
-    graph-derived texts -> ``normed`` (vector, norm) pairs that outlives
-    the query (``GraphMemo.pairs``).
+    """One query's text -> vector memo, over ``graph``, the graph memo's
+    store of graph-derived texts -> ``normed`` (vector, norm) pairs that
+    outlives the query (``GraphMemo.pairs``).
 
     ``prefetch`` sends the texts neither holds in one ``client.embed_many``
     call; with ``graph=True`` it also puts its texts in the store. A lookup
     neither can answer sends one.
     """
 
-    def __init__(self, client):
+    def __init__(self, client, graph: dict[str, tuple[np.ndarray, np.float64]]):
         self.client = client
         self.vectors: dict[str, np.ndarray] = {}
-        self.graph: dict[str, tuple[np.ndarray, np.float64]] = {}
+        self.graph = graph
 
     def prefetch(self, texts, graph: bool = False) -> None:
         texts = [t for t in dict.fromkeys(texts) if t not in self.graph]
@@ -321,7 +322,7 @@ def score_and_fuse(
     query: str,
     kg: KnowledgeGraph,
     centers: list[str],
-    indices: RetrievalIndices,
+    memo: GraphMemo,
     params: AttentionParams,
     cfg: PipelineConfig,
     embed: QueryEmbeddings,
@@ -329,15 +330,14 @@ def score_and_fuse(
     """Each centre's candidate subgraphs, scored against ``query`` by the
     reward model, and their fusion.
 
-    ``embed`` is the query's memo, over the pairs the graph's memo stores.
-    A centre missing from the graph's memo is built here; its candidates'
-    serializations and, unless the strategy is all_fusion, triple texts go
-    in one batch for all such centres. A centre is stored once that is in.
+    ``memo`` is ``graph_memo`` of ``kg`` as the caller resolved it, and
+    ``embed`` the query's memo over its store (``memo.pairs``). A centre
+    missing from ``memo`` is built here; its candidates' serializations
+    and, unless the strategy is all_fusion, triple texts go in one batch
+    for all such centres. A centre is stored once that is in.
     """
     q_vec = np.asarray(embed(query), dtype=np.float64)
     fusion_cfg = cfg.fusion
-    memo = graph_memo(kg, indices.entities, cfg, embed.client)
-    embed.graph = memo.pairs
     built = {
         c: candidate_subgraphs(kg, c, cfg, memo.sim) for c in centers if c not in memo.candidates
     }
@@ -365,11 +365,11 @@ def run_qmkgf(
     """Run the full pipeline for one query and record a stage-by-stage trace."""
     trace: dict = {"query": query, "fallback": False}
 
-    graph_memo(kg, indices.entities, cfg, client)  # mismatched artifacts fail before any call
+    memo = graph_memo(kg, indices.entities, cfg, client)  # mismatches fail before any call
     entities = extract_query_entities(query, client)
     trace["entities"] = entities
     mappable = entities if len(indices.entities) else []  # an empty index maps nothing
-    embed = QueryEmbeddings(client)
+    embed = QueryEmbeddings(client, memo.pairs)
     embed.prefetch([query, *mappable])
 
     mapped: list[dict] = []
@@ -385,7 +385,7 @@ def run_qmkgf(
         trace["fallback"] = True
         trace["per_entity"] = []
     else:
-        fused_per_centre = score_and_fuse(query, kg, centers, indices, params, cfg, embed)
+        fused_per_centre = score_and_fuse(query, kg, centers, memo, params, cfg, embed)
         trace["per_entity"] = [
             {
                 "entity": center,

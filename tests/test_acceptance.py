@@ -47,6 +47,7 @@ from qmkgf.subgraphs import (
     personalized_pagerank,
 )
 from qmkgf.vectors import normed
+from test_subgraphs import dense_ppr_oracle
 
 
 def _passed(number: int, name: str) -> None:
@@ -65,29 +66,6 @@ def _random_weighted_graph(rng: random.Random, max_nodes: int = 50) -> Knowledge
     return g
 
 
-def _dense_ppr_oracle(g: KnowledgeGraph, center: str, damping: float) -> dict:
-    """Independent dense-matrix power iteration, run to 1e-14."""
-    ids = sorted(g.entities)
-    pos = {e: i for i, e in enumerate(ids)}
-    n = len(ids)
-    T = np.zeros((n, n))
-    for t in g.triples:
-        T[pos[t.head], pos[t.tail]] += t.weight
-    row_sums = T.sum(axis=1)
-    dangling = row_sums == 0
-    T[~dangling] /= row_sums[~dangling, None]
-    pvec = np.zeros(n)
-    pvec[pos[center]] = 1.0
-    s = pvec.copy()
-    for _ in range(100000):
-        s_new = (1 - damping) * pvec + damping * (T.T @ s + s[dangling].sum() * pvec)
-        if np.abs(s_new - s).sum() < 1e-14:
-            s = s_new
-            break
-        s = s_new
-    return {e: float(s[pos[e]]) for e in ids}
-
-
 def test_criterion_1_pagerank_matches_power_iteration_oracle():
     start = time.monotonic()
     rng = random.Random(1001)
@@ -96,7 +74,7 @@ def test_criterion_1_pagerank_matches_power_iteration_oracle():
         g = _random_weighted_graph(rng)
         center = rng.choice(sorted(g.entities))
         result = personalized_pagerank(g, {center: 1.0}, cfg)
-        oracle = _dense_ppr_oracle(g, center, 0.85)
+        oracle = dense_ppr_oracle(g, {center: 1.0}, 0.85, iters=100_000)
         l1 = sum(abs(result.scores[e] - oracle[e]) for e in oracle)
         assert l1 < 1e-8, f"L1 distance {l1}"
         assert abs(sum(result.scores.values()) - 1.0) < 1e-6
@@ -105,7 +83,7 @@ def test_criterion_1_pagerank_matches_power_iteration_oracle():
     g.add_triple(Triple("a", "r", "sink"))
     g.add_triple(Triple("a", "r", "b"))
     result = personalized_pagerank(g, {"a": 1.0}, cfg)
-    oracle = _dense_ppr_oracle(g, "a", 0.85)
+    oracle = dense_ppr_oracle(g, {"a": 1.0}, 0.85, iters=100_000)
     assert sum(abs(result.scores[e] - oracle[e]) for e in oracle) < 1e-8
     assert abs(sum(result.scores.values()) - 1.0) < 1e-6
     elapsed = time.monotonic() - start
@@ -154,7 +132,7 @@ def test_criterion_4_subgraph_oracles():
 
         # pagerank: brute-force top-k of the oracle scores
         pr_sg = pagerank_subgraph(g, center, k, pr_cfg)
-        oracle = _dense_ppr_oracle(g, center, 0.85)
+        oracle = dense_ppr_oracle(g, {center: 1.0}, 0.85, iters=100_000)
         pr_expected = sorted(
             (e for e in oracle if e != center), key=lambda e: (-oracle[e], e)
         )[:k]

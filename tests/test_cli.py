@@ -564,7 +564,10 @@ def _drop_silverrun(artifacts) -> None:
 @pytest.mark.parametrize("case, message", [
     ("graph_gains_an_entity", "entity 'Zephyrlake' is in the graph but not in the entity index"),
     ("graph_loses_an_entity", "entity 'Silverrun' is in the entity index but not in the graph"),
-], ids=["graph_gains_an_entity", "graph_loses_an_entity"])
+    ("corpus_gains_a_chunk", "chunk 'c4' is in the corpus but not in the document index"),
+    ("corpus_loses_a_chunk", "chunk 'c2' is in the document index but not in the corpus"),
+], ids=["graph_gains_an_entity", "graph_loses_an_entity", "corpus_gains_a_chunk",
+        "corpus_loses_a_chunk"])
 def test_mismatched_graph_and_entity_index_exit_2_before_any_service_call(
     readme_artifacts, capsys, monkeypatch, case, message
 ):
@@ -574,8 +577,13 @@ def test_mismatched_graph_and_entity_index_exit_2_before_any_service_call(
     if case == "graph_gains_an_entity":  # a triple added to kg.jsonl after `index`
         with open(artifacts / "kg.jsonl", "a") as fh:
             fh.write(json.dumps({"head": "Silverrun", "relation": "feeds", "tail": "Zephyrlake"}))
-    else:
+    elif case == "graph_loses_an_entity":
         _drop_silverrun(artifacts)
+    elif case == "corpus_gains_a_chunk":  # a chunk added to corpus.jsonl after `index`
+        with open(artifacts / "corpus.jsonl", "a") as fh:
+            fh.write(json.dumps({"id": "c4", "text": "the Silverrun floods the Old Mill"}) + "\n")
+    else:  # the chunk that answers the query with an entity
+        _write_corpus(artifacts / "corpus.jsonl", [c for c in README_CORPUS if c["id"] != "c2"])
     capsys.readouterr()
     _StubHandler.stub = StubModelClient(dim=64, seed=0)
     _StubHandler.requests = []

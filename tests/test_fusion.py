@@ -300,7 +300,7 @@ def test_similarity_from_stored_norms_is_bitwise_cosine():
     # Near ties: the same direction at other scales, and nudges in the last bits.
     table.update({f"s{i}": base * (1.0 + i * 2.0**-50) for i in range(10)})
     table.update({f"n{i}": base + rng.standard_normal(32) * 1e-14 for i in range(10)})
-    stored = QueryEmbeddings(_TableClient(table.__getitem__))
+    stored = QueryEmbeddings(_TableClient(table.__getitem__), {})
     stored.prefetch(table, graph=True)
     for q_vec in (base, base * 3.0, rng.standard_normal(32) * 1e5):
         q = normed(q_vec)
@@ -323,7 +323,7 @@ def test_fuse_through_stored_pairs_equals_fuse_through_the_embedder(strategy):
         cfg = FusionConfig(strategy=strategy)
         q_vec = EMBED(" ".join(rng.sample(names, 3)))
         want = fuse(scored, q_vec, cfg, EMBED)
-        got = fuse(scored, q_vec, cfg, QueryEmbeddings(_TableClient(EMBED)))
+        got = fuse(scored, q_vec, cfg, QueryEmbeddings(_TableClient(EMBED), {}))
         assert got == want
         assert got.threshold_used.hex() == want.threshold_used.hex()
 
@@ -342,6 +342,6 @@ def test_fuse_raises_for_a_triple_that_embeds_to_zero_or_overflows(bad, error, m
     def embed(text):
         return bad if text == "x r y" else EMBED(text)
 
-    embedder = QueryEmbeddings(_TableClient(embed)) if stored else embed
+    embedder = QueryEmbeddings(_TableClient(embed), {}) if stored else embed
     with pytest.raises(error, match=message):
         fuse(scored, EMBED("query"), FusionConfig(strategy="rm_fusion"), embedder)

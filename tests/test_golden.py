@@ -1,8 +1,10 @@
 """Golden digests of the pipeline's output on the two benchmark worlds.
 
 Each world is built from ``bench/worlds.py`` at seed 41 with the stub
-client, straight into memory. The test compares, with the checked-in
-``golden_traces.json``:
+client, straight into memory, and its rows are run under every strategy,
+once per test session (``build_world``, behind the session fixture
+``golden_world`` in ``conftest.py``); ``test_metrics.py`` scores the same
+results. The test compares, with the checked-in ``golden_traces.json``:
 
 - per strategy, one sha256 over the ``run_qmkgf`` traces of the first
   warm-up and timed rows, in order;
@@ -27,10 +29,10 @@ import hashlib
 import importlib.util
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from qmkgf import pipeline as pipe
 from qmkgf import subgraphs
@@ -38,7 +40,7 @@ from qmkgf.clients import StubModelClient
 from qmkgf.config import PipelineConfig
 from qmkgf.fusion import STRATEGIES
 from qmkgf.kg import KnowledgeGraph, ingest_extraction
-from qmkgf.reward import init_params
+from qmkgf.reward import AttentionParams, init_params
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_traces.json"
@@ -62,7 +64,23 @@ def _bench_worlds():
     return module
 
 
-def _build(name: str):
+@dataclass
+class GoldenWorld:
+    """One bench world at the golden seed and every row's ``run_qmkgf``
+    result under each strategy, in row order."""
+
+    name: str
+    graph: KnowledgeGraph
+    indices: pipe.RetrievalIndices
+    params: AttentionParams
+    stub: StubModelClient
+    rows: list[dict]
+    results: dict[str, list[pipe.QmkgfResult]]
+
+
+def build_world(name: str) -> GoldenWorld:
+    """The one builder of a golden world: for the checks (through the
+    session fixture ``golden_world`` in ``conftest.py``) and for ``main``."""
     stub = StubModelClient(dim=DIM, seed=0)
     world = _bench_worlds().WORKLOADS[name](SEED, stub)
     graph, _ = ingest_extraction(KnowledgeGraph(), world.records)
@@ -74,32 +92,38 @@ def _build(name: str):
     )
     params = init_params(DIM, heads=32, seed=0)
     rows = (world.warmup + world.timed)[: ROWS[name]]
-    return graph, indices, params, stub, rows
-
-
-def trace_digests(graph, indices, params, stub, rows) -> dict[str, str]:
-    out = {}
+    results = {}
     for strategy in STRATEGIES:
         cfg = PipelineConfig(stub=True, strategy=strategy)
+        results[strategy] = [
+            pipe.run_qmkgf(row["query"], graph, indices, params, cfg, stub) for row in rows
+        ]
+    return GoldenWorld(name, graph, indices, params, stub, rows, results)
+
+
+def trace_digests(world: GoldenWorld) -> dict[str, str]:
+    out = {}
+    for strategy, results in world.results.items():
         h = hashlib.sha256()
-        for row in rows:
-            result = pipe.run_qmkgf(row["query"], graph, indices, params, cfg, stub)
+        for result in results:
             h.update(json.dumps(result.trace, sort_keys=True).encode())
         out[strategy] = h.hexdigest()
     return out
 
 
-def dump_digests(graph, indices, params, stub) -> dict:
+def dump_digests(world: GoldenWorld) -> dict:
     """What ``inspect-subgraph --kind <kind>`` prints for each top entity."""
+    graph = world.graph
     degree = {e: len(graph.out_adj[e]) + len(graph.in_adj[e]) for e in graph.entities}
     top = sorted(degree, key=lambda e: (-degree[e], e))[:TOP_ENTITIES]
     cfg = PipelineConfig(stub=True)
+    memo = pipe.graph_memo(graph, world.indices.entities, cfg, world.stub)
     hashes = {kind: hashlib.sha256() for kind in KINDS}
     for entity in top:
-        sim = pipe.graph_memo(graph, indices.entities, cfg, stub).sim
-        candidates = pipe.candidate_subgraphs(graph, entity, cfg, sim)
+        candidates = pipe.candidate_subgraphs(graph, entity, cfg, memo.sim)
         [(_, fused)] = pipe.score_and_fuse(
-            entity, graph, [entity], indices, params, cfg, pipe.QueryEmbeddings(stub)
+            entity, graph, [entity], memo, world.params, cfg,
+            pipe.QueryEmbeddings(world.stub, memo.pairs),
         )
         for sg in [*candidates, fused.fused]:
             scores = None
@@ -113,33 +137,27 @@ def _load_golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.fixture(scope="module", params=sorted(ROWS))
-def world(request):
-    return request.param, _build(request.param)
-
-
 def _host_note(golden: dict) -> str:
     return (f"golden file written with numpy {golden['numpy']}, running numpy "
             f"{np.__version__}; regenerate only for a declared output change: {REGENERATE}")
 
 
-def test_run_qmkgf_traces_match_the_golden_digests(world):
-    name, (graph, indices, params, stub, rows) = world
+def test_run_qmkgf_traces_match_the_golden_digests(golden_world):
     golden = _load_golden()
-    assert len(rows) == ROWS[name]
-    assert trace_digests(graph, indices, params, stub, rows) == golden["traces"][name], (
-        _host_note(golden))
+    assert len(golden_world.rows) == ROWS[golden_world.name]
+    assert trace_digests(golden_world) == golden["traces"][golden_world.name], _host_note(golden)
 
 
-def test_inspect_subgraph_dumps_match_the_golden_digests(world):
-    name, (graph, indices, params, stub, _) = world
+def test_inspect_subgraph_dumps_match_the_golden_digests(golden_world):
     golden = _load_golden()
-    assert dump_digests(graph, indices, params, stub) == golden["dumps"][name], _host_note(golden)
+    assert dump_digests(golden_world) == golden["dumps"][golden_world.name], _host_note(golden)
 
 
-def test_pagerank_subgraph_settles_on_the_full_runs_members_in_fewer_iterations(world, monkeypatch):
+def test_pagerank_subgraph_settles_on_the_full_runs_members_in_fewer_iterations(
+    golden_world, monkeypatch
+):
     # Keeps the settled stop from going dead, or wrong, on the bench worlds.
-    name, (graph, *_) = world
+    graph = golden_world.graph
     cfg = PipelineConfig(stub=True)
     unpatched = subgraphs.personalized_pagerank
     settled = []
@@ -160,16 +178,16 @@ def test_pagerank_subgraph_settles_on_the_full_runs_members_in_fewer_iterations(
         assert members == {entity, *(ids[i] for i in np.argsort(ranks, kind="stable")[: cfg.K])}
         full_iterations += full.iterations
     assert len(settled) == len(entities) and all(r.converged for r in settled)
-    assert sum(r.iterations for r in settled) < 0.8 * full_iterations, name
+    assert sum(r.iterations for r in settled) < 0.8 * full_iterations, golden_world.name
 
 
 def main() -> int:
     golden = {"regenerate": REGENERATE, "numpy": np.__version__, "seed": SEED, "rows": ROWS,
               "traces": {}, "dumps": {}}
     for name in sorted(ROWS):
-        graph, indices, params, stub, rows = _build(name)
-        golden["traces"][name] = trace_digests(graph, indices, params, stub, rows)
-        golden["dumps"][name] = dump_digests(graph, indices, params, stub)
+        world = build_world(name)
+        golden["traces"][name] = trace_digests(world)
+        golden["dumps"][name] = dump_digests(world)
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
     return 0

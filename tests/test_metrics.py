@@ -5,9 +5,7 @@ from collections import Counter
 
 import pytest
 
-from qmkgf import pipeline as pipe
 from qmkgf.config import PipelineConfig
-from qmkgf.fusion import STRATEGIES
 from qmkgf.metrics import (
     ALPHA,
     BETA,
@@ -26,7 +24,6 @@ from qmkgf.metrics import (
     token_prf,
     tokenize,
 )
-from test_golden import _build
 
 
 def test_tokenize_lowercases_and_splits_on_non_alnum():
@@ -112,19 +109,20 @@ def test_rouge1_both_empty():
 # rouge-l
 # ---------------------------------------------------------------------------
 
-def _lcs_oracle(a, b):
-    """Plain recursive LCS with memo, independent of the implementation."""
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def rec(i, j):
-        if i == len(a) or j == len(b):
-            return 0
-        if a[i] == b[j]:
-            return 1 + rec(i + 1, j + 1)
-        return max(rec(i + 1, j), rec(i, j + 1))
-
-    return rec(0, 0)
+def _dp_lcs_length(a: list[str], b: list[str]) -> int:
+    """Reference LCS: the row-by-row dynamic programme."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for token in a:
+        cur = [0] * (len(b) + 1)
+        for j, other in enumerate(b, start=1):
+            if token == other:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
 
 
 def test_rougel_identical():
@@ -140,13 +138,13 @@ def test_rougel_empty_candidate():
     assert rouge_l("", "something here") == 0.0
 
 
-def test_rougel_matches_recursive_lcs_oracle():
+def test_rougel_matches_dp_lcs_oracle():
     rng = random.Random(2)
     vocab = ["w1", "w2", "w3", "w4"]
     for _ in range(50):
         cand = rng.choices(vocab, k=rng.randint(1, 10))
         ref = rng.choices(vocab, k=rng.randint(1, 10))
-        lcs = _lcs_oracle(tuple(cand), tuple(ref))
+        lcs = _dp_lcs_length(cand, ref)
         p = lcs / len(cand)
         r = lcs / len(ref)
         expected = 0.0 if p + r == 0 else 2 * p * r / (p + r)
@@ -230,93 +228,6 @@ def test_meteor_in_unit_interval_random():
         assert 0.0 <= value <= 1.0
 
 
-def _all_pairs_align_chunks(cand: list[str], ref: list[str]) -> tuple[int, int]:
-    """Reference alignment: scans every (candidate, reference) start pair for
-    the longest free run, then pairs leftover tokens by type."""
-    cand_free = [True] * len(cand)
-    ref_free = [True] * len(ref)
-    chunks = 0
-    matches = 0
-    while True:
-        best_len = 0
-        best = None
-        for i in range(len(cand)):
-            for j in range(len(ref)):
-                length = 0
-                while (
-                    i + length < len(cand)
-                    and j + length < len(ref)
-                    and cand_free[i + length]
-                    and ref_free[j + length]
-                    and cand[i + length] == ref[j + length]
-                ):
-                    length += 1
-                if length > best_len:
-                    best_len = length
-                    best = (i, j)
-        if best is None or best_len == 0:
-            break
-        i, j = best
-        for off in range(best_len):
-            cand_free[i + off] = False
-            ref_free[j + off] = False
-        chunks += 1
-        matches += best_len
-    leftover_ref = Counter(t for t, free in zip(ref, ref_free) if free)
-    for i, token in enumerate(cand):
-        if cand_free[i] and leftover_ref.get(token, 0) > 0:
-            leftover_ref[token] -= 1
-            cand_free[i] = False
-            chunks += 1
-            matches += 1
-    return matches, chunks
-
-
-def test_align_chunks_matches_all_pairs_oracle_on_random_tokens():
-    rng = random.Random(31)
-    for _ in range(400):
-        vocab = [f"t{i}" for i in range(rng.randint(1, 8))]
-        cand = rng.choices(vocab, k=rng.randint(0, 40))
-        ref = rng.choices(vocab, k=rng.randint(0, 15))
-        assert _align_chunks(cand, ref) == _all_pairs_align_chunks(cand, ref), (cand, ref)
-
-
-def test_align_chunks_matches_all_pairs_oracle_on_adversarial_tokens():
-    a, b, c = "a", "b", "c"
-    cases = [
-        ([], []), ([a], []), ([], [a]), ([a] * 30, [a] * 7), ([a] * 7, [a] * 30),
-        ([a, b] * 12, [b, a] * 5), ([a, b, c], [c, b, a]), ([a, b, a, b, a], [b, a, b]),
-        ([a, b, c, a, b, c, a], [c, a, b, c]), ([a, a, b, a, a, b], [a, b, a, a]),
-        # equal-length runs at several starts: ties go leftmost in cand, then ref
-        ([a, b, c, a, b], [c, a, b, a, b, c]), ([b, a, b, a], [a, b, a, b]),
-        ([f"w{i % 9}" for i in range(100)], [f"w{(3 * i) % 9}" for i in range(7)]),
-    ]
-    for cand, ref in cases:
-        assert _align_chunks(cand, ref) == _all_pairs_align_chunks(cand, ref), (cand, ref)
-    assert _align_chunks([a, b, c], [c, b, a]) == (3, 3)
-    assert _align_chunks([a] * 30, [a] * 7) == (7, 1)
-
-
-# ---------------------------------------------------------------------------
-# the bit-parallel LCS and the lazy-heap alignment against the quadratic forms
-# ---------------------------------------------------------------------------
-
-def _dp_lcs_length(a: list[str], b: list[str]) -> int:
-    """Reference LCS: the row-by-row dynamic programme."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for token in a:
-        cur = [0] * (len(b) + 1)
-        for j, other in enumerate(b, start=1):
-            if token == other:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
-
-
 def _greedy_align_chunks(cand: list[str], ref: list[str]) -> tuple[int, int]:
     """Reference alignment: rescans every free matching start pair in (i, j)
     order for the longest free run, takes it, and repeats."""
@@ -355,6 +266,35 @@ def _greedy_align_chunks(cand: list[str], ref: list[str]) -> tuple[int, int]:
         chunks += 1
         matches += best_len
 
+
+def test_align_chunks_matches_all_pairs_oracle_on_random_tokens():
+    rng = random.Random(31)
+    for _ in range(400):
+        vocab = [f"t{i}" for i in range(rng.randint(1, 8))]
+        cand = rng.choices(vocab, k=rng.randint(0, 40))
+        ref = rng.choices(vocab, k=rng.randint(0, 15))
+        assert _align_chunks(cand, ref) == _greedy_align_chunks(cand, ref), (cand, ref)
+
+
+def test_align_chunks_matches_all_pairs_oracle_on_adversarial_tokens():
+    a, b, c = "a", "b", "c"
+    cases = [
+        ([], []), ([a], []), ([], [a]), ([a] * 30, [a] * 7), ([a] * 7, [a] * 30),
+        ([a, b] * 12, [b, a] * 5), ([a, b, c], [c, b, a]), ([a, b, a, b, a], [b, a, b]),
+        ([a, b, c, a, b, c, a], [c, a, b, c]), ([a, a, b, a, a, b], [a, b, a, a]),
+        # equal-length runs at several starts: ties go leftmost in cand, then ref
+        ([a, b, c, a, b], [c, a, b, a, b, c]), ([b, a, b, a], [a, b, a, b]),
+        ([f"w{i % 9}" for i in range(100)], [f"w{(3 * i) % 9}" for i in range(7)]),
+    ]
+    for cand, ref in cases:
+        assert _align_chunks(cand, ref) == _greedy_align_chunks(cand, ref), (cand, ref)
+    assert _align_chunks([a, b, c], [c, b, a]) == (3, 3)
+    assert _align_chunks([a] * 30, [a] * 7) == (7, 1)
+
+
+# ---------------------------------------------------------------------------
+# the bit-parallel LCS and the lazy-heap alignment against the quadratic forms
+# ---------------------------------------------------------------------------
 
 def _oracle_report(answer, reference, ranked_ids, gold_ids, k) -> MetricReport:
     """``score_example`` from the reference tokenizer, LCS and alignment, with
@@ -427,14 +367,11 @@ def test_score_example_equals_the_oracle_report_on_random_texts():
         assert score_example(*args) == _oracle_report(*args), args
 
 
-@pytest.mark.parametrize("name", ["doc_heavy", "graph_heavy"])
-def test_score_example_equals_the_oracle_report_on_the_golden_rows(name):
+def test_score_example_equals_the_oracle_report_on_the_golden_rows(golden_world):
     """The answers the golden module's seed-41 rows get under every strategy."""
-    graph, indices, params, stub, rows = _build(name)
-    for strategy in STRATEGIES:
+    for strategy, results in golden_world.results.items():
         cfg = PipelineConfig(stub=True, strategy=strategy)
-        for row in rows:
-            result = pipe.run_qmkgf(row["query"], graph, indices, params, cfg, stub)
+        for row, result in zip(golden_world.rows, results, strict=True):
             args = (result.answer, row["reference"], result.ranked.ids(),
                     set(row["gold_chunks"]), cfg.k)
             assert score_example(*args) == _oracle_report(*args), (strategy, row["query"])

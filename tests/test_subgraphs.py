@@ -17,7 +17,8 @@ from qmkgf.subgraphs import (
     ranked_neighbors,
     similarity_from_index,
 )
-from qmkgf.vectors import VectorIndex, cosine
+from qmkgf.vectors import cosine
+from test_vectors import index_from
 
 
 def _hash_sim(a: str, b: str) -> float:
@@ -26,9 +27,10 @@ def _hash_sim(a: str, b: str) -> float:
     return random.Random(f"{key[0]}|{key[1]}").random()
 
 
-def dense_ppr_oracle(g: KnowledgeGraph, p: dict, damping: float, iters: int = 5000,
-                     tol: float = 1e-14) -> dict:
-    """Independent oracle: dense transition matrix plus explicit power iteration."""
+def dense_ppr_oracle(g: KnowledgeGraph, p: dict, damping: float, iters: int = 5000) -> dict:
+    """Independent oracle: dense transition matrix plus explicit power
+    iteration, until one step moves the scores by less than 1e-14 (L1) or
+    after ``iters`` steps. The acceptance criteria use it too."""
     ids = sorted(g.entities)
     pos = {e: i for i, e in enumerate(ids)}
     n = len(ids)
@@ -44,7 +46,7 @@ def dense_ppr_oracle(g: KnowledgeGraph, p: dict, damping: float, iters: int = 50
     s = pvec.copy()
     for _ in range(iters):
         s_new = (1 - damping) * pvec + damping * (T.T @ s + s[dangling].sum() * pvec)
-        if np.abs(s_new - s).sum() < tol:
+        if np.abs(s_new - s).sum() < 1e-14:
             s = s_new
             break
         s = s_new
@@ -777,18 +779,11 @@ def test_builders_given_ranked_neighbors_match_their_own_ranking():
             assert build(g, center, 3, _hash_sim, ranked) == build(g, center, 3, _hash_sim)
 
 
-def _index_of(vectors: dict) -> VectorIndex:
-    index = VectorIndex(len(next(iter(vectors.values()))), kind="entity")
-    for key, vec in vectors.items():
-        index.add(key, vec)
-    return index
-
-
 def test_similarity_from_index_is_bitwise_cosine():
     rng = np.random.default_rng(8)
     vectors = {f"e{i}": rng.standard_normal(16) * rng.uniform(1e-3, 1e3) for i in range(12)}
     vectors["twin"] = vectors["e0"] * 3.0
-    sim = similarity_from_index(_index_of(vectors))
+    sim = similarity_from_index(index_from(vectors))
     for a in vectors:
         for b in vectors:
             assert sim(a, b).hex() == cosine(vectors[a], vectors[b]).hex()
@@ -802,10 +797,10 @@ def test_similarity_from_index_raises_on_every_use_of_a_bad_vector():
     ok = {"ok": np.ones(3), "other": np.arange(3.0)}
     # A bad stored vector is named when the provider is built.
     with pytest.raises(UndefinedSimilarityError, match="stored vector 'zero' is zero"):
-        similarity_from_index(_index_of({**ok, "zero": np.zeros(3)}))
+        similarity_from_index(index_from({**ok, "zero": np.zeros(3)}))
     with pytest.raises(ValidationError, match="stored vector 'huge' is too large"):
-        similarity_from_index(_index_of({**ok, "huge": np.full(3, 1e200)}))
-    sim = similarity_from_index(_index_of(ok))
+        similarity_from_index(index_from({**ok, "huge": np.full(3, 1e200)}))
+    sim = similarity_from_index(index_from(ok))
     for _ in range(2):
         for pair in (("ok", "missing"), ("missing", "other")):
             with pytest.raises(ValidationError, match="entity 'missing' has no vector"):

@@ -58,7 +58,8 @@ def test_cosine_symmetry_and_scale_invariance():
         assert abs(cosine(lam * a, b) - cosine(a, b)) < 1e-9
 
 
-def _index_from(vectors: dict) -> VectorIndex:
+def index_from(vectors: dict) -> VectorIndex:
+    """An index holding ``vectors`` (id -> vector), all of one dimension."""
     dim = len(next(iter(vectors.values())))
     index = VectorIndex(dim)
     for key, vec in vectors.items():
@@ -67,13 +68,13 @@ def _index_from(vectors: dict) -> VectorIndex:
 
 
 def test_top_k_larger_than_index_returns_all_sorted():
-    index = _index_from({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    index = index_from({"a": [1.0, 0.0], "b": [0.0, 1.0]})
     hits = top_k(index, [1.0, 0.1], 10)
     assert [h[0] for h in hits] == ["a", "b"]
 
 
 def test_top_k_exact_match_first():
-    index = _index_from({"a": [0.3, 0.7], "b": [1.0, 0.0]})
+    index = index_from({"a": [0.3, 0.7], "b": [1.0, 0.0]})
     hits = top_k(index, [0.3, 0.7], 1)
     assert hits[0][0] == "a"
     assert hits[0][1] == pytest.approx(1.0, abs=1e-12)
@@ -85,7 +86,7 @@ def test_top_k_empty_index():
 
 def test_top_k_requires_positive_k():
     with pytest.raises(ValidationError):
-        top_k(_index_from({"a": [1.0, 0.0]}), [1.0, 0.0], 0)
+        top_k(index_from({"a": [1.0, 0.0]}), [1.0, 0.0], 0)
 
 
 def test_top_k_matches_exhaustive_sort_oracle():
@@ -144,7 +145,7 @@ def test_top_k_ties_across_k_boundary_match_sort_oracle():
 
 
 def test_top_k_sees_vectors_added_after_a_search():
-    index = _index_from({"a": [1.0, 0.5], "b": [0.0, 1.0]})
+    index = index_from({"a": [1.0, 0.5], "b": [0.0, 1.0]})
     query = [1.0, 0.0]
     assert [h[0] for h in top_k(index, query, 3)] == ["a", "b"]
     index.add("c", [1.0, 0.0])
@@ -175,7 +176,7 @@ def test_empty_index_freezes_to_an_empty_matrix():
 
 
 def test_add_after_a_search_refreezes_with_the_new_row():
-    index = _index_from({"a": [1.0, 0.0], "c": [0.0, 1.0]})
+    index = index_from({"a": [1.0, 0.0], "c": [0.0, 1.0]})
     top_k(index, [1.0, 1.0], 1)
     before = index.frozen()
     index.add("b", [3.0, 4.0])
@@ -189,7 +190,7 @@ def test_add_after_a_search_refreezes_with_the_new_row():
 
 
 def test_top_k_stored_zero_vector_raises_on_every_call():
-    index = _index_from({"a": [1.0, 0.0], "z": [0.0, 0.0]})
+    index = index_from({"a": [1.0, 0.0], "z": [0.0, 0.0]})
     for _ in range(2):
         with pytest.raises(UndefinedSimilarityError, match="'z'"):
             top_k(index, [1.0, 0.0], 1)
@@ -315,7 +316,7 @@ _BAD_QUERIES = {
 
 @pytest.mark.parametrize("kind", sorted(_BAD_QUERIES))
 def test_top_k_union_raises_what_the_per_query_loop_raises(kind, block_bytes):
-    index = _index_from({"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "c": [0.0, 0.0, 1.0]})
+    index = index_from({"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "c": [0.0, 0.0, 1.0]})
     good = [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [0.5, 0.5, 0.5]]
     for j in (1, 2, 3):
         # Two bad queries: the first in query order decides.
@@ -332,7 +333,7 @@ def test_top_k_union_raises_what_the_per_query_loop_raises(kind, block_bytes):
 def test_top_k_union_checks_stored_vectors_after_the_first_query_on_every_call(
     stored, match, block_bytes
 ):
-    index = _index_from({"a": [1.0, 0.0, 0.0], "z": stored})
+    index = index_from({"a": [1.0, 0.0, 0.0], "z": stored})
     good, bad = [1.0, 2.0, 3.0], [1.0, 0.0]
     for queries in ([good, good], [good, bad], [bad, good], [good, *_BAD_QUERIES.values()]):
         expected = _raised(lambda: _per_query_loop(index, queries, 1))
@@ -411,13 +412,13 @@ def test_cosine_rejects_a_norm_that_overflows():
 
 
 def test_top_k_rejects_a_query_norm_that_overflows():
-    index = _index_from({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    index = index_from({"a": [1.0, 0.0], "b": [0.0, 1.0]})
     with pytest.raises(ValidationError):
         top_k(index, _HUGE, 2)
 
 
 def test_top_k_rejects_a_stored_norm_that_overflows_on_every_call():
-    index = _index_from({"a": [1.0, 0.0], "huge": _HUGE})
+    index = index_from({"a": [1.0, 0.0], "huge": _HUGE})
     for _ in range(2):
         with pytest.raises(ValidationError, match="huge"):
             top_k(index, [1.0, 1.0], 2)
