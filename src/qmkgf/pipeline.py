@@ -25,10 +25,10 @@ before any service call, and hands it to ``score_and_fuse``; the query's
 (reward scores, fusion, expansion, retrieval) runs afresh for every query.
 
 Each stage sends the texts it needs and has no vector for in one
-``client.embed_many`` call: the query and extracted entities, the texts
-of centres not yet stored, then the expansion items. So a query makes at
-most three embedding round trips, one whose centres are all stored makes
-two, and a fallback query one.
+``client.embed_many`` call: the query and extracted entities, then the
+texts of centres not yet stored with every expansion item the query's
+centres can yield (or, with every centre stored, the expansion items).
+So a query makes at most two embedding round trips, a fallback query one.
 """
 
 from __future__ import annotations
@@ -106,9 +106,10 @@ class QueryEmbeddings:
     store of graph-derived texts -> ``normed`` (vector, norm) pairs that
     outlives the query (``GraphMemo.pairs``).
 
-    ``prefetch`` sends the texts neither holds in one ``client.embed_many``
-    call; with ``graph=True`` it also puts its texts in the store. A lookup
-    neither can answer sends one.
+    ``prefetch`` sends the texts neither holds, of ``texts`` and of
+    ``also`` (distinct texts, none of them in ``texts``), in one
+    ``client.embed_many`` call; with ``graph=True`` it also puts ``texts``,
+    never ``also``, in the store. A lookup neither can answer sends one.
     """
 
     def __init__(self, client, graph: dict[str, tuple[np.ndarray, np.float64]]):
@@ -116,9 +117,10 @@ class QueryEmbeddings:
         self.vectors: dict[str, np.ndarray] = {}
         self.graph = graph
 
-    def prefetch(self, texts, graph: bool = False) -> None:
+    def prefetch(self, texts, graph: bool = False, also=()) -> None:
         texts = [t for t in dict.fromkeys(texts) if t not in self.graph]
         missing = [t for t in texts if t not in self.vectors]
+        missing += [t for t in also if t not in self.vectors and t not in self.graph]
         if missing:
             self.vectors.update(zip(missing, self.client.embed_many(missing)))
         if graph and texts:
@@ -195,8 +197,13 @@ def expand_query(query: str, fused: Subgraph | None) -> ExpandedQuery:
     parts: list[str] = []
     if fused is not None and fused.triples:
         parts = fused.entity_names() + fused.relation_labels() + [t.text() for t in fused.triples]
-    items = dict.fromkeys(f"{query} {SEPARATOR} {part}" for part in parts)
-    return ExpandedQuery(base=query, items=list(items))
+    return ExpandedQuery(base=query, items=expansion_items(query, parts))
+
+
+def expansion_items(query: str, parts) -> list[str]:
+    """The retrieval item of each distinct expansion part, in order."""
+    prefix = f"{query} {SEPARATOR} "
+    return [prefix + part for part in dict.fromkeys(parts)]
 
 
 def retrieve(
@@ -298,7 +305,8 @@ def graph_memo(
     subgraph settings, whether the strategy is all_fusion, and one client;
     a call with another owner starts it afresh. A centre is in it only with
     all of its texts; its entries are shared, so callers must not mutate
-    them. It assumes that the client embeds each text deterministically.
+    them. It assumes that the client embeds each text deterministically,
+    whatever batch carries it.
     Starting afresh checks the stored vectors (``frozen()``), then raises
     ValidationError naming the smallest id that only the graph or only the
     index holds; a memo that is still valid checks nothing.
@@ -326,6 +334,7 @@ def score_and_fuse(
     params: AttentionParams,
     cfg: PipelineConfig,
     embed: QueryEmbeddings,
+    expand: bool = False,
 ) -> list[tuple[list[ScoredSubgraph], FusionResult]]:
     """Each centre's candidate subgraphs, scored against ``query`` by the
     reward model, and their fusion.
@@ -334,19 +343,26 @@ def score_and_fuse(
     ``embed`` the query's memo over its store (``memo.pairs``). A centre
     missing from ``memo`` is built here; its candidates' serializations
     and, unless the strategy is all_fusion, triple texts go in one batch
-    for all such centres. A centre is stored once that is in.
+    for all such centres. With ``expand``, that batch also carries, for
+    ``embed`` alone, the expansion items of every part the fusion of any
+    centre can yield: the centres and each candidate triple's endpoints,
+    relation and text. A centre is stored once that batch is in.
     """
     q_vec = np.asarray(embed(query), dtype=np.float64)
     fusion_cfg = cfg.fusion
     built = {
         c: candidate_subgraphs(kg, c, cfg, memo.sim) for c in centers if c not in memo.candidates
     }
+    candidates = [built[c] if c in built else memo.candidates[c] for c in centers]
     new = [sg for parts in built.values() for sg in parts]
     triple_parts = [] if cfg.strategy == ALL_FUSION else new  # all_fusion scores no triple
     texts = [*map(serialize_subgraph, new), *(t.text() for sg in triple_parts for t in sg.triples)]
-    embed.prefetch(texts, graph=True)
+    superset = []  # every part the fusion of any centre can expand the query with
+    if expand and built:
+        triples = {id(t): t for sgs in candidates for sg in sgs for t in sg.triples}.values()
+        superset = [*centers, *(p for t in triples for p in (t.head, t.tail, t.relation, t.text()))]
+    embed.prefetch(texts, graph=True, also=expansion_items(query, superset))
     memo.candidates.update(built)
-    candidates = [memo.candidates[c] for c in centers]
     scored_parts = [
         [ScoredSubgraph(subgraph=sg, score=rm_score(query, sg, params, embed)) for sg in parts]
         for parts in candidates
@@ -385,7 +401,7 @@ def run_qmkgf(
         trace["fallback"] = True
         trace["per_entity"] = []
     else:
-        fused_per_centre = score_and_fuse(query, kg, centers, memo, params, cfg, embed)
+        fused_per_centre = score_and_fuse(query, kg, centers, memo, params, cfg, embed, expand=True)
         trace["per_entity"] = [
             {
                 "entity": center,

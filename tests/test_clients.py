@@ -364,6 +364,6 @@ def test_http_query_whose_centre_is_stored_sends_two_embed_posts():
             got = run_qmkgf(query, g, indices, params, cfg, http)
             posts.append([path for path, _ in _StubHandler.requests].count("/embed"))
             assert json.dumps(got.trace, sort_keys=True) == json.dumps(fresh.trace, sort_keys=True)
-    # cold: query, the centre's texts, expansion; stored: the first and
-    # last; fallback: the query alone
-    assert posts == [3, 2, 1]
+    # cold: the query, then the centre's texts with every expansion item;
+    # stored: the query, then the expansion items; fallback: the query alone
+    assert posts == [2, 2, 1]

@@ -76,6 +76,7 @@ class GoldenWorld:
     stub: StubModelClient
     rows: list[dict]
     results: dict[str, list[pipe.QmkgfResult]]
+    timed_from: int  # the index in ``rows`` of the first timed row
 
 
 def build_world(name: str) -> GoldenWorld:
@@ -98,7 +99,7 @@ def build_world(name: str) -> GoldenWorld:
         results[strategy] = [
             pipe.run_qmkgf(row["query"], graph, indices, params, cfg, stub) for row in rows
         ]
-    return GoldenWorld(name, graph, indices, params, stub, rows, results)
+    return GoldenWorld(name, graph, indices, params, stub, rows, results, len(world.warmup))
 
 
 def trace_digests(world: GoldenWorld) -> dict[str, str]:

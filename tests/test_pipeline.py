@@ -736,7 +736,7 @@ def test_a_query_whose_centres_are_stored_sends_two_embedding_batches():
         trace = json.dumps(run_qmkgf(query, g, indices, params, cfg, client).trace, sort_keys=True)
         assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub), query
         sent.append(len(client.batches))
-    assert sent == [3, 2, 3, 2, 1]
+    assert sent == [2, 2, 2, 2, 1]
     memo = g.candidate_memo
     assert set(memo.candidates) == {"hilltown", "quarry"}
     for parts in memo.candidates.values():  # every text a stored centre can yield
@@ -746,7 +746,7 @@ def test_a_query_whose_centres_are_stored_sends_two_embedding_batches():
 
 def test_an_embedding_failure_in_a_centres_first_build_stores_no_entry():
     g, indices, params, cfg, stub = _repeat_world()
-    client = _CountingEmbeds(stub, fail_batch=2)  # the batch of the centre's texts
+    client = _CountingEmbeds(stub, fail_batch=2)  # the centre's texts and the items
     query = "which roads leave hilltown"
     with pytest.raises(ModelServiceError):
         run_qmkgf(query, g, indices, params, cfg, client)
@@ -754,7 +754,7 @@ def test_an_embedding_failure_in_a_centres_first_build_stores_no_entry():
     client.batches.clear()
     trace = json.dumps(run_qmkgf(query, g, indices, params, cfg, client).trace, sort_keys=True)
     assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub)
-    assert len(client.batches) == 3
+    assert len(client.batches) == 2
     assert set(g.candidate_memo.candidates) == {"hilltown"}
 
 
@@ -768,7 +768,14 @@ def test_all_fusion_embeds_only_the_serializations_of_a_new_centre():
     parts = candidate_subgraphs(g, "hilltown", cfg, sim)
     assert any(sg.triples for sg in parts)
     serializations = list(dict.fromkeys(map(serialize_subgraph, parts)))
-    assert len(client.batches) == 3 and client.batches[1] == serializations
+    # The centre's batch: its serializations, then expansion items only.
+    assert len(client.batches) == 2
+    n = len(serializations)
+    assert client.batches[1][:n] == serializations
+    items = client.batches[1][n:]
+    assert items and all(item.startswith("which roads leave hilltown [SEP] ") for item in items)
+    bare = {t.text() for sg in parts for t in sg.triples} - set(serializations)
+    assert bare and not bare & {text for batch in client.batches for text in batch}
     assert list(g.candidate_memo.pairs) == serializations
 
 
@@ -792,7 +799,81 @@ def test_a_strategy_switch_on_one_graph_matches_a_fresh_graph_in_whole_batches()
             assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub), query
             assert all(len(batch) > 1 for batch in client.batches), (strategy, query)
             sent.append(len(client.batches))
-        assert sent == [3, 2, 3, 2], strategy
+        assert sent == [2, 2, 2, 2], strategy
+
+
+def test_a_warm_centres_expansion_items_ride_with_a_cold_centres_texts():
+    g, indices, params, cfg, stub = _repeat_world()
+    client = _CountingEmbeds(stub)
+    run_qmkgf("which roads leave hilltown", g, indices, params, cfg, client)  # hilltown is new
+    stored = dict(g.candidate_memo.pairs)
+    client.batches.clear()
+    query = "hilltown and quarry news"  # hilltown is stored, quarry is new
+    result = run_qmkgf(query, g, indices, params, cfg, client)
+    assert json.dumps(result.trace, sort_keys=True) == _trace(
+        query, _copy_graph(g), indices, params, cfg, stub
+    )
+    assert len(client.batches) == 2
+    hilltown = result.trace["per_entity"][0]
+    assert hilltown["entity"] == "hilltown" and hilltown["fused_triples"]
+    warm_items = [f"{query} [SEP] {h} {r} {t}" for h, r, t in hilltown["fused_triples"]]
+    assert set(warm_items) <= set(client.batches[1])
+    assert set(result.trace["expanded_items"]) <= set(client.batches[1])
+    assert not set(client.batches[1]) & stored.keys()  # nothing the store holds is resent
+    assert not any("[SEP]" in text for text in g.candidate_memo.pairs)
+
+
+def test_a_failed_merged_batch_stores_no_centre_and_no_text():
+    g, indices, params, cfg, stub = _repeat_world()
+    client = _CountingEmbeds(stub)
+    run_qmkgf("which roads leave hilltown", g, indices, params, cfg, client)  # hilltown is new
+    stored = dict(g.candidate_memo.pairs)
+    client.batches.clear()
+    client.fail_batch = 2  # quarry's texts with the expansion items
+    with pytest.raises(ModelServiceError):
+        run_qmkgf("hilltown and quarry news", g, indices, params, cfg, client)
+    assert any("[SEP]" in text for text in client.batches[1])
+    assert set(g.candidate_memo.candidates) == {"hilltown"}
+    assert g.candidate_memo.pairs == stored
+    for query in ("quarry first then hilltown", "hilltown and quarry news"):
+        client.batches.clear()
+        trace = _trace(query, g, indices, params, cfg, client)
+        assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub), query
+        assert len(client.batches) == 2
+    assert set(g.candidate_memo.candidates) == {"hilltown", "quarry"}
+
+
+GOLDEN_TIMED_ROWS = 40
+
+
+@pytest.mark.parametrize("strategy", ["rm_fusion", "all_fusion", "top5_fusion"])
+def test_golden_world_queries_send_at_most_two_embedding_batches(golden_world, strategy):
+    # A query that builds a centre embeds every expansion item with the
+    # centre's texts, so the items' own prefetch sends nothing.
+    world = golden_world
+    offset = world.timed_from
+    rows = world.rows[offset : offset + GOLDEN_TIMED_ROWS]
+    assert len(rows) == GOLDEN_TIMED_ROWS
+    g = _copy_graph(world.graph)
+    client = _CountingEmbeds(world.stub)
+    cfg = PipelineConfig(stub=True, strategy=strategy)
+    built = 0
+    for i, row in enumerate(rows):
+        client.batches.clear()
+        before = len(g.candidate_memo.candidates) if g.candidate_memo else 0
+        result = run_qmkgf(row["query"], g, world.indices, world.params, cfg, client)
+        assert result.trace == world.results[strategy][offset + i].trace, row["query"]
+        if result.trace["fallback"]:
+            assert len(client.batches) == 1
+            continue
+        assert len(client.batches) <= 2, row["query"]
+        if len(g.candidate_memo.candidates) > before:
+            built += 1
+            assert len(client.batches) == 2
+            assert set(result.trace["expanded_items"]) <= set(client.batches[1])
+    assert built
+    assert g.candidate_memo.pairs
+    assert not any("[SEP]" in text for text in g.candidate_memo.pairs)
 
 
 def test_a_graph_change_drops_the_stored_embeddings():
