@@ -15,20 +15,22 @@ Queries from which no graph entity can be resolved fall back to plain
 retrieve + rerank on the bare query (flagged in the trace).
 
 The candidate subgraphs depend on the graph, the entity index and the
-subgraph settings, not on the query, so ``score_and_fuse`` builds each
+subgraph settings, not on the query, so ``build_centres`` builds each
 centre's once per graph and keeps them on the graph until it changes (at
 most one entry per graph entity), with the embedding and norm of every
 text of theirs the strategy reads. Every query resolves that memo once
 (``graph_memo``), which checks that the graph and entity index agree,
-before any service call, and hands it to ``score_and_fuse``; the query's
+before any service call, and hands it to ``build_centres``; the query's
 ``QueryEmbeddings`` reads its store from the start. Everything downstream
 (reward scores, fusion, expansion, retrieval) runs afresh for every query.
 
 Each stage sends the texts it needs and has no vector for in one
-``client.embed_many`` call: the query and extracted entities, then the
-texts of centres not yet stored with every expansion item the query's
-centres can yield (or, with every centre stored, the expansion items).
-So a query makes at most two embedding round trips, a fallback query one.
+``client.embed_many`` call. An extracted string is usually the name of
+the entity it maps to, so the first call carries the query, its entities,
+and the texts of the new centres they name with every expansion item
+those centres can yield. A centre the names missed is built with a second
+call, which carries the items too; a query whose centres were all stored
+sends its items second. So a query makes one or two embedding round trips.
 """
 
 from __future__ import annotations
@@ -106,10 +108,10 @@ class QueryEmbeddings:
     store of graph-derived texts -> ``normed`` (vector, norm) pairs that
     outlives the query (``GraphMemo.pairs``).
 
-    ``prefetch`` sends the texts neither holds, of ``texts`` and of
-    ``also`` (distinct texts, none of them in ``texts``), in one
-    ``client.embed_many`` call; with ``graph=True`` it also puts ``texts``,
-    never ``also``, in the store. A lookup neither can answer sends one.
+    ``prefetch`` sends the distinct texts neither holds, of ``texts`` then
+    of ``also``, in one ``client.embed_many`` call; with ``graph=True`` it
+    also puts ``texts`` in the store (an ``also`` text only if it is one of
+    them). A lookup neither can answer sends one.
     """
 
     def __init__(self, client, graph: dict[str, tuple[np.ndarray, np.float64]]):
@@ -119,8 +121,8 @@ class QueryEmbeddings:
 
     def prefetch(self, texts, graph: bool = False, also=()) -> None:
         texts = [t for t in dict.fromkeys(texts) if t not in self.graph]
-        missing = [t for t in texts if t not in self.vectors]
-        missing += [t for t in also if t not in self.vectors and t not in self.graph]
+        also = [t for t in also if t not in self.graph]
+        missing = [t for t in dict.fromkeys([*texts, *also]) if t not in self.vectors]
         if missing:
             self.vectors.update(zip(missing, self.client.embed_many(missing)))
         if graph and texts:
@@ -295,6 +297,7 @@ class GraphMemo(NamedTuple):
     client: object  # the model client the embeddings came from
     sim: SimilarityProvider  # ``similarity_from_index`` over the snapshot
     pairs: dict[str, tuple[np.ndarray, np.float64]]  # graph-derived text -> ``normed``
+    names: dict[str, str]  # entity name -> the smallest id with it, which a tie maps to
 
 
 def graph_memo(
@@ -322,8 +325,36 @@ def graph_memo(
             has, lacks = ("graph", "entity index") if e in kg else ("entity index", "graph")
             raise ValidationError(f"entity {e!r} is in the {has} but not in the {lacks}")
         sim = similarity_from_index(entities)
-        memo = kg.candidate_memo = GraphMemo(snapshot, params, {}, client, sim, {})
+        names = {kg.entities[e].name: e for e in reversed(snapshot[0])}  # the smallest id last
+        memo = kg.candidate_memo = GraphMemo(snapshot, params, {}, client, sim, {}, names)
     return memo
+
+
+def build_centres(
+    query: str, kg: KnowledgeGraph, centers: list[str], memo: GraphMemo, cfg: PipelineConfig,
+    embed: QueryEmbeddings, also=(), expand: bool = False,
+) -> list[list[Subgraph]]:
+    """Each centre's candidates, building those missing from ``memo``: one
+    ``embed.prefetch`` batch sends ``also`` with the built candidates'
+    serializations and, unless the strategy is all_fusion, triple texts.
+    With ``expand`` and a centre built, it also carries, for ``embed``
+    alone, the expansion items of every part the fusion of any centre can
+    yield: the centres and each candidate triple's endpoints, relation and
+    text. A centre is stored once that batch is in."""
+    built = {
+        c: candidate_subgraphs(kg, c, cfg, memo.sim) for c in centers if c not in memo.candidates
+    }
+    candidates = [built[c] if c in built else memo.candidates[c] for c in centers]
+    new = [sg for parts in built.values() for sg in parts]
+    triple_parts = [] if cfg.strategy == ALL_FUSION else new  # all_fusion scores no triple
+    texts = [*map(serialize_subgraph, new), *(t.text() for sg in triple_parts for t in sg.triples)]
+    superset = []  # every part the fusion of any centre can expand the query with
+    if expand and built:
+        triples = {id(t): t for sgs in candidates for sg in sgs for t in sg.triples}.values()
+        superset = [*centers, *(p for t in triples for p in (t.head, t.tail, t.relation, t.text()))]
+    embed.prefetch(texts, graph=True, also=[*also, *expansion_items(query, superset)])
+    memo.candidates.update(built)
+    return candidates
 
 
 def score_and_fuse(
@@ -340,29 +371,12 @@ def score_and_fuse(
     reward model, and their fusion.
 
     ``memo`` is ``graph_memo`` of ``kg`` as the caller resolved it, and
-    ``embed`` the query's memo over its store (``memo.pairs``). A centre
-    missing from ``memo`` is built here; its candidates' serializations
-    and, unless the strategy is all_fusion, triple texts go in one batch
-    for all such centres. With ``expand``, that batch also carries, for
-    ``embed`` alone, the expansion items of every part the fusion of any
-    centre can yield: the centres and each candidate triple's endpoints,
-    relation and text. A centre is stored once that batch is in.
+    ``embed`` the query's memo over its store (``memo.pairs``). Its one
+    ``build_centres`` batch (with ``expand``) also carries ``query``.
     """
+    candidates = build_centres(query, kg, centers, memo, cfg, embed, [query], expand)
     q_vec = np.asarray(embed(query), dtype=np.float64)
     fusion_cfg = cfg.fusion
-    built = {
-        c: candidate_subgraphs(kg, c, cfg, memo.sim) for c in centers if c not in memo.candidates
-    }
-    candidates = [built[c] if c in built else memo.candidates[c] for c in centers]
-    new = [sg for parts in built.values() for sg in parts]
-    triple_parts = [] if cfg.strategy == ALL_FUSION else new  # all_fusion scores no triple
-    texts = [*map(serialize_subgraph, new), *(t.text() for sg in triple_parts for t in sg.triples)]
-    superset = []  # every part the fusion of any centre can expand the query with
-    if expand and built:
-        triples = {id(t): t for sgs in candidates for sg in sgs for t in sg.triples}.values()
-        superset = [*centers, *(p for t in triples for p in (t.head, t.tail, t.relation, t.text()))]
-    embed.prefetch(texts, graph=True, also=expansion_items(query, superset))
-    memo.candidates.update(built)
     scored_parts = [
         [ScoredSubgraph(subgraph=sg, score=rm_score(query, sg, params, embed)) for sg in parts]
         for parts in candidates
@@ -386,7 +400,9 @@ def run_qmkgf(
     trace["entities"] = entities
     mappable = entities if len(indices.entities) else []  # an empty index maps nothing
     embed = QueryEmbeddings(client, memo.pairs)
-    embed.prefetch([query, *mappable])
+    # Build the centres the strings name; score_and_fuse builds any missed.
+    guessed = [memo.names[e] for e in mappable if e in memo.names]
+    build_centres(query, kg, guessed, memo, cfg, embed, [query, *mappable], expand=True)
 
     mapped: list[dict] = []
     for entity_text in mappable:

@@ -633,7 +633,7 @@ def test_inspect_subgraph_fused_shows_what_query_fuses(artifacts, capsys, monkey
 
 
 @pytest.mark.parametrize("kind, posts", [
-    ("onehop", 0), ("multihop", 0), ("pagerank", 0), ("fused", 2),
+    ("onehop", 0), ("multihop", 0), ("pagerank", 0), ("fused", 1),
 ])
 def test_http_inspect_subgraph_embeds_only_for_fused(artifacts, capsys, monkeypatch, kind, posts):
     for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):

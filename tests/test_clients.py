@@ -355,15 +355,17 @@ def test_http_query_whose_centre_is_stored_sends_two_embed_posts():
     ]
     want = [run_qmkgf(query, _copy_graph(g), indices, params, cfg, stub) for query in queries]
     _StubHandler.stub = stub
-    posts = []
+    sent = []
     with _serving(_StubHandler) as url:
         http = HttpModelClient(url)
         http.session.trust_env = False
         for query, fresh in zip(queries, want):
             _StubHandler.requests = []
             got = run_qmkgf(query, g, indices, params, cfg, http)
-            posts.append([path for path, _ in _StubHandler.requests].count("/embed"))
+            sent.append([path for path, _ in _StubHandler.requests])
             assert json.dumps(got.trace, sort_keys=True) == json.dumps(fresh.trace, sort_keys=True)
-    # cold: the query, then the centre's texts with every expansion item;
-    # stored: the query, then the expansion items; fallback: the query alone
-    assert posts == [2, 2, 1]
+    # cold, its centre named: the query with the centre's texts and every
+    # expansion item; stored: the query, then the expansion items;
+    # fallback: the query alone
+    assert [paths.count("/embed") for paths in sent] == [1, 2, 1]
+    assert sent[0] == ["/extract", "/embed", "/rerank", "/generate"]

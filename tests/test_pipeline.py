@@ -720,6 +720,13 @@ class _CountingEmbeds:
         return getattr(self.inner, name)
 
 
+def _centre_texts_are_stored(memo, center) -> bool:
+    parts = memo.candidates[center]
+    return all(serialize_subgraph(sg) in memo.pairs for sg in parts) and all(
+        t.text() in memo.pairs for sg in parts for t in sg.triples
+    )
+
+
 def test_a_query_whose_centres_are_stored_sends_two_embedding_batches():
     g, indices, params, cfg, stub = _repeat_world()
     client = _CountingEmbeds(stub)
@@ -736,25 +743,24 @@ def test_a_query_whose_centres_are_stored_sends_two_embedding_batches():
         trace = json.dumps(run_qmkgf(query, g, indices, params, cfg, client).trace, sort_keys=True)
         assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub), query
         sent.append(len(client.batches))
-    assert sent == [2, 2, 2, 2, 1]
+    assert sent == [1, 2, 1, 2, 1]  # each new centre is built with the query's own batch
     memo = g.candidate_memo
     assert set(memo.candidates) == {"hilltown", "quarry"}
-    for parts in memo.candidates.values():  # every text a stored centre can yield
-        assert all(serialize_subgraph(sg) in memo.pairs for sg in parts)
-        assert all(t.text() in memo.pairs for sg in parts for t in sg.triples)
+    assert all(_centre_texts_are_stored(memo, center) for center in memo.candidates)
 
 
 def test_an_embedding_failure_in_a_centres_first_build_stores_no_entry():
     g, indices, params, cfg, stub = _repeat_world()
-    client = _CountingEmbeds(stub, fail_batch=2)  # the centre's texts and the items
+    client = _CountingEmbeds(stub, fail_batch=1)  # the query with the centre's texts
     query = "which roads leave hilltown"
     with pytest.raises(ModelServiceError):
         run_qmkgf(query, g, indices, params, cfg, client)
+    assert query in client.batches[0] and len(client.batches[0]) > 2
     assert g.candidate_memo.candidates == {} and g.candidate_memo.pairs == {}
     client.batches.clear()
     trace = json.dumps(run_qmkgf(query, g, indices, params, cfg, client).trace, sort_keys=True)
     assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub)
-    assert len(client.batches) == 2
+    assert len(client.batches) == 1
     assert set(g.candidate_memo.candidates) == {"hilltown"}
 
 
@@ -768,11 +774,12 @@ def test_all_fusion_embeds_only_the_serializations_of_a_new_centre():
     parts = candidate_subgraphs(g, "hilltown", cfg, sim)
     assert any(sg.triples for sg in parts)
     serializations = list(dict.fromkeys(map(serialize_subgraph, parts)))
-    # The centre's batch: its serializations, then expansion items only.
-    assert len(client.batches) == 2
+    # The one batch: the centre's serializations, the query and its entity,
+    # then expansion items only.
+    assert len(client.batches) == 1
     n = len(serializations)
-    assert client.batches[1][:n] == serializations
-    items = client.batches[1][n:]
+    assert client.batches[0][: n + 2] == [*serializations, "which roads leave hilltown", "hilltown"]
+    items = client.batches[0][n + 2 :]
     assert items and all(item.startswith("which roads leave hilltown [SEP] ") for item in items)
     bare = {t.text() for sg in parts for t in sg.triples} - set(serializations)
     assert bare and not bare & {text for batch in client.batches for text in batch}
@@ -799,7 +806,7 @@ def test_a_strategy_switch_on_one_graph_matches_a_fresh_graph_in_whole_batches()
             assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub), query
             assert all(len(batch) > 1 for batch in client.batches), (strategy, query)
             sent.append(len(client.batches))
-        assert sent == [2, 2, 2, 2], strategy
+        assert sent == [1, 2, 1, 2], strategy
 
 
 def test_a_warm_centres_expansion_items_ride_with_a_cold_centres_texts():
@@ -813,13 +820,13 @@ def test_a_warm_centres_expansion_items_ride_with_a_cold_centres_texts():
     assert json.dumps(result.trace, sort_keys=True) == _trace(
         query, _copy_graph(g), indices, params, cfg, stub
     )
-    assert len(client.batches) == 2
+    assert len(client.batches) == 1
     hilltown = result.trace["per_entity"][0]
     assert hilltown["entity"] == "hilltown" and hilltown["fused_triples"]
     warm_items = [f"{query} [SEP] {h} {r} {t}" for h, r, t in hilltown["fused_triples"]]
-    assert set(warm_items) <= set(client.batches[1])
-    assert set(result.trace["expanded_items"]) <= set(client.batches[1])
-    assert not set(client.batches[1]) & stored.keys()  # nothing the store holds is resent
+    assert set(warm_items) <= set(client.batches[0])
+    assert set(result.trace["expanded_items"]) <= set(client.batches[0])
+    assert not set(client.batches[0]) & stored.keys()  # nothing the store holds is resent
     assert not any("[SEP]" in text for text in g.candidate_memo.pairs)
 
 
@@ -829,18 +836,63 @@ def test_a_failed_merged_batch_stores_no_centre_and_no_text():
     run_qmkgf("which roads leave hilltown", g, indices, params, cfg, client)  # hilltown is new
     stored = dict(g.candidate_memo.pairs)
     client.batches.clear()
-    client.fail_batch = 2  # quarry's texts with the expansion items
+    client.fail_batch = 1  # the query with quarry's texts and the expansion items
     with pytest.raises(ModelServiceError):
         run_qmkgf("hilltown and quarry news", g, indices, params, cfg, client)
-    assert any("[SEP]" in text for text in client.batches[1])
+    assert any("[SEP]" in text for text in client.batches[0])
     assert set(g.candidate_memo.candidates) == {"hilltown"}
     assert g.candidate_memo.pairs == stored
-    for query in ("quarry first then hilltown", "hilltown and quarry news"):
+    for query, batches in (("quarry first then hilltown", 1), ("hilltown and quarry news", 2)):
         client.batches.clear()
         trace = _trace(query, g, indices, params, cfg, client)
         assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub), query
-        assert len(client.batches) == 2
+        assert len(client.batches) == batches, query
     assert set(g.candidate_memo.candidates) == {"hilltown", "quarry"}
+
+
+def test_a_wrong_guess_is_stored_and_the_mapped_centre_sent_second():
+    # The stub lowercases, so 'Hilltown' embeds as 'hilltown' does and, the
+    # smaller id, wins the tie: the extracted name guesses the other entity.
+    g, indices, params, cfg, stub = _repeat_world()
+    g.add_triple(Triple("Hilltown", "hosts", "granite"))
+    indices.entities = build_entity_index(g, stub.embed, DIM)
+    client = _CountingEmbeds(stub)
+    query = "what fish live near hilltown"
+    result = run_qmkgf(query, g, indices, params, cfg, client)
+    assert [m["entity"] for m in result.trace["mapped"]] == ["Hilltown"]
+    assert json.dumps(result.trace, sort_keys=True) == _trace(
+        query, _copy_graph(g), indices, params, cfg, stub
+    )
+    assert len(client.batches) == 2
+    assert set(g.candidate_memo.candidates) == {"hilltown", "Hilltown"}
+    assert _centre_texts_are_stored(g.candidate_memo, "hilltown")
+
+
+def test_a_query_that_names_one_centre_and_misses_another_sends_two_batches():
+    g, indices, params, cfg, stub = _repeat_world()
+    query = "hilltown and the quarry"
+    stub.entity_table[query] = ["hilltown", "the quarry"]
+    client = _CountingEmbeds(stub)
+    result = run_qmkgf(query, g, indices, params, cfg, client)
+    assert [m["entity"] for m in result.trace["mapped"]] == ["hilltown", "quarry"]
+    assert json.dumps(result.trace, sort_keys=True) == _trace(
+        query, _copy_graph(g), indices, params, cfg, stub
+    )
+    assert len(client.batches) == 2
+    assert all(_centre_texts_are_stored(g.candidate_memo, c) for c in ("hilltown", "quarry"))
+
+
+def test_a_query_equal_to_one_of_its_centres_texts_sends_that_text_once():
+    g, indices, params, cfg, stub = _repeat_world()
+    parts = candidate_subgraphs(g, "hilltown", cfg, similarity_from_index(indices.entities))
+    query = next(t.text() for sg in parts for t in sg.triples)
+    stub.entity_table[query] = ["hilltown"]
+    client = _CountingEmbeds(stub)
+    trace = _trace(query, g, indices, params, cfg, client)
+    assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub)
+    sent = [text for batch in client.batches for text in batch]
+    assert len(client.batches) == 1 and sent.count(query) == 1 and len(sent) == len(set(sent))
+    assert query in g.candidate_memo.pairs
 
 
 GOLDEN_TIMED_ROWS = 40
@@ -848,8 +900,8 @@ GOLDEN_TIMED_ROWS = 40
 
 @pytest.mark.parametrize("strategy", ["rm_fusion", "all_fusion", "top5_fusion"])
 def test_golden_world_queries_send_at_most_two_embedding_batches(golden_world, strategy):
-    # A query that builds a centre embeds every expansion item with the
-    # centre's texts, so the items' own prefetch sends nothing.
+    # Every extracted string here is its centre's name, so a query that
+    # builds a centre embeds it and every expansion item with the query.
     world = golden_world
     offset = world.timed_from
     rows = world.rows[offset : offset + GOLDEN_TIMED_ROWS]
@@ -866,11 +918,12 @@ def test_golden_world_queries_send_at_most_two_embedding_batches(golden_world, s
         if result.trace["fallback"]:
             assert len(client.batches) == 1
             continue
-        assert len(client.batches) <= 2, row["query"]
         if len(g.candidate_memo.candidates) > before:
             built += 1
-            assert len(client.batches) == 2
-            assert set(result.trace["expanded_items"]) <= set(client.batches[1])
+            assert len(client.batches) == 1, row["query"]
+            assert set(result.trace["expanded_items"]) <= set(client.batches[0])
+        else:
+            assert len(client.batches) == 2, row["query"]
     assert built
     assert g.candidate_memo.pairs
     assert not any("[SEP]" in text for text in g.candidate_memo.pairs)
