@@ -207,9 +207,9 @@ def cmd_inspect_subgraph(args: argparse.Namespace, cfg: PipelineConfig, client) 
     scores = None
     if args.kind == subgraphs.FUSED:  # the query path, with the entity itself as the query
         embed = pipe.QueryEmbeddings(client, memo.pairs)
-        [(_, result)] = pipe.score_and_fuse(
-            args.entity, graph, [args.entity], memo, params, cfg, embed
-        )
+        pipe.build_centres(args.entity, graph, [args.entity], memo, cfg, embed)
+        parts = memo.candidates[args.entity]
+        [(_, result)] = pipe.score_and_fuse(args.entity, [parts], params, cfg, embed)
         sg = result.fused
     else:
         candidates = pipe.candidate_subgraphs(graph, args.entity, cfg, memo.sim)

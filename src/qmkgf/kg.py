@@ -120,6 +120,8 @@ class KnowledgeGraph:
     def add_entity(self, entity_id: str, name: str | None = None) -> Entity:
         if not entity_id or not entity_id.strip():
             raise ValidationError("entity id must be non-empty")
+        if name is not None and (not isinstance(name, str) or not name.strip()):
+            raise ValidationError(f"entity name must be a non-blank string, got {name!r}")
         existing = self.entities.get(entity_id)
         if existing is not None:
             return existing

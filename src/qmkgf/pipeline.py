@@ -24,13 +24,12 @@ before any service call, and hands it to ``build_centres``; the query's
 ``QueryEmbeddings`` reads its store from the start. Everything downstream
 (reward scores, fusion, expansion, retrieval) runs afresh for every query.
 
-Each stage sends the texts it needs and has no vector for in one
-``client.embed_many`` call. An extracted string is usually the name of
-the entity it maps to, so the first call carries the query, its entities,
-and the texts of the new centres they name with every expansion item
-those centres can yield. A centre the names missed is built with a second
-call, which carries the items too; a query whose centres were all stored
-sends its items second. So a query makes one or two embedding round trips.
+A query's texts are embedded in ``build_centres`` batches, one
+``client.embed_many`` call each. Extracted strings usually name the
+entities they map to, so the first batch carries the query, its entities,
+the texts of the new centres they name and every expansion item those
+centres, new or stored, can yield. Only a centre the names missed takes a
+second batch. So a query makes one or two round trips.
 """
 
 from __future__ import annotations
@@ -108,10 +107,9 @@ class QueryEmbeddings:
     store of graph-derived texts -> ``normed`` (vector, norm) pairs that
     outlives the query (``GraphMemo.pairs``).
 
-    ``prefetch`` sends the distinct texts neither holds, of ``texts`` then
-    of ``also``, in one ``client.embed_many`` call; with ``graph=True`` it
-    also puts ``texts`` in the store (an ``also`` text only if it is one of
-    them). A lookup neither can answer sends one.
+    ``prefetch`` sends the distinct texts neither holds, ``stored`` then
+    ``transient``, in one ``client.embed_many`` call, and puts ``stored``
+    in the store. A lookup neither can answer sends one.
     """
 
     def __init__(self, client, graph: dict[str, tuple[np.ndarray, np.float64]]):
@@ -119,29 +117,29 @@ class QueryEmbeddings:
         self.vectors: dict[str, np.ndarray] = {}
         self.graph = graph
 
-    def prefetch(self, texts, graph: bool = False, also=()) -> None:
-        texts = [t for t in dict.fromkeys(texts) if t not in self.graph]
-        also = [t for t in also if t not in self.graph]
-        missing = [t for t in dict.fromkeys([*texts, *also]) if t not in self.vectors]
+    def prefetch(self, stored=(), transient=()) -> None:
+        stored = [t for t in dict.fromkeys(stored) if t not in self.graph]
+        texts = [t for t in dict.fromkeys([*stored, *transient]) if t not in self.graph]
+        missing = [t for t in texts if t not in self.vectors]
         if missing:
             self.vectors.update(zip(missing, self.client.embed_many(missing)))
-        if graph and texts:
-            vectors = [self.vectors[t] for t in texts]
+        if stored:
+            vectors = [self.vectors[t] for t in stored]
             block = normed_block(vectors)  # one at a time, a bad vector raises
-            self.graph.update(zip(texts, zip(*block) if block else map(normed, vectors)))
+            self.graph.update(zip(stored, zip(*block) if block else map(normed, vectors)))
 
     def __call__(self, text: str) -> np.ndarray:
         pair = self.graph.get(text)
         if pair is not None:
             return pair[0]
         if text not in self.vectors:
-            self.prefetch([text])
+            self.prefetch(transient=[text])
         return self.vectors[text]
 
     def normed(self, text: str) -> tuple[np.ndarray, np.float64]:
         """``vectors.normed`` of the embedding of ``text``, kept in the store."""
         if text not in self.graph:
-            self.prefetch([text], graph=True)
+            self.prefetch(stored=[text])
         return self.graph[text]
 
 
@@ -152,9 +150,10 @@ def load_corpus(path: str) -> dict[str, Chunk]:
         if (
             not isinstance(row.get("id"), str)
             or not isinstance(row.get("text"), str)
+            or not row["id"]
             or not row["text"]
         ):
-            raise ParseError("expected {id, text} with non-empty text", line=lineno)
+            raise ParseError("expected {id, text} with non-empty id and text", line=lineno)
         if row["id"] in chunks:
             raise ParseError(f"duplicate chunk id {row['id']!r}", line=lineno)
         chunks[row["id"]] = Chunk(id=row["id"], text=row["text"])
@@ -332,56 +331,40 @@ def graph_memo(
 
 def build_centres(
     query: str, kg: KnowledgeGraph, centers: list[str], memo: GraphMemo, cfg: PipelineConfig,
-    embed: QueryEmbeddings, also=(), expand: bool = False,
-) -> list[list[Subgraph]]:
-    """Each centre's candidates, building those missing from ``memo``: one
-    ``embed.prefetch`` batch sends ``also`` with the built candidates'
-    serializations and, unless the strategy is all_fusion, triple texts.
-    With ``expand`` and a centre built, it also carries, for ``embed``
-    alone, the expansion items of every part the fusion of any centre can
-    yield: the centres and each candidate triple's endpoints, relation and
-    text. A centre is stored once that batch is in."""
+    embed: QueryEmbeddings, also=(),
+) -> None:
+    """Build the centres missing from ``memo`` in one ``embed.prefetch``
+    batch. It stores the built candidates' serializations and, unless the
+    strategy is all_fusion, triple texts. For ``embed`` alone it carries
+    ``query``, ``also`` and the expansion items of every part the fusion of
+    any of ``centers`` can yield: the centres and each candidate triple's
+    endpoints, relation and text. A centre is stored once that batch is in."""
     built = {
         c: candidate_subgraphs(kg, c, cfg, memo.sim) for c in centers if c not in memo.candidates
     }
-    candidates = [built[c] if c in built else memo.candidates[c] for c in centers]
     new = [sg for parts in built.values() for sg in parts]
     triple_parts = [] if cfg.strategy == ALL_FUSION else new  # all_fusion scores no triple
     texts = [*map(serialize_subgraph, new), *(t.text() for sg in triple_parts for t in sg.triples)]
-    superset = []  # every part the fusion of any centre can expand the query with
-    if expand and built:
-        triples = {id(t): t for sgs in candidates for sg in sgs for t in sg.triples}.values()
-        superset = [*centers, *(p for t in triples for p in (t.head, t.tail, t.relation, t.text()))]
-    embed.prefetch(texts, graph=True, also=[*also, *expansion_items(query, superset)])
+    candidates = [built[c] if c in built else memo.candidates[c] for c in centers]
+    triples = {id(t): t for sgs in candidates for sg in sgs for t in sg.triples}.values()
+    superset = [*centers, *(p for t in triples for p in (t.head, t.tail, t.relation, t.text()))]
+    embed.prefetch(texts, [query, *also, *expansion_items(query, superset)])
     memo.candidates.update(built)
-    return candidates
 
 
 def score_and_fuse(
-    query: str,
-    kg: KnowledgeGraph,
-    centers: list[str],
-    memo: GraphMemo,
-    params: AttentionParams,
-    cfg: PipelineConfig,
+    query: str, candidates: list[list[Subgraph]], params: AttentionParams, cfg: PipelineConfig,
     embed: QueryEmbeddings,
-    expand: bool = False,
 ) -> list[tuple[list[ScoredSubgraph], FusionResult]]:
     """Each centre's candidate subgraphs, scored against ``query`` by the
-    reward model, and their fusion.
-
-    ``memo`` is ``graph_memo`` of ``kg`` as the caller resolved it, and
-    ``embed`` the query's memo over its store (``memo.pairs``). Its one
-    ``build_centres`` batch (with ``expand``) also carries ``query``.
-    """
-    candidates = build_centres(query, kg, centers, memo, cfg, embed, [query], expand)
+    reward model, and their fusion. ``embed`` is the query's memo over the
+    graph memo's store, after ``build_centres`` sent the texts read here."""
     q_vec = np.asarray(embed(query), dtype=np.float64)
-    fusion_cfg = cfg.fusion
     scored_parts = [
         [ScoredSubgraph(subgraph=sg, score=rm_score(query, sg, params, embed)) for sg in parts]
         for parts in candidates
     ]
-    return [(scored, fuse(scored, q_vec, fusion_cfg, embed)) for scored in scored_parts]
+    return [(scored, fuse(scored, q_vec, cfg.fusion, embed)) for scored in scored_parts]
 
 
 def run_qmkgf(
@@ -400,9 +383,9 @@ def run_qmkgf(
     trace["entities"] = entities
     mappable = entities if len(indices.entities) else []  # an empty index maps nothing
     embed = QueryEmbeddings(client, memo.pairs)
-    # Build the centres the strings name; score_and_fuse builds any missed.
+    # Build the centres the strings name with the query's batch.
     guessed = [memo.names[e] for e in mappable if e in memo.names]
-    build_centres(query, kg, guessed, memo, cfg, embed, [query, *mappable], expand=True)
+    build_centres(query, kg, guessed, memo, cfg, embed, mappable)
 
     mapped: list[dict] = []
     for entity_text in mappable:
@@ -411,13 +394,17 @@ def run_qmkgf(
     # Keep one pipeline per distinct mapped entity, in extraction order.
     centers = list(dict.fromkeys(m["entity"] for m in mapped))
     trace["mapped"] = mapped
+    missed = [c for c in centers if c not in guessed]
+    if missed:
+        build_centres(query, kg, missed, memo, cfg, embed)
 
     fused: Subgraph | None = None
     if not centers:
         trace["fallback"] = True
         trace["per_entity"] = []
     else:
-        fused_per_centre = score_and_fuse(query, kg, centers, memo, params, cfg, embed, expand=True)
+        candidates = [memo.candidates[c] for c in centers]
+        fused_per_centre = score_and_fuse(query, candidates, params, cfg, embed)
         trace["per_entity"] = [
             {
                 "entity": center,
@@ -438,7 +425,6 @@ def run_qmkgf(
 
     eq = expand_query(query, fused)
     trace["expanded_items"] = eq.items
-    embed.prefetch(eq.items)
 
     doc = retrieve(eq, indices.documents, indices.chunks, embed, cfg.per_item_k)
     trace["doc_ids"] = [chunk.id for chunk in doc]

@@ -259,6 +259,8 @@ def load_index(data: bytes, kind: str = "document") -> VectorIndex:
     version, dimension, count = struct.unpack_from("<III", data, 4)
     if version != QVEC_VERSION:
         raise ParseError(f"unsupported QVEC version {version}")
+    if dimension < 1:
+        raise ParseError(f"QVEC dimension must be >= 1, got {dimension}")
     index = VectorIndex(dimension, kind=kind)
     offset = 16
     for n in range(count):
@@ -273,6 +275,8 @@ def load_index(data: bytes, kind: str = "document") -> VectorIndex:
             key = data[offset : offset + id_len].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"corrupt id in QVEC record {n}") from exc
+        if not key:
+            raise ParseError(f"empty id in QVEC record {n}")
         if key in index:
             raise ParseError(f"duplicate id {key!r} in QVEC record {n}")
         offset += id_len

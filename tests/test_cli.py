@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from qmkgf.kg import load as load_kg
 from qmkgf.reward import init_params, load_params, save_params
 from qmkgf.vectors import VectorIndex, load_index, save_index
 from test_clients import _serving, _StubHandler
+from test_readme import README
 
 
 def _write_corpus(path, rows):
@@ -148,6 +150,14 @@ def test_index_corrupt_kg_exit_2(tmp_path, corpus_file, capsys):
     bad.write_text("not json at all\n")
     assert main(["index", str(bad), str(corpus_file), str(tmp_path / "o"), "--stub"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_index_names_the_line_of_an_entity_name_that_is_not_a_string(tmp_path, corpus_file, capsys):
+    bad = tmp_path / "kg.jsonl"
+    bad.write_text('{"format": "qmkgf-kg", "version": 1}\n{"entity": {"id": "A", "name": 5}}\n')
+    assert main(["index", str(bad), str(corpus_file), str(tmp_path / "o"), "--stub"]) == 2
+    err = "error: line 2: entity name must be a non-blank string, got 5\n"
+    assert capsys.readouterr() == ("", err)
 
 
 def _write_training(path):
@@ -475,11 +485,14 @@ def test_inspect_fused_runs_on_an_empty_entity_index(artifacts, capsys):
     assert captured.out == ""
 
 
-README_CORPUS = [
-    {"id": "c1", "text": "Northgate Bridge spans the Silverrun River"},
-    {"id": "c2", "text": "Silverrun River powers the Old Mill"},
-    {"id": "c3", "text": "the Old Mill grinds barley for local bakeries"},
-]
+def _readme_corpus() -> list[dict]:
+    """The rows of the walkthrough's ``corpus.jsonl``, read from README."""
+    heredoc = r"cat > corpus\.jsonl <<'EOF'\n(.*?)\nEOF\n"
+    [body] = re.findall(heredoc, README.read_text("utf-8"), re.S)
+    return [json.loads(line) for line in body.splitlines()]
+
+
+README_CORPUS = _readme_corpus()
 
 
 @pytest.fixture()

@@ -345,7 +345,7 @@ def test_http_query_round_trips(strategy):
             assert json.dumps(got.trace, sort_keys=True) == json.dumps(want.trace, sort_keys=True)
 
 
-def test_http_query_whose_centre_is_stored_sends_two_embed_posts():
+def test_http_query_whose_centre_is_stored_sends_one_embed_post():
     g, indices, params, cfg, stub = _toy_world()
     stub.entity_table["which roads leave hilltown"] = ["hilltown"]
     queries = [
@@ -365,7 +365,7 @@ def test_http_query_whose_centre_is_stored_sends_two_embed_posts():
             sent.append([path for path, _ in _StubHandler.requests])
             assert json.dumps(got.trace, sort_keys=True) == json.dumps(fresh.trace, sort_keys=True)
     # cold, its centre named: the query with the centre's texts and every
-    # expansion item; stored: the query, then the expansion items;
+    # expansion item; stored: the query with the expansion items;
     # fallback: the query alone
-    assert [paths.count("/embed") for paths in sent] == [1, 2, 1]
-    assert sent[0] == ["/extract", "/embed", "/rerank", "/generate"]
+    assert [paths.count("/embed") for paths in sent] == [1, 1, 1]
+    assert sent[0] == sent[1] == ["/extract", "/embed", "/rerank", "/generate"]

@@ -301,7 +301,7 @@ def test_similarity_from_stored_norms_is_bitwise_cosine():
     table.update({f"s{i}": base * (1.0 + i * 2.0**-50) for i in range(10)})
     table.update({f"n{i}": base + rng.standard_normal(32) * 1e-14 for i in range(10)})
     stored = QueryEmbeddings(_TableClient(table.__getitem__), {})
-    stored.prefetch(table, graph=True)
+    stored.prefetch(stored=table)
     for q_vec in (base, base * 3.0, rng.standard_normal(32) * 1e5):
         q = normed(q_vec)
         for text, vec in table.items():

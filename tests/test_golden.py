@@ -121,11 +121,10 @@ def dump_digests(world: GoldenWorld) -> dict:
     memo = pipe.graph_memo(graph, world.indices.entities, cfg, world.stub)
     hashes = {kind: hashlib.sha256() for kind in KINDS}
     for entity in top:
-        candidates = pipe.candidate_subgraphs(graph, entity, cfg, memo.sim)
-        [(_, fused)] = pipe.score_and_fuse(
-            entity, graph, [entity], memo, world.params, cfg,
-            pipe.QueryEmbeddings(world.stub, memo.pairs),
-        )
+        embed = pipe.QueryEmbeddings(world.stub, memo.pairs)
+        pipe.build_centres(entity, graph, [entity], memo, cfg, embed)
+        candidates = memo.candidates[entity]
+        [(_, fused)] = pipe.score_and_fuse(entity, [candidates], world.params, cfg, embed)
         for sg in [*candidates, fused.fused]:
             scores = None
             if sg.path_kind == subgraphs.PAGERANK:

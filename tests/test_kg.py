@@ -254,6 +254,26 @@ def kg_load(path):
         return load(fh.read()).triples
 
 
+@pytest.mark.parametrize("name", [5, [], "", "  "], ids=["int", "list", "empty", "blank"])
+def test_load_names_the_line_of_an_entity_name_that_is_not_a_non_blank_string(name):
+    with pytest.raises(ValidationError, match="non-blank string"):
+        KnowledgeGraph().add_entity("A", name)
+    data = f'{KG_HEADER}\n{json.dumps({"entity": {"id": "A", "name": name}})}\n'.encode()
+    with pytest.raises(ParseError, match="entity name must be a non-blank string") as exc:
+        load(data)
+    assert exc.value.line == 2
+
+
+def test_load_corpus_names_the_line_of_an_empty_id(tmp_path):
+    from qmkgf.pipeline import load_corpus
+
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "c1", "text": "a"}\n{"id": "", "text": "b"}\n')
+    with pytest.raises(ParseError, match="non-empty id") as exc:
+        load_corpus(str(path))
+    assert exc.value.line == 2
+
+
 def _jsonl_readers():
     from qmkgf.metrics import load_eval_file
     from qmkgf.pipeline import load_corpus

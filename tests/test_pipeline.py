@@ -727,7 +727,7 @@ def _centre_texts_are_stored(memo, center) -> bool:
     )
 
 
-def test_a_query_whose_centres_are_stored_sends_two_embedding_batches():
+def test_a_query_whose_centres_are_stored_sends_one_embedding_batch():
     g, indices, params, cfg, stub = _repeat_world()
     client = _CountingEmbeds(stub)
     queries = [
@@ -743,7 +743,8 @@ def test_a_query_whose_centres_are_stored_sends_two_embedding_batches():
         trace = json.dumps(run_qmkgf(query, g, indices, params, cfg, client).trace, sort_keys=True)
         assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub), query
         sent.append(len(client.batches))
-    assert sent == [1, 2, 1, 2, 1]  # each new centre is built with the query's own batch
+    # Each centre's texts, new or stored, and its expansion items ride with the query.
+    assert sent == [1, 1, 1, 1, 1]
     memo = g.candidate_memo
     assert set(memo.candidates) == {"hilltown", "quarry"}
     assert all(_centre_texts_are_stored(memo, center) for center in memo.candidates)
@@ -806,7 +807,7 @@ def test_a_strategy_switch_on_one_graph_matches_a_fresh_graph_in_whole_batches()
             assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub), query
             assert all(len(batch) > 1 for batch in client.batches), (strategy, query)
             sent.append(len(client.batches))
-        assert sent == [1, 2, 1, 2], strategy
+        assert sent == [1, 1, 1, 1], strategy
 
 
 def test_a_warm_centres_expansion_items_ride_with_a_cold_centres_texts():
@@ -842,11 +843,11 @@ def test_a_failed_merged_batch_stores_no_centre_and_no_text():
     assert any("[SEP]" in text for text in client.batches[0])
     assert set(g.candidate_memo.candidates) == {"hilltown"}
     assert g.candidate_memo.pairs == stored
-    for query, batches in (("quarry first then hilltown", 1), ("hilltown and quarry news", 2)):
+    for query in ("quarry first then hilltown", "hilltown and quarry news"):
         client.batches.clear()
         trace = _trace(query, g, indices, params, cfg, client)
         assert trace == _trace(query, _copy_graph(g), indices, params, cfg, stub), query
-        assert len(client.batches) == batches, query
+        assert len(client.batches) == 1, query
     assert set(g.candidate_memo.candidates) == {"hilltown", "quarry"}
 
 
@@ -866,6 +867,29 @@ def test_a_wrong_guess_is_stored_and_the_mapped_centre_sent_second():
     assert len(client.batches) == 2
     assert set(g.candidate_memo.candidates) == {"hilltown", "Hilltown"}
     assert _centre_texts_are_stored(g.candidate_memo, "hilltown")
+
+
+def test_a_missed_guess_whose_centre_is_stored_sends_its_items_second():
+    # As above, 'hilltown' guesses the entity 'hilltown' and maps to
+    # 'Hilltown'; the first run stores both, so the second builds nothing.
+    g, indices, params, cfg, stub = _repeat_world()
+    g.add_triple(Triple("Hilltown", "hosts", "granite"))
+    indices.entities = build_entity_index(g, stub.embed, DIM)
+    client = _CountingEmbeds(stub)
+    query = "what fish live near hilltown"
+    run_qmkgf(query, g, indices, params, cfg, client)
+    stored = dict(g.candidate_memo.pairs)
+    client.batches.clear()
+    result = run_qmkgf(query, g, indices, params, cfg, client)
+    assert json.dumps(result.trace, sort_keys=True) == _trace(
+        query, _copy_graph(g), indices, params, cfg, stub
+    )
+    assert len(client.batches) == 2
+    first, second = client.batches
+    assert f"{query} [SEP] Hilltown" in second
+    assert all(text.startswith(f"{query} [SEP] ") for text in second)
+    assert set(result.trace["expanded_items"]) <= {*first, *second}
+    assert g.candidate_memo.pairs == stored
 
 
 def test_a_query_that_names_one_centre_and_misses_another_sends_two_batches():
@@ -900,8 +924,8 @@ GOLDEN_TIMED_ROWS = 40
 
 @pytest.mark.parametrize("strategy", ["rm_fusion", "all_fusion", "top5_fusion"])
 def test_golden_world_queries_send_at_most_two_embedding_batches(golden_world, strategy):
-    # Every extracted string here is its centre's name, so a query that
-    # builds a centre embeds it and every expansion item with the query.
+    # Every extracted string here is its centre's name, so every query
+    # embeds its new centres' texts and every expansion item with itself.
     world = golden_world
     offset = world.timed_from
     rows = world.rows[offset : offset + GOLDEN_TIMED_ROWS]
@@ -909,22 +933,19 @@ def test_golden_world_queries_send_at_most_two_embedding_batches(golden_world, s
     g = _copy_graph(world.graph)
     client = _CountingEmbeds(world.stub)
     cfg = PipelineConfig(stub=True, strategy=strategy)
-    built = 0
+    built = warm = 0
     for i, row in enumerate(rows):
         client.batches.clear()
         before = len(g.candidate_memo.candidates) if g.candidate_memo else 0
         result = run_qmkgf(row["query"], g, world.indices, world.params, cfg, client)
         assert result.trace == world.results[strategy][offset + i].trace, row["query"]
-        if result.trace["fallback"]:
-            assert len(client.batches) == 1
-            continue
-        if len(g.candidate_memo.candidates) > before:
+        assert len(client.batches) == 1, row["query"]
+        assert set(result.trace["expanded_items"]) <= set(client.batches[0])
+        if not result.trace["fallback"] and len(g.candidate_memo.candidates) > before:
             built += 1
-            assert len(client.batches) == 1, row["query"]
-            assert set(result.trace["expanded_items"]) <= set(client.batches[0])
-        else:
-            assert len(client.batches) == 2, row["query"]
-    assert built
+        elif not result.trace["fallback"]:
+            warm += 1
+    assert built and (warm or world.name == "graph_heavy")  # graph_heavy centres are all new
     assert g.candidate_memo.pairs
     assert not any("[SEP]" in text for text in g.candidate_memo.pairs)
 

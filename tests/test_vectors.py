@@ -377,6 +377,21 @@ def test_qvec_rejects_bad_magic_and_truncation():
         load_index(repeated)
 
 
+def test_qvec_names_the_record_with_an_empty_id_and_rejects_dimension_zero():
+    index = VectorIndex(3)
+    index.add("a", [1.0, 2.0, 3.0])
+    index.add("b", [4.0, 5.0, 6.0])
+    data = save_index(index)
+    # Record 1 ('b') starts after the header and record 0: 4 + 1 + 3 * 4 bytes.
+    nameless = data[:33] + struct.pack("<I", 0) + data[33 + 4 + 1 :]
+    with pytest.raises(ParseError) as exc:
+        load_index(nameless)
+    assert str(exc.value) == "empty id in QVEC record 1"
+    with pytest.raises(ParseError) as exc:
+        load_index(data[:8] + struct.pack("<II", 0, 0))
+    assert str(exc.value) == "QVEC dimension must be >= 1, got 0"
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_qvec_names_the_record_holding_a_non_finite_value(value):
     index = VectorIndex(3)
