@@ -101,14 +101,15 @@ def cmd_index(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     texts = [e.name for e in graph.entities.values()] + [c.text for c in chunks.values()]
     embedded = _batched_embedder(client, texts)
-    ent_index = pipe.build_entity_index(graph, embedded, cfg.dim)
-    doc_index = pipe.build_document_index(chunks, embedded, cfg.dim)
+    dim = len(embedded(texts[0])) if texts else cfg.dim  # the service's, not the config's
+    ent_index = pipe.build_entity_index(graph, embedded, dim)
+    doc_index = pipe.build_document_index(chunks, embedded, dim)
     (out_dir / ENTITY_VECTORS_FILE).write_bytes(vectors.save_index(ent_index))
     (out_dir / DOCUMENT_VECTORS_FILE).write_bytes(vectors.save_index(doc_index))
     # Keep the artifacts directory self-contained for query/eval.
     shutil.copyfile(kg_path, out_dir / KG_FILE)
     shutil.copyfile(corpus_path, out_dir / CORPUS_FILE)
-    print(f"entity_vectors={len(ent_index)} document_vectors={len(doc_index)} dim={cfg.dim}")
+    print(f"entity_vectors={len(ent_index)} document_vectors={len(doc_index)} dim={dim}")
     return 0
 
 
@@ -145,11 +146,12 @@ def _load_artifacts(artifacts: str, cfg: PipelineConfig):
             f"{root / ENTITY_VECTORS_FILE} has dimension {ent_index.dimension} but "
             f"{root / DOCUMENT_VECTORS_FILE} has {doc_index.dimension}"
         )
-    differ = chunks.keys() ^ doc_index.entries.keys()
-    if differ:  # else a chunk is never retrieved, or fails only the queries reaching it
-        c = min(differ)
-        has, lacks = ("corpus", "document index") if c in chunks else ("document index", "corpus")
-        raise ValidationError(f"chunk {c!r} is in the {has} but not in the {lacks}")
+    if cfg.stub and cfg.dim != ent_index.dimension:  # else a graph query fails after its calls
+        raise ValidationError(
+            f"{root / ENTITY_VECTORS_FILE} has dimension {ent_index.dimension} but dim is {cfg.dim}"
+        )
+    # Else a chunk is never retrieved, or fails only the queries reaching it.
+    pipe.require_same_ids("chunk", "corpus", chunks.keys(), "document index", doc_index.entries)
     rm_path = root / RM_PARAMS_FILE
     if rm_path.is_file():
         params = reward.load_params(rm_path.read_bytes())
@@ -159,7 +161,7 @@ def _load_artifacts(artifacts: str, cfg: PipelineConfig):
                 f"{ent_index.dimension}"
             )
     else:
-        params = reward.init_params(cfg.dim, heads=cfg.heads, seed=cfg.seed)
+        params = reward.init_params(ent_index.dimension, heads=cfg.heads, seed=cfg.seed)
     indices = pipe.RetrievalIndices(entities=ent_index, documents=doc_index, chunks=chunks)
     return graph, indices, params
 
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--k", type=int, default=None, help="rerank cutoff")
     common.add_argument("--K", type=int, default=None, help="subgraph size")
     common.add_argument("--heads", type=int, default=None)
-    common.add_argument("--dim", type=int, default=None)
+    common.add_argument("--dim", type=int, default=None, help="the stub's vector size")
     common.add_argument("--strategy", choices=STRATEGIES, default=None)
     common.add_argument("--tau", type=float, default=None)
     common.add_argument("--per-item-k", dest="per_item_k", type=int, default=None)

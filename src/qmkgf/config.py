@@ -28,11 +28,11 @@ class PipelineConfig:
     per_item_k: int = 5             # chunks retrieved per expansion item
     heads: int = 32                 # attention heads in the reward model
     dim: int = 64                   # embedding / attention dimension
-    damping: float = 0.85           # pagerank damping factor
-    pagerank_max_iters: int = 100
-    pagerank_tolerance: float = 1e-8
+    damping: float = PageRankConfig.damping
+    pagerank_max_iters: int = PageRankConfig.max_iters
+    pagerank_tolerance: float = PageRankConfig.tolerance
     temperature: float = 0.0        # generation temperature
-    strategy: str = "rm_fusion"
+    strategy: str = FusionConfig.strategy
     tau: float | None = None        # fixed fusion threshold override
     seed: int = 0
     stub: bool = False

@@ -72,6 +72,13 @@ class Triple:
         """Surface form used for embedding and serialization."""
         return f"{self.head} {self.relation} {self.tail}"
 
+    def json_line(self) -> str:
+        """The triple's row in a graph file or subgraph dump; ``_record_to_triple`` reads it."""
+        row = dict(head=self.head, relation=self.relation, tail=self.tail, weight=self.weight)
+        if self.source_chunk is not None:
+            row["source_chunk"] = self.source_chunk
+        return json.dumps(row, sort_keys=True)
+
 
 @dataclass
 class IngestReport:
@@ -243,16 +250,7 @@ def save(g: KnowledgeGraph) -> bytes:
             lines.append(
                 json.dumps({"entity": {"id": entity.id, "name": entity.name}}, sort_keys=True)
             )
-    for triple in sorted(g.triples, key=lambda t: t.key):
-        row: dict = {
-            "head": triple.head,
-            "relation": triple.relation,
-            "tail": triple.tail,
-            "weight": triple.weight,
-        }
-        if triple.source_chunk is not None:
-            row["source_chunk"] = triple.source_chunk
-        lines.append(json.dumps(row, sort_keys=True))
+    lines += [triple.json_line() for triple in sorted(g.triples, key=lambda t: t.key)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

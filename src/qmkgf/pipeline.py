@@ -18,7 +18,7 @@ The candidate subgraphs depend on the graph, the entity index and the
 subgraph settings, not on the query, so ``build_centres`` builds each
 centre's once per graph and keeps them on the graph until it changes (at
 most one entry per graph entity), with the embedding and norm of every
-text of theirs the strategy reads. Every query resolves that memo once
+text of theirs a strategy can read. Every query resolves that memo once
 (``graph_memo``), which checks that the graph and entity index agree,
 before any service call, and hands it to ``build_centres``; the query's
 ``QueryEmbeddings`` reads its store from the start. Everything downstream
@@ -41,7 +41,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import GenerationError, ModelServiceError, NotFoundError, ParseError, ValidationError
-from .fusion import ALL_FUSION, FusionResult, ScoredSubgraph, fuse, fused_subgraph
+from .fusion import FusionResult, ScoredSubgraph, fuse, fused_subgraph
 from .kg import KnowledgeGraph, read_jsonl
 from .reward import AttentionParams, score as rm_score, serialize_subgraph
 from .subgraphs import (
@@ -287,11 +287,10 @@ def candidate_subgraphs(kg: KnowledgeGraph, center: str, cfg: PipelineConfig, si
 class GraphMemo(NamedTuple):
     """What queries derive from the graph alone: each centre's candidates,
     the similarity that ranks them (entity vectors from the index alone),
-    and the ``normed`` embedding of every text of a stored centre's
-    candidates that the strategy reads."""
+    and the ``normed`` embedding of every text of a stored centre's candidates."""
 
     snapshot: tuple  # the entity index's ``frozen()`` snapshot
-    params: tuple  # (K, PageRankConfig, whether the strategy is all_fusion)
+    params: tuple  # (K, PageRankConfig)
     candidates: dict[str, list[Subgraph]]
     client: object  # the model client the embeddings came from
     sim: SimilarityProvider  # ``similarity_from_index`` over the snapshot
@@ -304,29 +303,32 @@ def graph_memo(
 ) -> GraphMemo:
     """The graph's memo, kept on ``kg``, which drops it on every mutation.
     It belongs to the entity index's current ``frozen()`` snapshot, the
-    subgraph settings, whether the strategy is all_fusion, and one client;
-    a call with another owner starts it afresh. A centre is in it only with
-    all of its texts; its entries are shared, so callers must not mutate
-    them. It assumes that the client embeds each text deterministically,
-    whatever batch carries it.
+    subgraph settings and one client; a call with another owner starts it
+    afresh. A centre is in it only with all of its texts; its entries are
+    shared, so callers must not mutate them. It assumes that the client
+    embeds each text deterministically, whatever batch carries it.
     Starting afresh checks the stored vectors (``frozen()``), then raises
     ValidationError naming the smallest id that only the graph or only the
     index holds; a memo that is still valid checks nothing.
     """
     snapshot = entities.frozen()
-    params = (cfg.K, cfg.pagerank, cfg.strategy == ALL_FUSION)
+    params = (cfg.K, cfg.pagerank)
     memo = kg.candidate_memo
     stale = memo is None or memo.snapshot is not snapshot or memo.client is not client
     if stale or memo.params != params:
-        differ = kg.entities.keys() ^ set(snapshot[0])
-        if differ:
-            e = min(differ)
-            has, lacks = ("graph", "entity index") if e in kg else ("entity index", "graph")
-            raise ValidationError(f"entity {e!r} is in the {has} but not in the {lacks}")
+        require_same_ids("entity", "graph", kg.entities.keys(), "entity index", set(snapshot[0]))
         sim = similarity_from_index(entities)
         names = {kg.entities[e].name: e for e in reversed(snapshot[0])}  # the smallest id last
         memo = kg.candidate_memo = GraphMemo(snapshot, params, {}, client, sim, {}, names)
     return memo
+
+
+def require_same_ids(kind: str, name: str, ids, other: str, other_ids) -> None:
+    """Raise ValidationError naming the smallest id only one of two id sets holds."""
+    differ = ids ^ other_ids
+    if differ:
+        has, lacks = (name, other) if min(differ) in ids else (other, name)
+        raise ValidationError(f"{kind} {min(differ)!r} is in the {has} but not in the {lacks}")
 
 
 def build_centres(
@@ -334,17 +336,16 @@ def build_centres(
     embed: QueryEmbeddings, also=(),
 ) -> None:
     """Build the centres missing from ``memo`` in one ``embed.prefetch``
-    batch. It stores the built candidates' serializations and, unless the
-    strategy is all_fusion, triple texts. For ``embed`` alone it carries
-    ``query``, ``also`` and the expansion items of every part the fusion of
-    any of ``centers`` can yield: the centres and each candidate triple's
-    endpoints, relation and text. A centre is stored once that batch is in."""
+    batch, which stores the built candidates' serializations and triple
+    texts. For ``embed`` alone it carries ``query``, ``also`` and the
+    expansion items of every part the fusion of any of ``centers`` can
+    yield: the centres and each candidate triple's endpoints, relation and
+    text. A centre is stored once that batch is in."""
     built = {
         c: candidate_subgraphs(kg, c, cfg, memo.sim) for c in centers if c not in memo.candidates
     }
     new = [sg for parts in built.values() for sg in parts]
-    triple_parts = [] if cfg.strategy == ALL_FUSION else new  # all_fusion scores no triple
-    texts = [*map(serialize_subgraph, new), *(t.text() for sg in triple_parts for t in sg.triples)]
+    texts = [*map(serialize_subgraph, new), *(t.text() for sg in new for t in sg.triples)]
     candidates = [built[c] if c in built else memo.candidates[c] for c in centers]
     triples = {id(t): t for sgs in candidates for sg in sgs for t in sg.triples}.values()
     superset = [*centers, *(p for t in triples for p in (t.head, t.tail, t.relation, t.text()))]

@@ -18,7 +18,6 @@ W_O, the d linear-head weights, and the scalar bias.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -27,6 +26,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .kg import read_jsonl
 from .subgraphs import Subgraph
+from .vectors import pack_header, unpack_header
 
 QRMW_MAGIC = b"QRMW"
 QRMW_VERSION = 1
@@ -355,9 +355,7 @@ def grad_check(params: AttentionParams, ex: RMExample, epsilon: float) -> float:
 
 def save_params(params: AttentionParams) -> bytes:
     params.validate()
-    out = bytearray()
-    out += QRMW_MAGIC
-    out += struct.pack("<III", QRMW_VERSION, params.dim, params.heads)
+    out = bytearray(pack_header(QRMW_MAGIC, QRMW_VERSION, params.dim, params.heads))
     for name in PARAM_GROUPS:
         with np.errstate(over="ignore"):
             values = np.asarray(getattr(params, name), dtype="<f4")
@@ -368,13 +366,7 @@ def save_params(params: AttentionParams) -> bytes:
 
 
 def load_params(data: bytes) -> AttentionParams:
-    if len(data) < 16 or data[:4] != QRMW_MAGIC:
-        raise ParseError("not a QRMW file (bad magic)")
-    version, d, h = struct.unpack_from("<III", data, 4)
-    if version != QRMW_VERSION:
-        raise ParseError(f"unsupported QRMW version {version}")
-    if d < 1:
-        raise ParseError("QRMW dimension must be >= 1, got 0")
+    d, h = unpack_header(data, QRMW_MAGIC, QRMW_VERSION)
     shapes = _group_shapes(d)
     expected = 16 + 4 * sum(math.prod(shape) for shape in shapes.values())
     if len(data) != expected:

@@ -131,6 +131,15 @@ def ranked_neighbors(
     return sorted(ids, key=lambda e: (-sim(center, e), e))
 
 
+def _checked_ranking(g: KnowledgeGraph, center: str, k: int, sim, ranked) -> list[str]:
+    """The builders' prologue: check ``center`` and ``k``, then ``ranked`` or its default."""
+    if center not in g:
+        raise NotFoundError(f"unknown entity: {center!r}")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    return ranked_neighbors(g, center, sim) if ranked is None else ranked
+
+
 def one_hop_subgraph(
     g: KnowledgeGraph, center: str, k: int, sim: SimilarityProvider,
     ranked: list[str] | None = None,
@@ -140,12 +149,7 @@ def one_hop_subgraph(
     ``ranked`` is ``ranked_neighbors(g, center, sim)`` when the caller
     already has it.
     """
-    if center not in g:
-        raise NotFoundError(f"unknown entity: {center!r}")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if ranked is None:
-        ranked = ranked_neighbors(g, center, sim)
+    ranked = _checked_ranking(g, center, k, sim, ranked)
     chosen = ranked[:k]
     # The center's triples to a chosen neighbour are the path triples.
     leaves = set(chosen)
@@ -174,12 +178,7 @@ def multi_hop_subgraph(
     the degenerate single-node subgraph. ``ranked`` is as for
     ``one_hop_subgraph``.
     """
-    if center not in g:
-        raise NotFoundError(f"unknown entity: {center!r}")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if ranked is None:
-        ranked = ranked_neighbors(g, center, sim)
+    ranked = _checked_ranking(g, center, k, sim, ranked)
     bridges = ranked[:2]
     if not bridges:
         return Subgraph(center=center, triples=[], members={center}, path_kind=MULTIHOP)
@@ -326,11 +325,7 @@ def dump_subgraph(sg: Subgraph, scores: Mapping[str, float] | None = None) -> st
     if scores is not None:
         header["scores"] = {e: scores[e] for e in sorted(scores)}
     lines = [json.dumps(header, sort_keys=True)]
-    for t in sg.triples:
-        row: dict = {"head": t.head, "relation": t.relation, "tail": t.tail, "weight": t.weight}
-        if t.source_chunk is not None:
-            row["source_chunk"] = t.source_chunk
-        lines.append(json.dumps(row, sort_keys=True))
+    lines += [t.json_line() for t in sg.triples]
     return "\n".join(lines) + "\n"
 
 

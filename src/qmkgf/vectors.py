@@ -239,10 +239,26 @@ def smallest_first(values: np.ndarray, k: int) -> np.ndarray:
 # QVEC persistence
 # ---------------------------------------------------------------------------
 
+def pack_header(magic: bytes, version: int, dim: int, count: int) -> bytes:
+    """The 16-byte QVEC or QRMW header: magic, uint32 version, dim and count (or heads)."""
+    return magic + struct.pack("<III", version, dim, count)
+
+
+def unpack_header(data: bytes, magic: bytes, version: int) -> tuple[int, int]:
+    """(dim, count) of a ``pack_header``; ParseError for bad magic, version or dim 0."""
+    name = magic.decode()
+    if len(data) < 16 or data[:4] != magic:
+        raise ParseError(f"not a {name} file (bad magic)")
+    found, dim, count = struct.unpack_from("<III", data, 4)
+    if found != version:
+        raise ParseError(f"unsupported {name} version {found}")
+    if dim < 1:
+        raise ParseError(f"{name} dimension must be >= 1, got {dim}")
+    return dim, count
+
+
 def save_index(index: VectorIndex) -> bytes:
-    out = bytearray()
-    out += QVEC_MAGIC
-    out += struct.pack("<III", QVEC_VERSION, index.dimension, len(index))
+    out = bytearray(pack_header(QVEC_MAGIC, QVEC_VERSION, index.dimension, len(index)))
     for key in index.ids():
         encoded = key.encode("utf-8")
         out += struct.pack("<I", len(encoded))
@@ -254,13 +270,7 @@ def save_index(index: VectorIndex) -> bytes:
 def load_index(data: bytes, kind: str = "document") -> VectorIndex:
     """Parse a QVEC file; ParseError names the record that is truncated,
     has a corrupt or duplicate id or holds a non-finite value."""
-    if len(data) < 16 or data[:4] != QVEC_MAGIC:
-        raise ParseError("not a QVEC file (bad magic)")
-    version, dimension, count = struct.unpack_from("<III", data, 4)
-    if version != QVEC_VERSION:
-        raise ParseError(f"unsupported QVEC version {version}")
-    if dimension < 1:
-        raise ParseError(f"QVEC dimension must be >= 1, got {dimension}")
+    dimension, count = unpack_header(data, QVEC_MAGIC, QVEC_VERSION)
     index = VectorIndex(dimension, kind=kind)
     offset = 16
     for n in range(count):

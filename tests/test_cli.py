@@ -527,6 +527,36 @@ def test_index_over_http_sends_one_embed_post_for_the_readme_corpus(tmp_path, ca
         assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "stub" / name).read_bytes()
 
 
+def test_http_index_and_query_take_the_dimension_from_the_service(tmp_path, capsys, monkeypatch):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    corpus, kg_path, out = tmp_path / "corpus.jsonl", tmp_path / "kg.jsonl", tmp_path / "http"
+    _write_corpus(corpus, README_CORPUS)
+    assert main(["build-kg", str(corpus), str(kg_path), "--stub"]) == 0
+    capsys.readouterr()
+    _StubHandler.stub = StubModelClient(dim=32, seed=0)
+    _StubHandler.requests = []
+    with _serving(_StubHandler) as url:  # no --dim, so the config's is 64
+        assert main(["index", str(kg_path), str(corpus), str(out), "--service-url", url]) == 0
+        assert capsys.readouterr().out == "entity_vectors=6 document_vectors=3 dim=32\n"
+        argv = ["query", "what does the Silverrun power", "--artifacts", str(out), "--trace"]
+        assert main([*argv, "--service-url", url]) == 0
+    printed = capsys.readouterr().out
+    trace = json.loads(printed[printed.index("{") :])
+    assert not trace["fallback"] and trace["per_entity"]
+
+
+def test_stub_query_of_another_dimension_exits_2_before_any_call(artifacts, capsys, monkeypatch):
+    calls = []
+    for method in ("extract_entities", "embed", "embed_many", "rerank", "generate"):
+        monkeypatch.setattr(StubModelClient, method, lambda self, *a, m=method: calls.append(m))
+    argv = ["query", "where is Ashford", "--artifacts", str(artifacts), "--stub", "--dim", "32"]
+    assert main(argv) == 2
+    path = artifacts / "entities.qvec"
+    assert capsys.readouterr().err == f"error: {path} has dimension 64 but dim is 32\n"
+    assert calls == []
+
+
 def test_train_rm_over_http_sends_one_embed_post_per_256_distinct_texts(tmp_path, monkeypatch):
     for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
         monkeypatch.delenv(var, raising=False)

@@ -765,31 +765,9 @@ def test_an_embedding_failure_in_a_centres_first_build_stores_no_entry():
     assert set(g.candidate_memo.candidates) == {"hilltown"}
 
 
-def test_all_fusion_embeds_only_the_serializations_of_a_new_centre():
-    # all_fusion scores no triple, so a centre's triple texts are never read.
-    g, indices, params, cfg, stub = _repeat_world()
-    cfg.strategy = "all_fusion"
-    client = _CountingEmbeds(stub)
-    run_qmkgf("which roads leave hilltown", g, indices, params, cfg, client)
-    sim = similarity_from_index(indices.entities)
-    parts = candidate_subgraphs(g, "hilltown", cfg, sim)
-    assert any(sg.triples for sg in parts)
-    serializations = list(dict.fromkeys(map(serialize_subgraph, parts)))
-    # The one batch: the centre's serializations, the query and its entity,
-    # then expansion items only.
-    assert len(client.batches) == 1
-    n = len(serializations)
-    assert client.batches[0][: n + 2] == [*serializations, "which roads leave hilltown", "hilltown"]
-    items = client.batches[0][n + 2 :]
-    assert items and all(item.startswith("which roads leave hilltown [SEP] ") for item in items)
-    bare = {t.text() for sg in parts for t in sg.triples} - set(serializations)
-    assert bare and not bare & {text for batch in client.batches for text in batch}
-    assert list(g.candidate_memo.pairs) == serializations
-
-
 def test_a_strategy_switch_on_one_graph_matches_a_fresh_graph_in_whole_batches():
-    # A centre stored under all_fusion lacks its triple texts; the strategies
-    # that score triples must not find it and fetch them one text at a time.
+    # A centre stored under any strategy holds every text each strategy reads,
+    # so no strategy fetches a stored centre's texts one at a time.
     g, indices, params, cfg, stub = _repeat_world()
     client = _CountingEmbeds(stub)
     queries = [

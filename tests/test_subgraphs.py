@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmkgf.errors import NotFoundError, UndefinedSimilarityError, ValidationError
-from qmkgf.kg import KnowledgeGraph, Triple
+from qmkgf.kg import KnowledgeGraph, Triple, save as save_kg
 from qmkgf.subgraphs import (
     PageRankConfig,
     Subgraph,
@@ -412,6 +412,14 @@ def test_dump_subgraph_format():
     assert '"center": "a"' in lines[0]
     assert '"path_kind": "onehop"' in lines[0]
     assert len(lines) == 2
+
+
+def test_a_triple_has_the_same_line_in_a_graph_file_and_a_subgraph_dump():
+    t = Triple("a", "r", "b", weight=2.5, source_chunk="c1")
+    g = KnowledgeGraph().add_triple(t)
+    sg = Subgraph(center="a", triples=[t], members={"a", "b"}, path_kind="onehop")
+    line = '{"head": "a", "relation": "r", "source_chunk": "c1", "tail": "b", "weight": 2.5}'
+    assert save_kg(g).decode().splitlines()[1:] == dump_subgraph(sg).splitlines()[1:] == [line]
 
 
 def test_subgraph_holds_its_triples_in_key_order():

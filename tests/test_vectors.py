@@ -6,6 +6,7 @@ import pytest
 
 from qmkgf import vectors
 from qmkgf.errors import ParseError, UndefinedSimilarityError, ValidationError
+from qmkgf.reward import init_params, load_params, save_params
 from qmkgf.vectors import (
     VectorIndex,
     as_vector,
@@ -390,6 +391,24 @@ def test_qvec_names_the_record_with_an_empty_id_and_rejects_dimension_zero():
     with pytest.raises(ParseError) as exc:
         load_index(data[:8] + struct.pack("<II", 0, 0))
     assert str(exc.value) == "QVEC dimension must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("name, load, data", [
+    ("QVEC", load_index, save_index(index_from({"a": [1.0, 2.0]}))),
+    ("QRMW", load_params, save_params(init_params(2, heads=1, seed=0))),
+], ids=["QVEC", "QRMW"])
+def test_qvec_and_qrmw_share_one_header_reader_and_its_messages(name, load, data):
+    load(data)
+    cases = [
+        (b"QVEX" + data[4:], f"not a {name} file (bad magic)"),
+        (data[:15], f"not a {name} file (bad magic)"),
+        (data[:4] + struct.pack("<I", 2) + data[8:], f"unsupported {name} version 2"),
+        (data[:8] + struct.pack("<I", 0) + data[12:], f"{name} dimension must be >= 1, got 0"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ParseError) as exc:
+            load(bad)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
