@@ -201,25 +201,28 @@ def cmd_eval(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
     return 0
 
 
-def cmd_inspect_subgraph(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
-    graph, indices, params = _load_artifacts(args.artifacts, cfg)
-    memo = pipe.graph_memo(graph, indices.entities, cfg, client)  # checks the artifacts agree
-    if args.entity not in graph:
-        raise NotFoundError(f"unknown entity: {args.entity!r}")
+def inspect_subgraph(entity: str, kind: str, graph, indices, params, cfg, client) -> str:
+    """What ``inspect-subgraph`` prints for ``entity``'s ``kind`` subgraph. ``fused``
+    runs the query path, the entity as the query; an unknown entity fails before any call."""
+    memo = pipe.graph_memo(graph, indices.entities, cfg, client)
     scores = None
-    if args.kind == subgraphs.FUSED:  # the query path, with the entity itself as the query
+    if kind == subgraphs.FUSED:
         embed = pipe.QueryEmbeddings(client, memo.pairs)
-        pipe.build_centres(args.entity, graph, [args.entity], memo, cfg, embed)
-        parts = memo.candidates[args.entity]
-        [(_, result)] = pipe.score_and_fuse(args.entity, [parts], params, cfg, embed)
+        pipe.build_centres(entity, graph, [entity], memo, cfg, embed)
+        [(_, result)] = pipe.score_and_fuse(entity, [memo.candidates[entity]], params, cfg, embed)
         sg = result.fused
     else:
-        candidates = pipe.candidate_subgraphs(graph, args.entity, cfg, memo.sim)
-        sg = next(c for c in candidates if c.path_kind == args.kind)
-        if args.kind == subgraphs.PAGERANK:
-            p = subgraphs.personalization_vector(args.entity)
+        candidates = pipe.candidate_subgraphs(graph, entity, cfg, memo.sim)
+        sg = next(c for c in candidates if c.path_kind == kind)
+        if kind == subgraphs.PAGERANK:
+            p = subgraphs.personalization_vector(entity)
             scores = subgraphs.personalized_pagerank(graph, p, cfg.pagerank).scores
-    sys.stdout.write(subgraphs.dump_subgraph(sg, scores))
+    return subgraphs.dump_subgraph(sg, scores)
+
+
+def cmd_inspect_subgraph(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
+    graph, indices, params = _load_artifacts(args.artifacts, cfg)
+    sys.stdout.write(inspect_subgraph(args.entity, args.kind, graph, indices, params, cfg, client))
     return 0
 
 

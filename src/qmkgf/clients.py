@@ -35,6 +35,7 @@ import numpy as np
 import requests
 
 from .errors import ModelServiceError
+from .kg import is_number
 
 
 class StubModelClient:
@@ -127,11 +128,6 @@ class StubModelClient:
         ]
 
 
-def _all_numbers(values: list) -> bool:
-    """Whether every entry is a JSON number: an int or a float, not a bool."""
-    return set(map(type, values)) <= {int, float}
-
-
 def _finite_array(path: str, what: str, values: list) -> np.ndarray:
     """``values`` as float64, or ``ModelServiceError`` when they are ragged,
     beyond the float range or not finite."""
@@ -177,7 +173,7 @@ class HttpModelClient:
         vectors = body.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise ModelServiceError("/embed response vectors do not match texts")
-        if not all(isinstance(v, list) and v and _all_numbers(v) for v in vectors):
+        if not all(isinstance(v, list) and v and all(map(is_number, v)) for v in vectors):
             raise ModelServiceError("/embed response vectors must be non-empty lists of numbers")
         return list(_finite_array("/embed", "vectors", vectors))
 
@@ -193,7 +189,7 @@ class HttpModelClient:
         scores = body.get("scores")
         if not isinstance(scores, list) or len(scores) != len(texts):
             raise ModelServiceError("/rerank response scores do not match texts")
-        if not _all_numbers(scores):
+        if not all(map(is_number, scores)):
             raise ModelServiceError("/rerank response scores must be numbers")
         return _finite_array("/rerank", "scores", scores).tolist()
 

@@ -50,7 +50,7 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.K < 1 or self.k < 1 or self.per_item_k < 1:
             raise ValidationError("K, k, and per_item_k must be >= 1")
-        if self.heads < 1 or self.dim < 1 or self.dim % self.heads != 0:
+        if self.heads < 1 or self.dim < 1 or (self.stub and self.dim % self.heads):
             raise ValidationError("heads must be >= 1 and divide dim")
         _ = self.pagerank, self.fusion  # their constructors check the stage settings
         if not 0.0 <= self.temperature < math.inf:

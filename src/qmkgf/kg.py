@@ -131,6 +131,8 @@ class KnowledgeGraph:
             raise ValidationError(f"entity name must be a non-blank string, got {name!r}")
         existing = self.entities.get(entity_id)
         if existing is not None:
+            if name is not None and name != existing.name:
+                raise ValidationError(f"entity {entity_id!r} is already named {existing.name!r}")
             return existing
         entity = Entity(id=entity_id, name=name if name is not None else entity_id)
         self.entities[entity_id] = entity
@@ -218,6 +220,11 @@ def ingest_extraction(
     return g, report
 
 
+def is_number(value: object) -> bool:
+    """Whether ``value`` is a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _record_to_triple(record: object) -> Triple | None:
     """The triple a record describes, fields stripped; None for a record of
     the wrong JSON types, a weight that overflows a float, or one ``Triple`` rejects."""
@@ -226,10 +233,8 @@ def _record_to_triple(record: object) -> Triple | None:
     head = record.get("head")
     relation = record.get("relation")
     tail = record.get("tail")
-    if not all(isinstance(v, str) for v in (head, relation, tail)):
-        return None
     weight = record.get("weight", 1.0)
-    if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+    if not all(isinstance(v, str) for v in (head, relation, tail)) or not is_number(weight):
         return None
     source_chunk = record.get("source_chunk")
     if source_chunk is not None and not isinstance(source_chunk, str):

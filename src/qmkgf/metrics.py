@@ -288,6 +288,8 @@ def load_eval_file(path: str) -> list[dict]:
             or not isinstance(row.get("gold_chunks"), list)
         ):
             raise ParseError("expected {query, reference, gold_chunks} record", line=lineno)
+        if not row["query"].strip():
+            raise ParseError("query must be non-empty", line=lineno)
         if not all(isinstance(g, str) for g in row["gold_chunks"]):
             raise ParseError("gold_chunks must hold chunk id strings", line=lineno)
         rows.append(row)

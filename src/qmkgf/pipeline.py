@@ -107,10 +107,9 @@ class QueryEmbeddings:
     store of graph-derived texts -> ``normed`` (vector, norm) pairs that
     outlives the query (``GraphMemo.pairs``).
 
-    ``prefetch`` sends the distinct texts neither holds, ``stored`` then
-    ``transient``, in one ``client.embed_many`` call, and puts ``stored``
-    in the store. A lookup neither can answer sends one.
-    """
+    ``prefetch``, the store's one writer, checks each text against it once,
+    sends the rest, ``stored`` then ``transient``, in one ``embed_many`` call
+    and stores ``stored``. A lookup the store misses sends its one text."""
 
     def __init__(self, client, graph: dict[str, tuple[np.ndarray, np.float64]]):
         self.client = client
@@ -119,8 +118,8 @@ class QueryEmbeddings:
 
     def prefetch(self, stored=(), transient=()) -> None:
         stored = [t for t in dict.fromkeys(stored) if t not in self.graph]
-        texts = [t for t in dict.fromkeys([*stored, *transient]) if t not in self.graph]
-        missing = [t for t in texts if t not in self.vectors]
+        transient = [t for t in transient if t not in self.graph]
+        missing = [t for t in dict.fromkeys([*stored, *transient]) if t not in self.vectors]
         if missing:
             self.vectors.update(zip(missing, self.client.embed_many(missing)))
         if stored:
@@ -133,14 +132,13 @@ class QueryEmbeddings:
         if pair is not None:
             return pair[0]
         if text not in self.vectors:
-            self.prefetch(transient=[text])
+            [self.vectors[text]] = self.client.embed_many([text])
         return self.vectors[text]
 
     def normed(self, text: str) -> tuple[np.ndarray, np.float64]:
-        """``vectors.normed`` of the embedding of ``text``, kept in the store."""
-        if text not in self.graph:
-            self.prefetch(stored=[text])
-        return self.graph[text]
+        """``vectors.normed`` of the embedding of ``text``, the store's pair when it holds one."""
+        pair = self.graph.get(text)
+        return pair if pair is not None else normed(self(text))
 
 
 def load_corpus(path: str) -> dict[str, Chunk]:
@@ -175,10 +173,10 @@ def build_document_index(chunks: dict[str, Chunk], embedder, dim: int) -> Vector
 
 
 def extract_query_entities(query: str, client) -> list[str]:
-    """Client-extracted entity strings, deduplicated, first occurrence kept."""
+    """Client-extracted entity strings, not blank, deduplicated, first occurrence kept."""
     if not query or not query.strip():
         raise ValidationError("query must be non-empty")
-    return list(dict.fromkeys(e for e in client.extract_entities(query) if e))
+    return list(dict.fromkeys(e for e in client.extract_entities(query) if e.strip()))
 
 
 def map_entity(entity_text: str, ent_index: VectorIndex, embedder) -> tuple[str, float]:

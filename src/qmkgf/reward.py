@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .kg import read_jsonl
+from .kg import is_number, read_jsonl
 from .subgraphs import Subgraph
 from .vectors import pack_header, unpack_header
 
@@ -390,8 +390,7 @@ def load_rm_training_file(path: str) -> list[RMTrainingExample]:
         if (
             not isinstance(row.get("query"), str)
             or not isinstance(row.get("subgraph"), str)
-            or isinstance(row.get("score"), bool)
-            or not isinstance(row.get("score"), (int, float))
+            or not is_number(row.get("score"))
         ):
             raise ParseError("expected {query, subgraph, score} record", line=lineno)
         try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotFoundError, ValidationError
-from .kg import MAX_WEIGHT, KnowledgeGraph, Triple
+from .kg import MAX_WEIGHT, KnowledgeGraph, Triple, is_number
 from .vectors import cosine_from_norms, smallest_first, vector_norm
 
 SimilarityProvider = Callable[[str, str], float]
@@ -235,8 +235,7 @@ def personalized_pagerank(
     for entity, mass in p.items():
         if entity not in pos:
             raise ValidationError(f"personalization entity {entity!r} not in graph")
-        number = isinstance(mass, (int, float)) and not isinstance(mass, bool)
-        if not (number and 0 <= mass <= MAX_WEIGHT):
+        if not (is_number(mass) and 0 <= mass <= MAX_WEIGHT):
             raise ValidationError(f"personalization mass of {entity!r} must be a finite number >= 0")
         pvec[pos[entity]] = mass
     if abs(pvec.sum() - 1.0) > 1e-9:

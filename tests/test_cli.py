@@ -404,6 +404,23 @@ def test_eval_rejects_gold_ids_that_are_not_strings(artifacts, tmp_path, capsys)
     assert captured.out == ""
 
 
+def test_eval_rejects_a_blank_query_naming_the_line_before_any_call(
+    artifacts, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    for method in ("extract_entities", "embed", "embed_many", "rerank", "generate"):
+        monkeypatch.setattr(StubModelClient, method, lambda self, *a, m=method: calls.append(m))
+    eval_file = tmp_path / "eval.jsonl"
+    rows = [
+        {"query": "Ashford news", "reference": "whatever", "gold_chunks": ["d1"]},
+        {"query": "   ", "reference": "whatever", "gold_chunks": ["d1"]},
+    ]
+    eval_file.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    assert main(["eval", str(eval_file), "--artifacts", str(artifacts), "--stub"]) == 2
+    assert capsys.readouterr() == ("", "error: line 2: query must be non-empty\n")
+    assert calls == []
+
+
 def test_eval_empty_file_is_error(artifacts, tmp_path):
     eval_file = tmp_path / "eval.jsonl"
     eval_file.write_text("")
@@ -452,6 +469,21 @@ def test_inspect_subgraph_unknown_entity_exit_2(artifacts):
               str(artifacts), "--stub"])
         == 2
     )
+
+
+@pytest.mark.parametrize("kind", ["onehop", "multihop", "pagerank", "fused"])
+def test_inspect_subgraph_unknown_entity_fails_before_any_request(
+    artifacts, capsys, monkeypatch, kind
+):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    argv = ["inspect-subgraph", "Nowhere", "--kind", kind, "--artifacts", str(artifacts)]
+    _StubHandler.stub = StubModelClient(dim=64, seed=0)
+    _StubHandler.requests = []
+    with _serving(_StubHandler) as url:
+        assert main([*argv, "--service-url", url]) == 2
+    assert capsys.readouterr() == ("", "error: unknown entity: 'Nowhere'\n")
+    assert _StubHandler.requests == []
 
 
 def test_inspect_subgraph_fused(artifacts, capsys):
@@ -544,6 +576,25 @@ def test_http_index_and_query_take_the_dimension_from_the_service(tmp_path, caps
     printed = capsys.readouterr().out
     trace = json.loads(printed[printed.index("{") :])
     assert not trace["fallback"] and trace["per_entity"]
+
+
+def test_http_heads_must_divide_the_services_dimension_not_dim(tmp_path, capsys, monkeypatch):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    corpus, kg_path, out = tmp_path / "corpus.jsonl", tmp_path / "kg.jsonl", tmp_path / "http"
+    _write_corpus(corpus, README_CORPUS)
+    assert main(["build-kg", str(corpus), str(kg_path), "--stub"]) == 0
+    _StubHandler.stub = StubModelClient(dim=48, seed=0)
+    with _serving(_StubHandler) as url:
+        assert main(["index", str(kg_path), str(corpus), str(out), "--service-url", url]) == 0
+        argv = ["query", "what does the Silverrun power", "--artifacts", str(out)]
+        capsys.readouterr()
+        assert main([*argv, "--service-url", url, "--heads", "12"]) == 0  # 12 does not divide 64
+        capsys.readouterr()
+        _StubHandler.requests = []
+        assert main([*argv, "--service-url", url, "--heads", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: heads (5) must divide dim (48)\n")
+    assert _StubHandler.requests == []
 
 
 def test_stub_query_of_another_dimension_exits_2_before_any_call(artifacts, capsys, monkeypatch):

@@ -36,6 +36,7 @@ import numpy as np
 
 from qmkgf import pipeline as pipe
 from qmkgf import subgraphs
+from qmkgf.cli import inspect_subgraph
 from qmkgf.clients import StubModelClient
 from qmkgf.config import PipelineConfig
 from qmkgf.fusion import STRATEGIES
@@ -117,19 +118,11 @@ def dump_digests(world: GoldenWorld) -> dict:
     graph = world.graph
     degree = {e: len(graph.out_adj[e]) + len(graph.in_adj[e]) for e in graph.entities}
     top = sorted(degree, key=lambda e: (-degree[e], e))[:TOP_ENTITIES]
-    cfg = PipelineConfig(stub=True)
-    memo = pipe.graph_memo(graph, world.indices.entities, cfg, world.stub)
+    args = (graph, world.indices, world.params, PipelineConfig(stub=True), world.stub)
     hashes = {kind: hashlib.sha256() for kind in KINDS}
     for entity in top:
-        embed = pipe.QueryEmbeddings(world.stub, memo.pairs)
-        pipe.build_centres(entity, graph, [entity], memo, cfg, embed)
-        candidates = memo.candidates[entity]
-        [(_, fused)] = pipe.score_and_fuse(entity, [candidates], world.params, cfg, embed)
-        for sg in [*candidates, fused.fused]:
-            scores = None
-            if sg.path_kind == subgraphs.PAGERANK:
-                scores = subgraphs.personalized_pagerank(graph, {entity: 1.0}, cfg.pagerank).scores
-            hashes[sg.path_kind].update(subgraphs.dump_subgraph(sg, scores).encode())
+        for kind, h in hashes.items():
+            h.update(inspect_subgraph(entity, kind, *args).encode())
     return {"entities": top, **{kind: h.hexdigest() for kind, h in hashes.items()}}
 
 

@@ -264,6 +264,24 @@ def test_load_names_the_line_of_an_entity_name_that_is_not_a_non_blank_string(na
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("first, named", [
+    ({"head": "A", "relation": "r", "tail": "B"}, "A"),
+    ({"entity": {"id": "A", "name": "Able"}}, "Able"),
+], ids=["after_a_triple", "after_an_entity_row"])
+def test_load_names_the_line_of_an_entity_row_that_renames_an_entity(first, named):
+    g = KnowledgeGraph()
+    g.add_entity("A", named)
+    g.add_entity("A", named)  # the same name again, or none, keeps the entity
+    assert g.add_entity("A").name == named
+    with pytest.raises(ValidationError, match=f"entity 'A' is already named '{named}'"):
+        g.add_entity("A", "Al")
+    rows = [first, {"entity": {"id": "A", "name": named}}, {"entity": {"id": "A", "name": "Al"}}]
+    data = "\n".join([KG_HEADER, *map(json.dumps, rows)]).encode()
+    with pytest.raises(ParseError, match=f"entity 'A' is already named '{named}'") as exc:
+        load(data)
+    assert exc.value.line == 4
+
+
 def test_load_corpus_names_the_line_of_an_empty_id(tmp_path):
     from qmkgf.pipeline import load_corpus
 

@@ -46,7 +46,7 @@ from qmkgf.subgraphs import (
     pagerank_subgraph,
     similarity_from_index,
 )
-from qmkgf.vectors import VectorIndex, cosine, top_k
+from qmkgf.vectors import VectorIndex, cosine, normed, top_k
 
 DIM = 64
 
@@ -78,6 +78,14 @@ def test_extract_entities_empty_result_is_valid():
 def test_extract_entities_deduplicates_preserving_order():
     client = _client(entity_table={"q": ["B", "A", "B", "A"]})
     assert extract_query_entities("q", client) == ["B", "A"]
+
+
+def test_run_qmkgf_maps_no_entity_from_blank_extracted_strings():
+    g, indices, params, cfg, client = _toy_world()
+    query = "tell me about nothing"
+    client.entity_table[query] = ["  ", "", "\t\n"]
+    trace = run_qmkgf(query, g, indices, params, cfg, client).trace
+    assert (trace["entities"], trace["mapped"], trace["fallback"]) == ([], [], True)
 
 
 def test_extract_entities_rejects_empty_query():
@@ -677,6 +685,53 @@ def test_threads_sharing_a_graph_get_the_traces_of_a_fresh_graph():
     sim = similarity_from_index(indices.entities)
     for center, parts in g.candidate_memo[2].items():
         assert parts == candidate_subgraphs(g, center, cfg, sim)
+
+
+class _StoredAfterFirstLookup(dict):
+    """A text store into which another thread puts ``text`` just after this
+    thread's first lookup of it has missed."""
+
+    def __init__(self, text, pair):
+        super().__init__()
+        self.late = {text: pair}
+
+    def _looked_up(self, text):
+        if text in self.late:
+            self[text] = self.late.pop(text)
+
+    def __contains__(self, text):
+        found = super().__contains__(text)
+        self._looked_up(text)
+        return found
+
+    def get(self, text, default=None):
+        found = super().get(text, default)
+        self._looked_up(text)
+        return found
+
+
+def test_prefetch_sends_a_text_stored_by_another_thread_after_its_check():
+    stub = _client()
+    store = _StoredAfterFirstLookup("a", normed(stub.embed("a")))
+    client = _CountingEmbeds(stub)
+    embed = pipeline.QueryEmbeddings(client, store)
+    embed.prefetch(["a"], ["q"])
+    assert client.batches == [["a", "q"]]
+    assert store["a"][0].tolist() == stub.embed("a").tolist()
+    assert embed("q").tolist() == stub.embed("q").tolist()
+
+
+def test_a_lookup_sends_its_text_when_another_thread_stores_it_after_the_miss():
+    stub = _client()
+    store = _StoredAfterFirstLookup("a", normed(stub.embed("a")))
+    client = _CountingEmbeds(stub)
+    embed = pipeline.QueryEmbeddings(client, store)
+    assert embed("a").tolist() == stub.embed("a").tolist()
+    assert client.batches == [["a"]]
+    # A miss of ``normed`` reads the query's memo and stores nothing.
+    vector, norm = embed.normed("b")
+    assert (vector.tolist(), norm) == (stub.embed("b").tolist(), np.linalg.norm(stub.embed("b")))
+    assert client.batches == [["a"], ["b"]] and "b" not in store
 
 
 def test_run_qmkgf_builds_a_centre_once_through_the_pipeline_globals(monkeypatch):
