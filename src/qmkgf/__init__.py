@@ -44,7 +44,6 @@ from .subgraphs import (
     multi_hop_subgraph,
     one_hop_subgraph,
     pagerank_subgraph,
-    personalization_vector,
     personalized_pagerank,
 )
 from .vectors import VectorIndex, cosine, top_k

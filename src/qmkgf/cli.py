@@ -176,10 +176,10 @@ def cmd_query(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
-    rows = metrics_mod.load_eval_file(str(_require_file(args.eval_file)))
+    graph, indices, params = _load_artifacts(args.artifacts, cfg)
+    rows = metrics_mod.load_eval_file(str(_require_file(args.eval_file)), indices.chunks)
     if not rows:
         raise ValidationError("eval file contains no examples")
-    graph, indices, params = _load_artifacts(args.artifacts, cfg)
 
     reports = []
     for row in rows:
@@ -215,8 +215,7 @@ def inspect_subgraph(entity: str, kind: str, graph, indices, params, cfg, client
         candidates = pipe.candidate_subgraphs(graph, entity, cfg, memo.sim)
         sg = next(c for c in candidates if c.path_kind == kind)
         if kind == subgraphs.PAGERANK:
-            p = subgraphs.personalization_vector(entity)
-            scores = subgraphs.personalized_pagerank(graph, p, cfg.pagerank).scores
+            scores = subgraphs.personalized_pagerank(graph, entity, cfg.pagerank).scores
     return subgraphs.dump_subgraph(sg, scores)
 
 

@@ -48,10 +48,11 @@ class PipelineConfig:
         return FusionConfig(self.strategy, self.tau)
 
     def validate(self) -> None:
-        if self.K < 1 or self.k < 1 or self.per_item_k < 1:
-            raise ValidationError("K, k, and per_item_k must be >= 1")
-        if self.heads < 1 or self.dim < 1 or (self.stub and self.dim % self.heads):
-            raise ValidationError("heads must be >= 1 and divide dim")
+        for key in ("K", "k", "per_item_k", "heads", "dim"):
+            if getattr(self, key) < 1:
+                raise ValidationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.stub and self.dim % self.heads:
+            raise ValidationError(f"heads ({self.heads}) must divide dim ({self.dim})")
         _ = self.pagerank, self.fusion  # their constructors check the stage settings
         if not 0.0 <= self.temperature < math.inf:
             raise ValidationError(f"temperature must be finite and >= 0, got {self.temperature!r}")

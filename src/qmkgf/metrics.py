@@ -16,6 +16,7 @@ import heapq
 import math
 import re
 from collections import Counter
+from collections.abc import Container
 from dataclasses import dataclass, fields
 
 from .errors import ParseError
@@ -278,8 +279,9 @@ def format_report_table(rows: list[tuple[str, MetricReport]]) -> str:
     return "\n".join(lines)
 
 
-def load_eval_file(path: str) -> list[dict]:
-    """Read line-delimited {"query", "reference", "gold_chunks"} rows."""
+def load_eval_file(path: str, chunk_ids: Container[str]) -> list[dict]:
+    """Read line-delimited {"query", "reference", "gold_chunks"} rows, every
+    gold chunk id one of ``chunk_ids`` (the corpus's)."""
     rows = []
     for lineno, row in read_jsonl(path):
         if (
@@ -292,5 +294,7 @@ def load_eval_file(path: str) -> list[dict]:
             raise ParseError("query must be non-empty", line=lineno)
         if not all(isinstance(g, str) for g in row["gold_chunks"]):
             raise ParseError("gold_chunks must hold chunk id strings", line=lineno)
+        if unknown := [g for g in row["gold_chunks"] if g not in chunk_ids]:
+            raise ParseError(f"gold chunk {unknown[0]!r} is not in the corpus", line=lineno)
         rows.append(row)
     return rows

@@ -181,6 +181,8 @@ class RMTrainingExample:
     target: float
 
     def __post_init__(self) -> None:
+        if not self.query.strip():
+            raise ValidationError("query must be non-empty")
         if not 0.0 <= self.target <= 1.0:
             raise ValidationError(f"target must be in [0, 1], got {self.target}")
 

@@ -2,9 +2,9 @@
 
 Three paths are built per entity: the one-hop neighborhood filtered by
 similarity, a two-hop expansion through the two strongest neighbors, and
-an importance-based neighborhood ranked by personalized PageRank.
-Neighborhoods ignore edge direction (recall matters more than edge
-orientation here); PageRank itself follows edge direction and weights.
+an importance-based neighborhood ranked by PageRank personalized on the
+entity alone. Neighborhoods ignore edge direction (recall matters more
+than edge orientation here); PageRank follows edge direction and weights.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotFoundError, ValidationError
-from .kg import MAX_WEIGHT, KnowledgeGraph, Triple, is_number
+from .kg import KnowledgeGraph, Triple
 from .vectors import cosine_from_norms, smallest_first, vector_norm
 
 SimilarityProvider = Callable[[str, str], float]
@@ -200,24 +200,19 @@ def multi_hop_subgraph(
     return sg
 
 
-def personalization_vector(center: str) -> dict[str, float]:
-    """All teleport mass on the query entity."""
-    return {center: 1.0}
-
-
 def personalized_pagerank(
-    g: KnowledgeGraph, p: dict[str, float], cfg: PageRankConfig | None = None,
+    g: KnowledgeGraph, center: str, cfg: PageRankConfig | None = None,
     top: int | None = None,
 ) -> PageRankResult:
-    """Iterate S(v) <- (1-d) p(v) + d * sum_u_in w_uv / W_u * S(u).
+    """Iterate S(v) <- (1-d) [v = center] + d * sum_u_in w_uv / W_u * S(u).
 
-    Out-edge weights are normalized per source node; rank mass of
-    dangling nodes is redistributed according to p, which keeps the
-    scores a probability distribution on every iteration. Stops when the
-    L1 change drops below the tolerance; otherwise returns the last
-    iterate flagged as non-converged.
+    Out-edge weights are normalized per source node; teleport mass and the
+    rank mass of dangling nodes go to ``center`` (NotFoundError if unknown),
+    which keeps the scores a probability distribution on every iteration.
+    Stops when the L1 change drops below the tolerance; otherwise returns
+    the last iterate flagged as non-converged.
 
-    With ``top`` in (0, entities outside p's support), it also stops once
+    With ``top`` in (0, entities other than the centre), it also stops once
     the ``top`` highest-scored of those entities are certain: when the
     ``top``-th and next score are more than ``delta * d / (1 - d)`` plus a
     rounding bound apart (the map is an L1 contraction by d, so that bounds
@@ -226,32 +221,21 @@ def personalized_pagerank(
     It returns that iterate, ``converged=True`` (top set final) and the iterations run.
     """
     cfg = cfg or PageRankConfig()
-    if len(g.entities) == 0:
-        raise ValidationError("graph must be non-empty")
+    if center not in g:
+        raise NotFoundError(f"unknown entity: {center!r}")
     ids, pos, src, dst, norm_w, dangling = g.compiled()
     n = len(ids)
+    c = pos[center]
 
-    pvec = np.zeros(n)
-    for entity, mass in p.items():
-        if entity not in pos:
-            raise ValidationError(f"personalization entity {entity!r} not in graph")
-        if not (is_number(mass) and 0 <= mass <= MAX_WEIGHT):
-            raise ValidationError(f"personalization mass of {entity!r} must be a finite number >= 0")
-        pvec[pos[entity]] = mass
-    if abs(pvec.sum() - 1.0) > 1e-9:
-        raise ValidationError("personalization vector must sum to 1")
-
-    # Off the support of p the update (1-d)*0 + d*(x + m*0) is exactly
-    # d*x (x >= 0 and finite), so only the support takes the full formula.
+    # Off the centre the update (1-d)*0 + d*(x + m*0) is exactly d*x
+    # (x >= 0 and finite), so only the centre takes the full formula.
     d = cfg.damping
-    support = np.flatnonzero(pvec)
-    p_support = pvec[support]
-    teleport = (1.0 - d) * p_support
     dangling_nodes = np.flatnonzero(dangling)
     slack = 2 * cfg.max_iters * (len(src) + n) * np.finfo(float).eps / (1.0 - d)
     next_check = math.inf  # checking every iteration costs about what it saves
     reached = -1  # nonzero scores at the last check, counted while the next score is 0
-    scores = pvec.copy()
+    scores = np.zeros(n)
+    scores[c] = 1.0
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
@@ -260,9 +244,9 @@ def personalized_pagerank(
         # astype: an edgeless graph's bincount is int64 zeros.
         new_scores = np.bincount(dst, weights=flow, minlength=n).astype(float, copy=False)
         dangling_mass = float(scores[dangling_nodes].sum())
-        incoming_support = new_scores[support]
+        incoming = new_scores[c]
         new_scores *= d
-        new_scores[support] = teleport + d * (incoming_support + dangling_mass * p_support)
+        new_scores[c] = (1.0 - d) + d * (incoming + dangling_mass)
         diff = new_scores - scores
         delta = float(np.abs(diff, out=diff).sum())
         scores = new_scores
@@ -270,9 +254,9 @@ def personalized_pagerank(
             converged = True
             break
         radius = delta * d / (1.0 - d) + slack
-        if 0 < (top or 0) < n - len(support) and radius <= next_check:
+        if 0 < (top or 0) < n - 1 and radius <= next_check:
             ranked = scores.copy()
-            ranked[support] = -np.inf  # below every outside score, so never picked
+            ranked[c] = -np.inf  # below every other score, so never picked
             ranked.partition(n - top - 1)
             gap = ranked[n - top:].min() - ranked[n - top - 1]
             # The nonzero set only grows, so if its size holds every zero stays zero.
@@ -293,11 +277,9 @@ def pagerank_subgraph(
 ) -> Subgraph:
     """Center plus the k highest-ranked entities (ties to the smaller id),
     with all triples among them. PageRank stops once those k are certain."""
-    if center not in g:
-        raise NotFoundError(f"unknown entity: {center!r}")
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
-    result = personalized_pagerank(g, personalization_vector(center), cfg, top=k)
+    result = personalized_pagerank(g, center, cfg, top=k)
     ids, pos, *_ = g.compiled()
     ranks = -result.scores.array
     ranks[pos[center]] = np.inf

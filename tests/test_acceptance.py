@@ -73,7 +73,7 @@ def test_criterion_1_pagerank_matches_power_iteration_oracle():
     for _ in range(25):
         g = _random_weighted_graph(rng)
         center = rng.choice(sorted(g.entities))
-        result = personalized_pagerank(g, {center: 1.0}, cfg)
+        result = personalized_pagerank(g, center, cfg)
         oracle = dense_ppr_oracle(g, {center: 1.0}, 0.85, iters=100_000)
         l1 = sum(abs(result.scores[e] - oracle[e]) for e in oracle)
         assert l1 < 1e-8, f"L1 distance {l1}"
@@ -82,7 +82,7 @@ def test_criterion_1_pagerank_matches_power_iteration_oracle():
     g = KnowledgeGraph()
     g.add_triple(Triple("a", "r", "sink"))
     g.add_triple(Triple("a", "r", "b"))
-    result = personalized_pagerank(g, {"a": 1.0}, cfg)
+    result = personalized_pagerank(g, "a", cfg)
     oracle = dense_ppr_oracle(g, {"a": 1.0}, 0.85, iters=100_000)
     assert sum(abs(result.scores[e] - oracle[e]) for e in oracle) < 1e-8
     assert abs(sum(result.scores.values()) - 1.0) < 1e-6

@@ -256,6 +256,25 @@ def test_train_rm_empty_file_names_the_empty_training_set(tmp_path, capsys):
     assert capsys.readouterr().err == "error: training set must be non-empty\n"
 
 
+def test_train_rm_rejects_a_blank_query_naming_the_line_before_any_embed(
+    tmp_path, capsys, monkeypatch
+):
+    # An empty subgraph stays valid: an isolated centre's candidate serializes to it.
+    training = tmp_path / "rm.jsonl"
+    rows = [{"query": "Ashford", "subgraph": "", "score": 0.5},
+            {"query": "  ", "subgraph": "", "score": 0.5}]
+    argv = ["train-rm", str(training), str(tmp_path / "rm.qrmw"), "--stub", "--dim", "16",
+            "--heads", "4"]
+    training.write_text(json.dumps(rows[0]) + "\n")
+    assert main(argv) == 0
+    capsys.readouterr()
+    calls = _recorded_calls(monkeypatch)
+    training.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: line 2: query must be non-empty\n")
+    assert calls == []
+
+
 def test_query_prints_answer_and_trace(artifacts, capsys):
     rc = main(
         ["query", "what lies beside Ashford", "--artifacts", str(artifacts), "--stub",
@@ -404,12 +423,18 @@ def test_eval_rejects_gold_ids_that_are_not_strings(artifacts, tmp_path, capsys)
     assert captured.out == ""
 
 
-def test_eval_rejects_a_blank_query_naming_the_line_before_any_call(
-    artifacts, tmp_path, capsys, monkeypatch
-):
+def _recorded_calls(monkeypatch) -> list:
+    """The names of the stub client's service methods, as they are called."""
     calls = []
     for method in ("extract_entities", "embed", "embed_many", "rerank", "generate"):
         monkeypatch.setattr(StubModelClient, method, lambda self, *a, m=method: calls.append(m))
+    return calls
+
+
+def test_eval_rejects_a_blank_query_naming_the_line_before_any_call(
+    artifacts, tmp_path, capsys, monkeypatch
+):
+    calls = _recorded_calls(monkeypatch)
     eval_file = tmp_path / "eval.jsonl"
     rows = [
         {"query": "Ashford news", "reference": "whatever", "gold_chunks": ["d1"]},
@@ -418,6 +443,21 @@ def test_eval_rejects_a_blank_query_naming_the_line_before_any_call(
     eval_file.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     assert main(["eval", str(eval_file), "--artifacts", str(artifacts), "--stub"]) == 2
     assert capsys.readouterr() == ("", "error: line 2: query must be non-empty\n")
+    assert calls == []
+
+
+def test_eval_rejects_a_gold_chunk_the_corpus_lacks_naming_the_line_before_any_call(
+    artifacts, tmp_path, capsys, monkeypatch
+):
+    calls = _recorded_calls(monkeypatch)
+    eval_file = tmp_path / "eval.jsonl"
+    rows = [
+        {"query": "Ashford news", "reference": "whatever", "gold_chunks": []},
+        {"query": "Ashford news", "reference": "whatever", "gold_chunks": ["d2", "d9"]},
+    ]
+    eval_file.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    assert main(["eval", str(eval_file), "--artifacts", str(artifacts), "--stub"]) == 2
+    assert capsys.readouterr() == ("", "error: line 2: gold chunk 'd9' is not in the corpus\n")
     assert calls == []
 
 

@@ -83,8 +83,14 @@ def test_validate_requires_stub_or_service_url(monkeypatch):
 
 
 def test_validate_heads_must_divide_dim():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^heads \(4\) must divide dim \(10\)$"):
         load_config(None, {"stub": True, "dim": 10, "heads": 4})
+
+
+@pytest.mark.parametrize("key", ["K", "k", "per_item_k", "heads", "dim"])
+def test_validate_names_the_size_that_is_below_one(key):
+    with pytest.raises(ValidationError, match=rf"^{key} must be >= 1, got 0$"):
+        load_config(None, {"stub": True, key: 0})
 
 
 def test_validate_tau_range():

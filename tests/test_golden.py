@@ -165,7 +165,7 @@ def test_pagerank_subgraph_settles_on_the_full_runs_members_in_fewer_iterations(
     full_iterations = 0
     for entity in entities:
         members = subgraphs.pagerank_subgraph(graph, entity, cfg.K, cfg.pagerank).members
-        full = unpatched(graph, {entity: 1.0}, cfg.pagerank)
+        full = unpatched(graph, entity, cfg.pagerank)
         ranks = -full.scores.array
         ranks[ids.index(entity)] = np.inf
         assert members == {entity, *(ids[i] for i in np.argsort(ranks, kind="stable")[: cfg.K])}

@@ -293,9 +293,12 @@ def test_load_corpus_names_the_line_of_an_empty_id(tmp_path):
 
 
 def _jsonl_readers():
-    from qmkgf.metrics import load_eval_file
+    from qmkgf import metrics
     from qmkgf.pipeline import load_corpus
     from qmkgf.reward import load_rm_training_file
+
+    def load_eval_file(path):  # the rows name no gold chunk, so no corpus ids are needed
+        return metrics.load_eval_file(path, ())
 
     # Each row holds a raw U+2028, which str.splitlines would take for a line end.
     return [

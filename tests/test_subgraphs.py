@@ -12,7 +12,6 @@ from qmkgf.subgraphs import (
     multi_hop_subgraph,
     one_hop_subgraph,
     pagerank_subgraph,
-    personalization_vector,
     personalized_pagerank,
     ranked_neighbors,
     similarity_from_index,
@@ -231,20 +230,13 @@ def test_multi_hop_triples_are_exactly_the_path_triples_on_random_graphs():
 
 
 # ---------------------------------------------------------------------------
-# personalization + pagerank
+# pagerank
 # ---------------------------------------------------------------------------
-
-def test_personalization_vector_point_mass():
-    p = personalization_vector("A")
-    assert p == {"A": 1.0}
-    assert sum(p.values()) == 1.0
-    assert p.get("B", 0.0) == 0.0
-
 
 def test_pagerank_single_node_no_edges():
     g = KnowledgeGraph()
     g.add_entity("solo")
-    result = personalized_pagerank(g, personalization_vector("solo"))
+    result = personalized_pagerank(g, "solo")
     assert result.scores == {"solo": pytest.approx(1.0, abs=1e-9)}
     assert result.converged
 
@@ -254,7 +246,7 @@ def test_pagerank_two_node_cycle_matches_oracle():
     g.add_triple(Triple("A", "r", "B"))
     g.add_triple(Triple("B", "r", "A"))
     cfg = PageRankConfig(damping=0.85, max_iters=10000, tolerance=1e-12)
-    result = personalized_pagerank(g, personalization_vector("A"), cfg)
+    result = personalized_pagerank(g, "A", cfg)
     oracle = dense_ppr_oracle(g, {"A": 1.0}, 0.85)
     for e in oracle:
         assert result.scores[e] == pytest.approx(oracle[e], abs=1e-10)
@@ -265,7 +257,7 @@ def test_pagerank_scores_sum_to_one_on_random_graphs():
     for _ in range(30):
         g = _random_graph(rng)
         center = rng.choice(sorted(g.entities))
-        result = personalized_pagerank(g, personalization_vector(center))
+        result = personalized_pagerank(g, center)
         assert sum(result.scores.values()) == pytest.approx(1.0, abs=1e-6)
         assert all(s >= 0.0 for s in result.scores.values())
 
@@ -274,7 +266,7 @@ def test_pagerank_dangling_mass_redistributed():
     g = KnowledgeGraph()
     g.add_triple(Triple("A", "r", "sink"))  # sink has no out-edges
     cfg = PageRankConfig(max_iters=10000, tolerance=1e-12)
-    result = personalized_pagerank(g, personalization_vector("A"), cfg)
+    result = personalized_pagerank(g, "A", cfg)
     oracle = dense_ppr_oracle(g, {"A": 1.0}, 0.85)
     assert sum(result.scores.values()) == pytest.approx(1.0, abs=1e-9)
     for e in oracle:
@@ -291,7 +283,7 @@ def test_pagerank_low_damping_concentrates_on_center():
         g.add_triple(Triple(name, "r", names[(i + 3) % len(names)], weight=1.0))
     _ = rng
     cfg = PageRankConfig(damping=0.05, max_iters=1000, tolerance=1e-12)
-    result = personalized_pagerank(g, personalization_vector("n0"), cfg)
+    result = personalized_pagerank(g, "n0", cfg)
     assert all(result.scores["n0"] >= s for s in result.scores.values())
 
 
@@ -300,21 +292,23 @@ def test_pagerank_nonconverged_flagged():
     g.add_triple(Triple("A", "r", "B"))
     g.add_triple(Triple("B", "r", "A"))
     cfg = PageRankConfig(max_iters=1, tolerance=1e-15)
-    result = personalized_pagerank(g, personalization_vector("A"), cfg)
+    result = personalized_pagerank(g, "A", cfg)
     assert not result.converged
     assert result.iterations == 1
 
 
 def test_pagerank_empty_graph_rejected():
-    with pytest.raises(ValidationError):
-        personalized_pagerank(KnowledgeGraph(), {"A": 1.0})
+    with pytest.raises(NotFoundError, match="unknown entity: 'A'"):
+        personalized_pagerank(KnowledgeGraph(), "A")
 
 
-def test_pagerank_personalization_must_sum_to_one():
+def test_pagerank_unknown_centre_raises_not_found():
     g = KnowledgeGraph()
-    g.add_entity("A")
-    with pytest.raises(ValidationError):
-        personalized_pagerank(g, {"A": 0.5})
+    g.add_triple(Triple("A", "r", "B"))
+    with pytest.raises(NotFoundError, match=r"^unknown entity: 'X'$"):
+        personalized_pagerank(g, "X")
+    with pytest.raises(NotFoundError, match=r"^unknown entity: 'X'$"):
+        pagerank_subgraph(g, "X", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +345,13 @@ def test_pagerank_subgraph_matches_oracle_top_k():
         )[:3]
         assert sg.members == {center, *expected}
         sg.validate()
-    scores = personalized_pagerank(g, personalization_vector(center), cfg).scores
+    scores = personalized_pagerank(g, center, cfg).scores
     assert sum(scores.values()) == pytest.approx(1.0, abs=1e-6)
 
 
 def _assert_ppr_matches_oracle(g: KnowledgeGraph, center: str) -> None:
     cfg = PageRankConfig(max_iters=10000, tolerance=1e-13)
-    result = personalized_pagerank(g, personalization_vector(center), cfg)
+    result = personalized_pagerank(g, center, cfg)
     oracle = dense_ppr_oracle(g, {center: 1.0}, 0.85)
     assert result.scores.keys() == oracle.keys()
     for e in oracle:
@@ -382,10 +376,10 @@ def test_pagerank_follows_graph_changes_after_a_run():
     _assert_ppr_matches_oracle(g, "A")
     _assert_ppr_matches_oracle(g, "isolated")
     # A merge that raises A -r-> B's weight shifts A's out-edge shares.
-    before = personalized_pagerank(g, personalization_vector("A")).scores
+    before = personalized_pagerank(g, "A").scores
     g.add_triple(Triple("A", "r", "B", weight=5.0))
     _assert_ppr_matches_oracle(g, "A")
-    assert personalized_pagerank(g, personalization_vector("A")).scores["B"] > before["B"]
+    assert personalized_pagerank(g, "A").scores["B"] > before["B"]
 
 
 def test_pagerank_subgraph_tied_leaves_chosen_by_ascending_id():
@@ -395,7 +389,7 @@ def test_pagerank_subgraph_tied_leaves_chosen_by_ascending_id():
         g.add_triple(Triple("e", "r", leaf))
         g.add_triple(Triple(leaf, "r", "e"))
     sg = pagerank_subgraph(g, "e", 2)
-    scores = personalized_pagerank(g, personalization_vector("e")).scores
+    scores = personalized_pagerank(g, "e").scores
     assert len({scores[leaf] for leaf in leaves}) == 1
     assert sg.members == {"e", "a", "c"}
     assert sg.triples == [
@@ -471,42 +465,43 @@ def full_update_ppr(g: KnowledgeGraph, p: dict, cfg: PageRankConfig):
     return dict(zip(ids, scores.tolist())), converged, iterations
 
 
-def _assert_bitwise_equal_to_full_update(g: KnowledgeGraph, p: dict, cfg: PageRankConfig) -> None:
-    expected, converged, iterations = full_update_ppr(g, p, cfg)
-    result = personalized_pagerank(g, p, cfg)
+def _assert_bitwise_equal_to_full_update(
+    g: KnowledgeGraph, center: str, cfg: PageRankConfig, top: int | None = None
+) -> bool:
+    """A run's scores are the oracle's after as many iterations; without
+    ``top`` its convergence flag is the oracle's too. Returns whether the
+    run with ``top`` stopped before the tolerance did."""
+    result = personalized_pagerank(g, center, cfg, top=top)
+    run = cfg if top is None else PageRankConfig(cfg.damping, result.iterations, cfg.tolerance)
+    expected, converged, iterations = full_update_ppr(g, {center: 1.0}, run)
     assert {e: s.hex() for e, s in result.scores.items()} == {
         e: s.hex() for e, s in expected.items()
     }
-    assert (result.converged, result.iterations) == (converged, iterations)
-
-
-def _random_personalization(rng: random.Random, g: KnowledgeGraph, size: int) -> dict:
-    chosen = rng.sample(sorted(g.entities), min(size, len(g.entities)))
-    if len(chosen) == 1:
-        return {chosen[0]: 1.0}
-    # Dyadic masses sum to exactly 1.0.
-    masses = [0.5 ** (i + 1) for i in range(len(chosen) - 1)]
-    masses.append(masses[-1])
-    return dict(zip(chosen, masses))
+    assert result.iterations == iterations
+    assert result.converged == converged or top is not None
+    return result.converged and not converged
 
 
 def test_ppr_is_bitwise_equal_to_full_update_oracle():
     rng = random.Random(4242)
-    dangling_graphs = 0
+    dangling_graphs = settled = 0
     for trial in range(120):
         g = _random_graph(rng, max_nodes=14, max_edges=30)
         dangling_graphs += int(g.compiled()[5].any())
-        p = _random_personalization(rng, g, rng.randint(1, 4))
+        center = rng.choice(sorted(g.entities))
         cfg = PageRankConfig(
             damping=rng.choice([0.5, 0.85, 0.95]),
             max_iters=rng.choice([1, 3, 100]),
             tolerance=rng.choice([1e-8, 1e-13]),
         )
-        _assert_bitwise_equal_to_full_update(g, p, cfg)
-    assert dangling_graphs > 30
+        _assert_bitwise_equal_to_full_update(g, center, cfg)
+        settled += _assert_bitwise_equal_to_full_update(g, center, cfg, top=rng.randint(1, 3))
+    assert dangling_graphs > 30 and settled > 20
 
 
 def test_ppr_dangling_nodes_and_multi_entry_p_bitwise():
+    # Every entity as the centre: one with out-edges, dangling ones
+    # (sink1, sink2) and an isolated one, with and without the settled stop.
     g = KnowledgeGraph()
     g.add_triple(Triple("A", "r", "B", weight=2.0))
     g.add_triple(Triple("A", "r", "sink1"))
@@ -514,9 +509,9 @@ def test_ppr_dangling_nodes_and_multi_entry_p_bitwise():
     g.add_triple(Triple("B", "r", "A"))
     g.add_entity("isolated")
     cfg = PageRankConfig(max_iters=1000, tolerance=1e-13)
-    for p in ({"A": 1.0}, {"sink1": 1.0}, {"isolated": 1.0},
-              {"A": 0.5, "sink2": 0.25, "isolated": 0.25}, {"A": 0.5, "B": 0.5, "sink1": 0.0}):
-        _assert_bitwise_equal_to_full_update(g, p, cfg)
+    for center in sorted(g.entities):
+        for top in (None, 1, 2):
+            _assert_bitwise_equal_to_full_update(g, center, cfg, top)
 
 
 @pytest.mark.parametrize("names", [["solo"], ["a", "b", "c"]])
@@ -527,37 +522,14 @@ def test_ppr_edgeless_graphs_bitwise(names):
     for name in names:
         g.add_entity(name)
     cfg = PageRankConfig()
-    _assert_bitwise_equal_to_full_update(g, {names[0]: 1.0}, cfg)
-    if len(names) == 3:
-        _assert_bitwise_equal_to_full_update(g, {"a": 0.5, "c": 0.5}, cfg)
-    result = personalized_pagerank(g, {names[0]: 1.0}, cfg)
+    for center in names:
+        for top in (None, 1):
+            _assert_bitwise_equal_to_full_update(g, center, cfg, top)
+    result = personalized_pagerank(g, names[0], cfg)
     assert result.scores.array.dtype == np.float64
     sg = pagerank_subgraph(g, names[0], 2, cfg)
     assert sg.members == set(names)
     assert sg.triples == []
-
-
-def test_ppr_rejects_nan_personalization_mass():
-    g = KnowledgeGraph()
-    g.add_triple(Triple("A", "r", "B"))
-    with pytest.raises(ValidationError):
-        personalized_pagerank(g, {"A": float("nan"), "B": 1.0})
-
-
-@pytest.mark.parametrize("mass", ["x", None, True, [1.0], -1.0])
-def test_ppr_rejects_a_mass_that_is_not_a_number_naming_its_entity(mass):
-    g = KnowledgeGraph()
-    g.add_triple(Triple("A", "r", "B"))
-    with pytest.raises(ValidationError, match="'A'"):
-        personalized_pagerank(g, {"A": mass})
-
-
-@pytest.mark.parametrize("mass", [10**400, float("inf")], ids=["huge_int", "inf"])
-def test_ppr_rejects_a_mass_too_large_for_a_float_naming_its_entity(mass):
-    g = KnowledgeGraph()
-    g.add_triple(Triple("A", "r", "B"))
-    with pytest.raises(ValidationError, match="'A'"):
-        personalized_pagerank(g, {"A": mass})
 
 
 def test_ppr_scores_are_a_read_only_sorted_mapping():
@@ -565,7 +537,7 @@ def test_ppr_scores_are_a_read_only_sorted_mapping():
     for h, t in (("m", "b"), ("b", "z"), ("z", "m"), ("m", "a")):
         g.add_triple(Triple(h, "r", t))
     cfg = PageRankConfig(max_iters=200, tolerance=1e-12)
-    result = personalized_pagerank(g, {"m": 1.0}, cfg)
+    result = personalized_pagerank(g, "m", cfg)
     expected, _, _ = full_update_ppr(g, {"m": 1.0}, cfg)
     scores = result.scores
     assert len(scores) == 4
@@ -593,7 +565,7 @@ def test_pagerank_subgraph_dump_bytes_match_dict_scores():
         center = rng.choice(sorted(g.entities))
         sg = pagerank_subgraph(g, center, 3, cfg)
         expected, _, _ = full_update_ppr(g, {center: 1.0}, cfg)
-        scores = personalized_pagerank(g, personalization_vector(center), cfg).scores
+        scores = personalized_pagerank(g, center, cfg).scores
         assert dump_subgraph(sg, scores).encode() == dump_subgraph(sg, expected).encode()
 
 
@@ -601,10 +573,10 @@ def test_pagerank_subgraph_dump_bytes_match_dict_scores():
 # the settled stop (``top``) against the run to tolerance
 # ---------------------------------------------------------------------------
 
-def _top_outside(result, p: dict, k: int) -> set:
-    """The k highest-scored entities outside p's support, ties to the smaller id."""
+def _top_others(result, center: str, k: int) -> set:
+    """The k highest-scored entities other than the centre, ties to the smaller id."""
     scores = result.scores
-    return set(sorted((e for e in scores if not p.get(e)), key=lambda e: (-scores[e], e))[:k])
+    return set(sorted((e for e in scores if e != center), key=lambda e: (-scores[e], e))[:k])
 
 
 def _settle_graph(rng: random.Random) -> tuple[KnowledgeGraph, str]:
@@ -639,18 +611,16 @@ def test_settled_stop_picks_the_top_k_of_the_full_run_on_random_graphs():
                              max_iters=rng.choice([8, 40, 200]))
         k = rng.randint(1, 12)
         center = hub if trial % 3 == 0 else rng.choice(sorted(g.entities))
-        p = {center: 1.0} if trial % 2 else _random_personalization(rng, g, rng.randint(2, 4))
-        full = personalized_pagerank(g, p, cfg)
-        settled = personalized_pagerank(g, p, cfg, top=k)
-        expected = _top_outside(full, p, k)
-        assert _top_outside(settled, p, k) == expected, trial
-        if len(p) == 1:
-            assert pagerank_subgraph(g, center, k, cfg).members == {center, *expected}, trial
+        full = personalized_pagerank(g, center, cfg)
+        settled = personalized_pagerank(g, center, cfg, top=k)
+        expected = _top_others(full, center, k)
+        assert _top_others(settled, center, k) == expected, trial
+        assert pagerank_subgraph(g, center, k, cfg).members == {center, *expected}, trial
         assert settled.iterations <= full.iterations
         assert settled.converged or (settled.iterations, full.converged) == (cfg.max_iters, False)
         settled_early += settled.iterations < full.iterations
         unconverged += not full.converged
-        ranked = sorted(full.scores[e] for e in full.scores if not p.get(e))
+        ranked = sorted(full.scores[e] for e in full.scores if e != center)
         boundary_ties += k < len(ranked) and ranked[-k] == ranked[-k - 1]
     assert settled_early > 60 and unconverged > 20 and boundary_ties > 20
 
@@ -663,11 +633,11 @@ def test_settled_stop_is_skipped_when_top_leaves_no_choice(k):
         g.add_triple(Triple(h, "r", t, weight=w))
     g.add_entity("e")
     cfg = PageRankConfig()
-    full = personalized_pagerank(g, {"c": 1.0}, cfg)
-    got = personalized_pagerank(g, {"c": 1.0}, cfg, top=k)
+    full = personalized_pagerank(g, "c", cfg)
+    got = personalized_pagerank(g, "c", cfg, top=k)
     assert got.scores.array.tobytes() == full.scores.array.tobytes()
     assert (got.iterations, got.converged) == (full.iterations, full.converged)
-    assert pagerank_subgraph(g, "c", k, cfg).members == {"c", *_top_outside(full, {"c": 1.0}, k)}
+    assert pagerank_subgraph(g, "c", k, cfg).members == {"c", *_top_others(full, "c", k)}
 
 
 def test_settled_stop_around_an_isolated_centre_keeps_the_smallest_ids():
@@ -676,43 +646,32 @@ def test_settled_stop_around_an_isolated_centre_keeps_the_smallest_ids():
     for h, t in (("b", "a"), ("a", "d"), ("d", "b")):
         g.add_triple(Triple(h, "r", t))
     g.add_entity("iso")
-    full = personalized_pagerank(g, {"iso": 1.0})
-    settled = personalized_pagerank(g, {"iso": 1.0}, top=2)
+    full = personalized_pagerank(g, "iso")
+    settled = personalized_pagerank(g, "iso", top=2)
     assert (settled.iterations, settled.converged) == (full.iterations, full.converged)
     assert pagerank_subgraph(g, "iso", 2).members == {"iso", "a", "b"}
 
 
-def test_settled_stop_with_a_multi_entry_personalization():
-    g = KnowledgeGraph()
-    for i in range(12):
-        g.add_triple(Triple(f"n{i:02d}", "r", f"n{(i * 5 + 1) % 12:02d}", weight=1.0 + i % 3))
-        g.add_triple(Triple(f"n{i:02d}", "s", f"n{(i + 2) % 12:02d}"))
-    p = {"n00": 0.5, "n03": 0.25, "n07": 0.25}
-    full = personalized_pagerank(g, p, PageRankConfig(tolerance=1e-12))
-    for top in (1, 3, 8):
-        settled = personalized_pagerank(g, p, PageRankConfig(tolerance=1e-12), top=top)
-        assert settled.converged and settled.iterations < full.iterations
-        assert _top_outside(settled, p, top) == _top_outside(full, p, top)
-
-
 def test_settled_stop_ignores_a_support_entity_between_the_kth_and_next_score():
-    # s sends four times as much to y as to l, but l keeps what it gets (a
-    # self-loop) and y passes it on, so l passes y only at iteration 6. s,
-    # in p's support, ends between them. A check that ranked the support
-    # too would read c's lead as the gap and stop while y still leads.
+    # The centre s sends four times as much to y as to l, but l keeps what
+    # it gets (a self-loop) and y passes it on, so y still leads l at
+    # iteration 5. s ends between them, so the gap that settles the top 1
+    # is l's lead over y, first wide enough at iteration 20 of 84. A check
+    # that ranked the centre too would read l's smaller lead over s and
+    # stop only at iteration 26.
     g = KnowledgeGraph()
     for h, t, w in (("s", "l", 2.0), ("s", "y", 8.0), ("l", "l", 1.0), ("y", "s", 1.0),
                     ("y", "x", 2.0), ("x", "c", 1.0)):
         g.add_triple(Triple(h, "r", t, weight=w))
-    p = {"c": 0.75, "s": 0.25}
     cfg = PageRankConfig()
-    early = personalized_pagerank(g, p, PageRankConfig(max_iters=5))
-    full = personalized_pagerank(g, p, cfg)
+    early = personalized_pagerank(g, "s", PageRankConfig(max_iters=5))
+    full = personalized_pagerank(g, "s", cfg)
     assert early.scores["y"] > early.scores["l"]
     assert full.scores["l"] > full.scores["s"] > full.scores["y"]
-    settled = personalized_pagerank(g, p, cfg, top=1)
-    assert settled.converged and settled.iterations < full.iterations
-    assert _top_outside(settled, p, 1) == _top_outside(full, p, 1) == {"l"}
+    settled = personalized_pagerank(g, "s", cfg, top=1)
+    assert settled.converged and (settled.iterations, full.iterations) == (20, 84)
+    assert _top_others(settled, "s", 1) == _top_others(full, "s", 1) == {"l"}
+    assert pagerank_subgraph(g, "s", 1, cfg).members == {"s", "l"}
 
 
 def test_settled_stop_waits_for_a_late_overtaker():
@@ -725,10 +684,10 @@ def test_settled_stop_waits_for_a_late_overtaker():
                     ("l", "l", 1.0), ("l", "c", 2.0)):
         g.add_triple(Triple(h, "r", t, weight=w))
     cfg = PageRankConfig()
-    early = personalized_pagerank(g, {"c": 1.0}, PageRankConfig(max_iters=7))
-    full = personalized_pagerank(g, {"c": 1.0}, cfg)
+    early = personalized_pagerank(g, "c", PageRankConfig(max_iters=7))
+    full = personalized_pagerank(g, "c", cfg)
     assert early.scores["l"] > early.scores["x"] and full.scores["x"] > full.scores["l"]
-    settled = personalized_pagerank(g, {"c": 1.0}, cfg, top=1)
+    settled = personalized_pagerank(g, "c", cfg, top=1)
     assert settled.converged and 18 < settled.iterations < full.iterations
     assert pagerank_subgraph(g, "c", 1, cfg).members == {"c", "x"}
 
@@ -744,14 +703,13 @@ def test_settled_stop_when_the_centre_reaches_at_most_k_others():
     for name in ("z1", "z2", "z3"):
         g.add_entity(name)
     cfg = PageRankConfig()
-    p = {"c": 1.0}
-    full = personalized_pagerank(g, p, cfg)
+    full = personalized_pagerank(g, "c", cfg)
     assert (full.iterations, full.converged) == (cfg.max_iters, False)
     for k in (1, 2, 3):
-        settled = personalized_pagerank(g, p, cfg, top=k)
+        settled = personalized_pagerank(g, "c", cfg, top=k)
         assert settled.converged and settled.iterations <= 12, k
-        assert _top_outside(settled, p, k) == _top_outside(full, p, k)
-        assert pagerank_subgraph(g, "c", k, cfg).members == {"c", *_top_outside(full, p, k)}
+        assert _top_others(settled, "c", k) == _top_others(full, "c", k)
+        assert pagerank_subgraph(g, "c", k, cfg).members == {"c", *_top_others(full, "c", k)}
     assert pagerank_subgraph(g, "c", 3, cfg).members == {"c", "a", "z1", "z2"}
 
 
@@ -764,12 +722,11 @@ def test_settled_stop_on_a_zero_next_score_waits_for_the_reach_to_close():
     for h, t in zip(chain, chain[1:]):
         g.add_triple(Triple(h, "r", t))
     cfg = PageRankConfig()
-    p = {"c": 1.0}
-    full = personalized_pagerank(g, p, cfg)
+    full = personalized_pagerank(g, "c", cfg)
     for k in (1, 2, 3, 4):
-        settled = personalized_pagerank(g, p, cfg, top=k)
+        settled = personalized_pagerank(g, "c", cfg, top=k)
         assert settled.converged and settled.iterations <= full.iterations, k
-        assert _top_outside(settled, p, k) == _top_outside(full, p, k) == set(chain[1 : k + 1])
+        assert _top_others(settled, "c", k) == _top_others(full, "c", k) == set(chain[1 : k + 1])
         assert pagerank_subgraph(g, "c", k, cfg).members == set(chain[: k + 1])
 
 
