@@ -204,12 +204,12 @@ def cmd_eval(args: argparse.Namespace, cfg: PipelineConfig, client) -> int:
 def inspect_subgraph(entity: str, kind: str, graph, indices, params, cfg, client) -> str:
     """What ``inspect-subgraph`` prints for ``entity``'s ``kind`` subgraph. ``fused``
     runs the query path, the entity as the query; an unknown entity fails before any call."""
-    memo = pipe.graph_memo(graph, indices.entities, cfg, client)
+    memo = pipe.graph_memo(graph, indices.entities, cfg, client, params)
     scores = None
     if kind == subgraphs.FUSED:
         embed = pipe.QueryEmbeddings(client, memo.pairs)
         pipe.build_centres(entity, graph, [entity], memo, cfg, embed)
-        [(_, result)] = pipe.score_and_fuse(entity, [memo.candidates[entity]], params, cfg, embed)
+        [(_, result)] = pipe.score_and_fuse(entity, [entity], memo, cfg, embed)
         sg = result.fused
     else:
         candidates = pipe.candidate_subgraphs(graph, entity, cfg, memo.sim)

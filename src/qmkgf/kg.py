@@ -194,6 +194,12 @@ class KnowledgeGraph:
             dst = np.array([pos[t.tail] for t in self.triples], dtype=np.intp)
             weights = np.array([t.weight for t in self.triples], dtype=np.float64)
             out_totals = np.bincount(src, weights=weights, minlength=len(ids))
+            huge = ~np.isfinite(out_totals)  # a sum past the float range: scale by the largest
+            if huge.any():
+                largest = np.zeros(len(ids))
+                np.maximum.at(largest, src, weights)
+                weights = np.where(huge[src], weights / largest[src], weights)
+                out_totals = np.bincount(src, weights=weights, minlength=len(ids))
             self._compiled = (ids, pos, src, dst, weights / out_totals[src], out_totals == 0.0)
         return self._compiled
 
@@ -294,8 +300,8 @@ def load(data: bytes) -> KnowledgeGraph:
 def _parse_json_line(raw: str, lineno: int) -> dict:
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=lineno) from exc
     if not isinstance(value, dict):
         raise ParseError("expected a JSON object", line=lineno)
     return value

@@ -21,8 +21,9 @@ most one entry per graph entity), with the embedding and norm of every
 text of theirs a strategy can read. Every query resolves that memo once
 (``graph_memo``), which checks that the graph and entity index agree,
 before any service call, and hands it to ``build_centres``; the query's
-``QueryEmbeddings`` reads its store from the start. Everything downstream
-(reward scores, fusion, expansion, retrieval) runs afresh for every query.
+``QueryEmbeddings`` reads its store from the start. It also keeps each
+scored centre's reward scores and each extracted entity name's mapping;
+fusion, expansion and retrieval run afresh for every query.
 
 A query's texts are embedded in ``build_centres`` batches, one
 ``client.embed_many`` call each. Extracted strings usually name the
@@ -34,6 +35,7 @@ second batch. So a query makes one or two round trips.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -43,7 +45,7 @@ from .config import PipelineConfig
 from .errors import GenerationError, ModelServiceError, NotFoundError, ParseError, ValidationError
 from .fusion import FusionResult, ScoredSubgraph, fuse, fused_subgraph
 from .kg import KnowledgeGraph, read_jsonl
-from .reward import AttentionParams, score as rm_score, serialize_subgraph
+from .reward import AttentionParams, query_projection, score as rm_score, serialize_subgraph
 from .subgraphs import (
     SimilarityProvider,
     Subgraph,
@@ -285,7 +287,9 @@ def candidate_subgraphs(kg: KnowledgeGraph, center: str, cfg: PipelineConfig, si
 class GraphMemo(NamedTuple):
     """What queries derive from the graph alone: each centre's candidates,
     the similarity that ranks them (entity vectors from the index alone),
-    and the ``normed`` embedding of every text of a stored centre's candidates."""
+    the ``normed`` embedding of every text of a stored centre's candidates,
+    each scored centre's reward scores, and the mapping of each extracted
+    string that names an entity."""
 
     snapshot: tuple  # the entity index's ``frozen()`` snapshot
     params: tuple  # (K, PageRankConfig)
@@ -294,17 +298,21 @@ class GraphMemo(NamedTuple):
     sim: SimilarityProvider  # ``similarity_from_index`` over the snapshot
     pairs: dict[str, tuple[np.ndarray, np.float64]]  # graph-derived text -> ``normed``
     names: dict[str, str]  # entity name -> the smallest id with it, which a tie maps to
+    reward: AttentionParams  # the reward model the scores came from
+    scores: dict[str, tuple[list[float], float]]  # centre -> (candidate scores, largest |K| entry)
+    mapped: dict[str, tuple[str, float]]  # a name in ``names`` -> ``map_entity``'s (id, score)
 
 
 def graph_memo(
-    kg: KnowledgeGraph, entities: VectorIndex, cfg: PipelineConfig, client
+    kg: KnowledgeGraph, entities: VectorIndex, cfg: PipelineConfig, client, reward
 ) -> GraphMemo:
     """The graph's memo, kept on ``kg``, which drops it on every mutation.
     It belongs to the entity index's current ``frozen()`` snapshot, the
-    subgraph settings and one client; a call with another owner starts it
-    afresh. A centre is in it only with all of its texts; its entries are
-    shared, so callers must not mutate them. It assumes that the client
-    embeds each text deterministically, whatever batch carries it.
+    subgraph settings, one client and one reward parameters object, which
+    callers must not mutate; a call with another owner starts it afresh. A
+    centre is in it only with all of its texts; its entries are shared, so
+    callers must not mutate them. It assumes that the client embeds each
+    text deterministically, whatever batch carries it.
     Starting afresh checks the stored vectors (``frozen()``), then raises
     ValidationError naming the smallest id that only the graph or only the
     index holds; a memo that is still valid checks nothing.
@@ -313,11 +321,12 @@ def graph_memo(
     params = (cfg.K, cfg.pagerank)
     memo = kg.candidate_memo
     stale = memo is None or memo.snapshot is not snapshot or memo.client is not client
-    if stale or memo.params != params:
+    if stale or memo.reward is not reward or memo.params != params:
         require_same_ids("entity", "graph", kg.entities.keys(), "entity index", set(snapshot[0]))
         sim = similarity_from_index(entities)
         names = {kg.entities[e].name: e for e in reversed(snapshot[0])}  # the smallest id last
-        memo = kg.candidate_memo = GraphMemo(snapshot, params, {}, client, sim, {}, names)
+        memo = GraphMemo(snapshot, params, {}, client, sim, {}, names, reward, {}, {})
+        kg.candidate_memo = memo
     return memo
 
 
@@ -352,17 +361,29 @@ def build_centres(
 
 
 def score_and_fuse(
-    query: str, candidates: list[list[Subgraph]], params: AttentionParams, cfg: PipelineConfig,
-    embed: QueryEmbeddings,
+    query: str, centers: list[str], memo: GraphMemo, cfg: PipelineConfig, embed: QueryEmbeddings,
 ) -> list[tuple[list[ScoredSubgraph], FusionResult]]:
     """Each centre's candidate subgraphs, scored against ``query`` by the
-    reward model, and their fusion. ``embed`` is the query's memo over the
-    graph memo's store, after ``build_centres`` sent the texts read here."""
+    memo's reward model, and their fusion. ``embed`` is the query's memo over
+    the graph memo's store, after ``build_centres`` sent the texts read here.
+    One K/V position makes each finite logit's softmax weight exactly 1, so a
+    stored score is the forward's while ``2 dh max|Q| max|K|`` bounds every
+    logit finitely; otherwise ``rm_score`` runs, and raises as on a fresh graph."""
+    params = memo.reward
     q_vec = np.asarray(embed(query), dtype=np.float64)
-    scored_parts = [
-        [ScoredSubgraph(subgraph=sg, score=rm_score(query, sg, params, embed)) for sg in parts]
-        for parts in candidates
-    ]
+    bound = None  # 2 dh max|Q|, from the first stored centre on
+    scored_parts = []
+    for center in centers:
+        parts = memo.candidates[center]
+        scores, k_max = memo.scores.get(center, (None, np.inf))
+        if scores is not None and bound is None:  # raises the forward's errors
+            q_max = float(np.abs(query_projection(params, q_vec)).max())
+            bound = 2 * (params.dim // params.heads) * q_max
+        if scores is None or not math.isfinite(bound * k_max):
+            scores = [rm_score(query, sg, params, embed) for sg in parts]
+            kgs = np.array([embed(serialize_subgraph(sg)) for sg in parts], dtype=np.float64)
+            memo.scores[center] = (scores, float(np.abs(kgs @ params.w_k).max()))
+        scored_parts.append([ScoredSubgraph(subgraph=sg, score=s) for sg, s in zip(parts, scores)])
     return [(scored, fuse(scored, q_vec, cfg.fusion, embed)) for scored in scored_parts]
 
 
@@ -377,18 +398,22 @@ def run_qmkgf(
     """Run the full pipeline for one query and record a stage-by-stage trace."""
     trace: dict = {"query": query, "fallback": False}
 
-    memo = graph_memo(kg, indices.entities, cfg, client)  # mismatches fail before any call
+    memo = graph_memo(kg, indices.entities, cfg, client, params)  # mismatches fail before any call
     entities = extract_query_entities(query, client)
     trace["entities"] = entities
     mappable = entities if len(indices.entities) else []  # an empty index maps nothing
     embed = QueryEmbeddings(client, memo.pairs)
-    # Build the centres the strings name with the query's batch.
+    # Build the centres the strings name with the query's batch; a stored mapping needs no vector.
     guessed = [memo.names[e] for e in mappable if e in memo.names]
-    build_centres(query, kg, guessed, memo, cfg, embed, mappable)
+    unmapped = [e for e in mappable if e not in memo.mapped]
+    build_centres(query, kg, guessed, memo, cfg, embed, unmapped)
 
     mapped: list[dict] = []
     for entity_text in mappable:
-        entity_id, sim = map_entity(entity_text, indices.entities, embed)
+        hit = memo.mapped.get(entity_text) or map_entity(entity_text, indices.entities, embed)
+        if entity_text in memo.names:
+            memo.mapped[entity_text] = hit
+        entity_id, sim = hit
         mapped.append({"extracted": entity_text, "entity": entity_id, "score": sim})
     # Keep one pipeline per distinct mapped entity, in extraction order.
     centers = list(dict.fromkeys(m["entity"] for m in mapped))
@@ -402,8 +427,7 @@ def run_qmkgf(
         trace["fallback"] = True
         trace["per_entity"] = []
     else:
-        candidates = [memo.candidates[c] for c in centers]
-        fused_per_centre = score_and_fuse(query, candidates, params, cfg, embed)
+        fused_per_centre = score_and_fuse(query, centers, memo, cfg, embed)
         trace["per_entity"] = [
             {
                 "entity": center,
@@ -418,9 +442,11 @@ def run_qmkgf(
             }
             for center, (scored, result) in zip(centers, fused_per_centre)
         ]
-        # One subgraph for expansion: every centre and its fused triples.
-        triples = [t for _, result in fused_per_centre for t in result.fused.triples]
-        fused = fused_subgraph(centers[0], triples, centers)
+        # One subgraph for expansion: every centre and its fused triples; one centre's is its own.
+        fused = fused_per_centre[0][1].fused
+        if len(centers) > 1:
+            triples = [t for _, result in fused_per_centre for t in result.fused.triples]
+            fused = fused_subgraph(centers[0], triples, centers)
 
     eq = expand_query(query, fused)
     trace["expanded_items"] = eq.items

@@ -58,8 +58,8 @@ class AttentionParams:
     def check_shapes(self) -> None:
         """The cheap structural half of ``validate``, run on every forward."""
         d = self.dim
-        for name, shape in _group_shapes(d).items():
-            got = np.shape(getattr(self, name))
+        for name, axes in PARAM_GROUPS.items():
+            shape, got = (d,) * axes, np.shape(getattr(self, name))
             if got != shape:
                 raise ValidationError(f"{name} must have shape {shape}, got {got}")
         if self.heads < 1 or d % self.heads != 0:
@@ -104,6 +104,16 @@ def serialize_subgraph(sg: Subgraph) -> str:
     return "; ".join(t.text() for t in sg.triples)
 
 
+def query_projection(params: AttentionParams, q_vec: np.ndarray) -> np.ndarray:
+    """Q = q W_Q as the forward computes it, after its parameter and query shape checks."""
+    params.check_shapes()
+    q_vec = np.asarray(q_vec, dtype=np.float64)
+    if q_vec.shape != (params.dim,):
+        raise ValidationError(f"query vector must have shape ({params.dim},), got {q_vec.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return q_vec @ params.w_q
+
+
 def _forward(params: AttentionParams, q_vec: np.ndarray, kgs: np.ndarray) -> dict:
     """Multi-head attention over all heads at once, then the linear head.
 
@@ -116,18 +126,15 @@ def _forward(params: AttentionParams, q_vec: np.ndarray, kgs: np.ndarray) -> dic
     reward logit is not finite, which also catches parameters made
     non-finite after their validation.
     """
-    params.check_shapes()
+    q = query_projection(params, q_vec)
     d = params.dim
     h = params.heads
     dh = d // h
-    q_vec = np.asarray(q_vec, dtype=np.float64)
     kgs = np.asarray(kgs, dtype=np.float64)
-    if q_vec.shape != (d,):
-        raise ValidationError(f"query vector must have shape ({d},), got {q_vec.shape}")
     if kgs.shape[-1] != d:
         raise ValidationError(f"subgraph vectors must have last dim {d}, got {kgs.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        q = (q_vec @ params.w_q).reshape(h, dh)
+        q = q.reshape(h, dh)
         k = (kgs @ params.w_k).reshape(-1, h, dh)
         v = (kgs @ params.w_v).reshape(-1, h, dh)
         logits = (k * q).sum(axis=2) / np.sqrt(dh)
@@ -403,6 +410,6 @@ def load_rm_training_file(path: str) -> list[RMTrainingExample]:
                     target=float(row["score"]),
                 )
             )
-        except ValidationError as exc:
+        except (OverflowError, ValidationError) as exc:  # an integer score past the float range
             raise ParseError(str(exc), line=lineno) from exc
     return examples

@@ -125,6 +125,16 @@ def test_build_kg_missing_file_exit_2(tmp_path):
     assert main(["build-kg", str(tmp_path / "ghost.jsonl"), str(tmp_path / "o"), "--stub"]) == 2
 
 
+def test_build_kg_names_the_line_of_an_integer_past_the_digit_limit(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    rows = ['{"id": "d1", "text": "a"}', '{"id": "d2", "text": "b", "n": %s}' % ("1" * 5001)]
+    corpus.write_text("".join(f"{row}\n" for row in rows))
+    assert main(["build-kg", str(corpus), str(tmp_path / "kg.jsonl"), "--stub"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: line 2: invalid JSON: Exceeds the limit")
+    assert err.count("\n") == 1
+
+
 def test_index_writes_qvec_files(artifacts):
     ent = load_index((artifacts / "entities.qvec").read_bytes(), kind="entity")
     doc = load_index((artifacts / "documents.qvec").read_bytes())
@@ -273,6 +283,16 @@ def test_train_rm_rejects_a_blank_query_naming_the_line_before_any_embed(
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: line 2: query must be non-empty\n")
     assert calls == []
+
+
+def test_train_rm_names_the_line_of_a_score_too_large_for_a_float(tmp_path, capsys):
+    training = tmp_path / "rm.jsonl"
+    training.write_text(
+        '{"query": "q", "subgraph": "s", "score": 1.0}\n'
+        '{"query": "q", "subgraph": "s", "score": %s}\n' % ("1" * 401)
+    )
+    assert main(["train-rm", str(training), str(tmp_path / "rm.qrmw"), "--stub"]) == 2
+    assert capsys.readouterr() == ("", "error: line 2: int too large to convert to float\n")
 
 
 def test_query_prints_answer_and_trace(artifacts, capsys):

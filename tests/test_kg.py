@@ -335,6 +335,19 @@ def test_jsonl_readers_skip_blank_lines_and_name_the_bad_line(tmp_path, reader, 
     assert exc.value.line == 3 + shift
 
 
+@pytest.mark.parametrize(
+    "reader, row", _jsonl_readers(), ids=lambda v: getattr(v, "__name__", "")
+)
+def test_jsonl_readers_name_the_line_of_an_integer_past_the_digit_limit(tmp_path, reader, row):
+    path = tmp_path / "rows.jsonl"
+    header = [KG_HEADER] if reader is kg_load else []
+    rows = [json.dumps(row(1)), '{"n": %s}' % ("1" * 5001)]
+    path.write_text("".join(f"{line}\n" for line in [*header, *rows]))
+    with pytest.raises(ParseError, match=r"invalid JSON: Exceeds the limit \(4300 digits\)") as exc:
+        reader(str(path))
+    assert exc.value.line == 2 + len(header)
+
+
 def test_source_chunk_kept_from_first_row():
     g = KnowledgeGraph()
     g.add_triple(Triple("A", "r", "B", weight=1.0, source_chunk="c1"))

@@ -1,7 +1,9 @@
+import dataclasses
 import importlib.util
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -37,7 +39,7 @@ from qmkgf.pipeline import (
     retrieve,
     run_qmkgf,
 )
-from qmkgf.reward import init_params, serialize_subgraph
+from qmkgf.reward import init_params, score as rm_score, serialize_subgraph
 from qmkgf.subgraphs import (
     PageRankConfig,
     Subgraph,
@@ -734,18 +736,23 @@ def test_a_lookup_sends_its_text_when_another_thread_stores_it_after_the_miss():
     assert client.batches == [["a"], ["b"]] and "b" not in store
 
 
-def test_run_qmkgf_builds_a_centre_once_through_the_pipeline_globals(monkeypatch):
-    # The benchmark's subgraph spans patch these module globals, and its
-    # never-fired check needs a miss to reach them.
-    calls = {"one_hop_subgraph": 0, "multi_hop_subgraph": 0, "pagerank_subgraph": 0}
-    for name in calls:
-        original = getattr(pipeline, name)
+def _count_calls(monkeypatch, *names) -> dict:
+    """Count the calls the pipeline makes through each of its module globals ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
 
-        def counted(*args, _name=name, _original=original, **kwargs):
+        def counted(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def test_run_qmkgf_builds_a_centre_once_through_the_pipeline_globals(monkeypatch):
+    # The benchmark's subgraph spans patch these module globals, and its
+    # never-fired check needs a miss to reach them.
+    calls = _count_calls(monkeypatch, "one_hop_subgraph", "multi_hop_subgraph", "pagerank_subgraph")
     g, indices, params, cfg, client = _repeat_world()
     pipeline.run_qmkgf("what fish live near hilltown", g, indices, params, cfg, client)
     assert calls == dict.fromkeys(calls, 1)
@@ -1007,6 +1014,118 @@ def test_a_query_through_another_client_embeds_the_graph_texts_afresh():
     fresh = _copy_graph(g)
     assert got == [_trace(q, fresh, indices, params, cfg, seed1) for q in REPEAT_QUERIES]
     assert g.candidate_memo.client is seed1
+
+
+def test_a_query_through_another_params_object_scores_afresh(monkeypatch):
+    g, indices, params0, cfg, client = _repeat_world()
+    params1 = init_params(DIM, heads=4, seed=1)
+    for query in REPEAT_QUERIES:
+        run_qmkgf(query, g, indices, params0, cfg, client)
+    scored = _count_calls(monkeypatch, "rm_score")
+    got = [_trace(q, g, indices, params1, cfg, client) for q in REPEAT_QUERIES]
+    assert scored["rm_score"] == 6  # hilltown's and quarry's three candidates, once each
+    fresh = _copy_graph(g)
+    assert got == [_trace(q, fresh, indices, params1, cfg, client) for q in REPEAT_QUERIES]
+    assert g.candidate_memo.reward is params1
+
+
+def test_a_warm_query_reads_its_centres_scores_and_its_names_mappings(monkeypatch):
+    g, indices, params, cfg, stub = _repeat_world()
+    # The stub lowercases, so 'Hilltown' maps to 'hilltown' but names no entity.
+    stub.entity_table["Hilltown roads"] = ["Hilltown"]
+    client = _CountingEmbeds(stub)
+    calls = _count_calls(monkeypatch, "rm_score", "map_entity", "top_k")
+    run_qmkgf("what fish live near hilltown", g, indices, params, cfg, client)
+    assert calls == {"rm_score": 3, "map_entity": 1, "top_k": 1}
+    for query, mapped in (("which roads leave hilltown", 0), ("Hilltown roads", 1)):
+        calls.update(dict.fromkeys(calls, 0))
+        client.batches.clear()
+        result = run_qmkgf(query, g, indices, params, cfg, client)
+        assert calls == {"rm_score": 0, "map_entity": mapped, "top_k": mapped}, query
+        assert len(client.batches) == 1 + mapped  # a string naming no entity guesses nothing
+        assert ("Hilltown" in client.batches[0]) == bool(mapped)
+        assert "hilltown" not in client.batches[0]
+        assert result.trace["per_entity"][0]["entity"] == "hilltown"
+        assert json.dumps(result.trace, sort_keys=True) == _trace(
+            query, _copy_graph(g), indices, params, cfg, stub
+        )
+    memo = g.candidate_memo
+    assert set(memo.mapped) == {"hilltown"} and set(memo.scores) == {"hilltown"}
+
+
+def test_stored_scores_and_mappings_equal_fresh_ones():
+    g, indices, params, cfg, client = _repeat_world()
+    for query in REPEAT_QUERIES:
+        run_qmkgf(query, g, indices, params, cfg, client)
+    memo = g.candidate_memo
+    assert set(memo.scores) == {"hilltown", "quarry"}
+    for center, (scores, k_max) in memo.scores.items():
+        parts = memo.candidates[center]
+        query = next(q for q, names in REPEAT_QUERIES.items() if center in names)
+        assert scores == [rm_score(query, sg, params, client.embed) for sg in parts]
+        k_rows = np.array([client.embed(serialize_subgraph(sg)) for sg in parts]) @ params.w_k
+        assert k_max == np.abs(k_rows).max()
+    assert memo.mapped == {
+        name: map_entity(name, indices.entities, client.embed) for name in ("hilltown", "quarry")
+    }
+
+
+def _query_vector(kind: str, params):
+    """A query vector that the reward forward rejects, or that only a later stage does;
+    ``params`` has |K| entries up to about 19 on the toy world's candidates."""
+    sign = np.sign(params.w_q[:, 0])  # makes Q[0] the sum of column 0's magnitudes, about 3.8
+    return {
+        "short": np.ones(DIM - 1),
+        "nan": np.full(DIM, np.nan),
+        "logit_overflow": 1e307 * sign,  # Q is finite, but a logit is not
+        "finite_logits": 1e306 * sign,  # 2 dh max|Q| max|K| overflows, yet every logit is finite
+    }[kind]
+
+
+class _QueryVector:
+    """Forwards to a client, but embeds ``query`` as ``vector``."""
+
+    def __init__(self, inner, query, vector):
+        self.inner, self.query, self.vector = inner, query, vector
+
+    def embed_many(self, texts):
+        vectors = self.inner.embed_many(texts)
+        return [self.vector if t == self.query else v for t, v in zip(texts, vectors)]
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def _outcome(query, g, indices, params, cfg, client):
+    try:
+        return _trace(query, g, indices, params, cfg, client)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("short", "query vector must have shape"),
+        ("nan", "the reward logit is not finite"),
+        ("logit_overflow", "the reward logit is not finite"),
+        ("finite_logits", "its norm overflows"),  # fusion's cosine, after the scores
+    ],
+    ids=["short", "nan", "logit_overflow", "finite_logits"],
+)
+def test_a_query_vector_on_a_warm_centre_fails_as_on_a_fresh_graph(kind, message):
+    g, indices, params, cfg, stub = _repeat_world()
+    params = dataclasses.replace(params, w_k=params.w_k * 100)
+    query = "which roads leave hilltown"
+    client = _QueryVector(stub, query, _query_vector(kind, params))
+    run_qmkgf("what fish live near hilltown", g, indices, params, cfg, client)  # stores hilltown
+    assert set(g.candidate_memo.scores) == {"hilltown"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = _outcome(query, g, indices, params, cfg, client)
+        fresh = _outcome(query, _copy_graph(g), indices, params, cfg, client)
+    assert warm == fresh
+    assert warm[0] is ValidationError and message in warm[1]
 
 
 BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"

@@ -311,6 +311,25 @@ def test_pagerank_unknown_centre_raises_not_found():
         pagerank_subgraph(g, "X", 2)
 
 
+def test_ppr_keeps_the_mass_of_out_weights_whose_sum_overflows():
+    def graph(weight):
+        g = KnowledgeGraph()
+        for tail in ("B", "C"):
+            g.add_triple(Triple("A", "r", tail, weight))
+            g.add_triple(Triple(tail, "r", "A", 1.0))
+        g.add_triple(Triple("D", "r", "B", 0.3))  # a finite total keeps its bits
+        g.add_triple(Triple("D", "r", "C", 0.7))
+        return g
+
+    huge, unit = graph(1e308), graph(1.0)
+    assert huge.compiled()[4].tobytes() == unit.compiled()[4].tobytes()
+    for center in ("A", "D"):
+        got, want = personalized_pagerank(huge, center), personalized_pagerank(unit, center)
+        assert got.scores.array.tobytes() == want.scores.array.tobytes()
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert personalized_pagerank(huge, "A").scores["B"] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # pagerank subgraph
 # ---------------------------------------------------------------------------
