@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -64,9 +65,7 @@ class Triple:
         if not 0.0 < self.weight <= MAX_WEIGHT:
             raise ValidationError(f"triple weight must be finite and > 0, got {self.weight!r}")
 
-    @property
-    def key(self) -> TripleKey:
-        return (self.head, self.relation, self.tail)
+    key = property(attrgetter("head", "relation", "tail"), doc="(head, relation, tail)")
 
     def text(self) -> str:
         """Surface form used for embedding and serialization."""

@@ -21,9 +21,8 @@ most one entry per graph entity), with the embedding and norm of every
 text of theirs a strategy can read. Every query resolves that memo once
 (``graph_memo``), which checks that the graph and entity index agree,
 before any service call, and hands it to ``build_centres``; the query's
-``QueryEmbeddings`` reads its store from the start. It also keeps each
-scored centre's reward scores and each extracted entity name's mapping;
-fusion, expansion and retrieval run afresh for every query.
+``QueryEmbeddings`` reads its store from the start, as do reward scores and
+entity-name mappings; fusion, expansion and retrieval run for every query.
 
 A query's texts are embedded in ``build_centres`` batches, one
 ``client.embed_many`` call each. Extracted strings usually name the
@@ -35,7 +34,6 @@ second batch. So a query makes one or two round trips.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,7 +43,7 @@ from .config import PipelineConfig
 from .errors import GenerationError, ModelServiceError, NotFoundError, ParseError, ValidationError
 from .fusion import FusionResult, ScoredSubgraph, fuse, fused_subgraph
 from .kg import KnowledgeGraph, read_jsonl
-from .reward import AttentionParams, query_projection, score as rm_score, serialize_subgraph
+from .reward import AttentionParams, checked_query, logit_scale, score as rm_score
 from .subgraphs import (
     SimilarityProvider,
     Subgraph,
@@ -120,8 +118,8 @@ class QueryEmbeddings:
 
     def prefetch(self, stored=(), transient=()) -> None:
         stored = [t for t in dict.fromkeys(stored) if t not in self.graph]
-        transient = [t for t in transient if t not in self.graph]
-        missing = [t for t in dict.fromkeys([*stored, *transient]) if t not in self.vectors]
+        batch = dict.fromkeys([*stored, *[t for t in transient if t not in self.graph]])
+        missing = [t for t in batch if t not in self.vectors]
         if missing:
             self.vectors.update(zip(missing, self.client.embed_many(missing)))
         if stored:
@@ -285,11 +283,9 @@ def candidate_subgraphs(kg: KnowledgeGraph, center: str, cfg: PipelineConfig, si
 
 
 class GraphMemo(NamedTuple):
-    """What queries derive from the graph alone: each centre's candidates,
-    the similarity that ranks them (entity vectors from the index alone),
-    the ``normed`` embedding of every text of a stored centre's candidates,
-    each scored centre's reward scores, and the mapping of each extracted
-    string that names an entity."""
+    """What queries derive from the graph alone: each centre's candidates, the
+    similarity that ranks them (index vectors only), their reward scores and
+    texts' ``normed`` embeddings, and each extracted entity name's mapping."""
 
     snapshot: tuple  # the entity index's ``frozen()`` snapshot
     params: tuple  # (K, PageRankConfig)
@@ -299,7 +295,8 @@ class GraphMemo(NamedTuple):
     pairs: dict[str, tuple[np.ndarray, np.float64]]  # graph-derived text -> ``normed``
     names: dict[str, str]  # entity name -> the smallest id with it, which a tie maps to
     reward: AttentionParams  # the reward model the scores came from
-    scores: dict[str, tuple[list[float], float]]  # centre -> (candidate scores, largest |K| entry)
+    scale: float  # its ``logit_scale``: inf re-scores every stored centre
+    scores: dict[str, tuple[list[float], float]]  # centre -> (scores, largest K/V row norm)
     mapped: dict[str, tuple[str, float]]  # a name in ``names`` -> ``map_entity``'s (id, score)
 
 
@@ -308,11 +305,10 @@ def graph_memo(
 ) -> GraphMemo:
     """The graph's memo, kept on ``kg``, which drops it on every mutation.
     It belongs to the entity index's current ``frozen()`` snapshot, the
-    subgraph settings, one client and one reward parameters object, which
-    callers must not mutate; a call with another owner starts it afresh. A
-    centre is in it only with all of its texts; its entries are shared, so
-    callers must not mutate them. It assumes that the client embeds each
-    text deterministically, whatever batch carries it.
+    subgraph settings, one client and one reward model; a call with another
+    owner starts it afresh. A centre is in it only with all of its texts; its
+    entries and reward model are shared: do not mutate them. It assumes that
+    the client embeds each text deterministically, whatever batch carries it.
     Starting afresh checks the stored vectors (``frozen()``), then raises
     ValidationError naming the smallest id that only the graph or only the
     index holds; a memo that is still valid checks nothing.
@@ -325,8 +321,9 @@ def graph_memo(
         require_same_ids("entity", "graph", kg.entities.keys(), "entity index", set(snapshot[0]))
         sim = similarity_from_index(entities)
         names = {kg.entities[e].name: e for e in reversed(snapshot[0])}  # the smallest id last
-        memo = GraphMemo(snapshot, params, {}, client, sim, {}, names, reward, {}, {})
-        kg.candidate_memo = memo
+        memo = kg.candidate_memo = GraphMemo(
+            snapshot, params, {}, client, sim, {}, names, reward, logit_scale(reward), {}, {}
+        )
     return memo
 
 
@@ -352,10 +349,11 @@ def build_centres(
         c: candidate_subgraphs(kg, c, cfg, memo.sim) for c in centers if c not in memo.candidates
     }
     new = [sg for parts in built.values() for sg in parts]
-    texts = [*map(serialize_subgraph, new), *(t.text() for sg in new for t in sg.triples)]
     candidates = [built[c] if c in built else memo.candidates[c] for c in centers]
     triples = {id(t): t for sgs in candidates for sg in sgs for t in sg.triples}.values()
-    superset = [*centers, *(p for t in triples for p in (t.head, t.tail, t.relation, t.text()))]
+    text = {id(t): t.text() for t in triples}
+    texts = [*(sg.serialized for sg in new), *(text[id(t)] for sg in new for t in sg.triples)]
+    superset = [*centers, *[p for t in triples for p in (t.head, t.tail, t.relation, text[id(t)])]]
     embed.prefetch(texts, [query, *also, *expansion_items(query, superset)])
     memo.candidates.update(built)
 
@@ -366,23 +364,18 @@ def score_and_fuse(
     """Each centre's candidate subgraphs, scored against ``query`` by the
     memo's reward model, and their fusion. ``embed`` is the query's memo over
     the graph memo's store, after ``build_centres`` sent the texts read here.
-    One K/V position makes each finite logit's softmax weight exactly 1, so a
-    stored score is the forward's while ``2 dh max|Q| max|K|`` bounds every
-    logit finitely; otherwise ``rm_score`` runs, and raises as on a fresh graph."""
-    params = memo.reward
+    A stored score is the forward's while ``max|q|`` times ``memo.scale`` and
+    its largest K/V row norm is finite (so is each logit, and each weight is 1);
+    otherwise ``rm_score`` runs."""
     q_vec = np.asarray(embed(query), dtype=np.float64)
-    bound = None  # 2 dh max|Q|, from the first stored centre on
-    scored_parts = []
+    q_max, scored_parts = None, []  # q_max from the first stored centre on
     for center in centers:
-        parts = memo.candidates[center]
-        scores, k_max = memo.scores.get(center, (None, np.inf))
-        if scores is not None and bound is None:  # raises the forward's errors
-            q_max = float(np.abs(query_projection(params, q_vec)).max())
-            bound = 2 * (params.dim // params.heads) * q_max
-        if scores is None or not math.isfinite(bound * k_max):
-            scores = [rm_score(query, sg, params, embed) for sg in parts]
-            kgs = np.array([embed(serialize_subgraph(sg)) for sg in parts], dtype=np.float64)
-            memo.scores[center] = (scores, float(np.abs(kgs @ params.w_k).max()))
+        parts, (scores, k_norm) = memo.candidates[center], memo.scores.get(center, (None, 0.0))
+        if scores is not None and q_max is None:  # raises the forward's query error
+            q_max = float(abs(checked_query(memo.reward, q_vec)).max())
+        if scores is None or not q_max * memo.scale * k_norm < np.inf:  # NaN fails it too
+            scores = [rm_score(query, sg, memo.reward, embed) for sg in parts]
+            memo.scores[center] = scores, float(max(embed.normed(sg.serialized)[1] for sg in parts))
         scored_parts.append([ScoredSubgraph(subgraph=sg, score=s) for sg, s in zip(parts, scores)])
     return [(scored, fuse(scored, q_vec, cfg.fusion, embed)) for scored in scored_parts]
 
@@ -442,11 +435,9 @@ def run_qmkgf(
             }
             for center, (scored, result) in zip(centers, fused_per_centre)
         ]
-        # One subgraph for expansion: every centre and its fused triples; one centre's is its own.
-        fused = fused_per_centre[0][1].fused
-        if len(centers) > 1:
-            triples = [t for _, result in fused_per_centre for t in result.fused.triples]
-            fused = fused_subgraph(centers[0], triples, centers)
+        # One subgraph for expansion: every centre and its fused triples.
+        triples = [t for _, result in fused_per_centre for t in result.fused.triples]
+        fused = fused_subgraph(centers[0], triples, centers)
 
     eq = expand_query(query, fused)
     trace["expanded_items"] = eq.items

@@ -58,8 +58,8 @@ class AttentionParams:
     def check_shapes(self) -> None:
         """The cheap structural half of ``validate``, run on every forward."""
         d = self.dim
-        for name, axes in PARAM_GROUPS.items():
-            shape, got = (d,) * axes, np.shape(getattr(self, name))
+        for name, shape in _group_shapes(d).items():
+            got = np.shape(getattr(self, name))
             if got != shape:
                 raise ValidationError(f"{name} must have shape {shape}, got {got}")
         if self.heads < 1 or d % self.heads != 0:
@@ -101,17 +101,27 @@ def init_params(dim: int, heads: int = DEFAULT_HEADS, seed: int = 0) -> Attentio
 
 def serialize_subgraph(sg: Subgraph) -> str:
     """Deterministic text form: each triple's "h r t" in key order, joined by "; "."""
-    return "; ".join(t.text() for t in sg.triples)
+    return sg.serialized
 
 
-def query_projection(params: AttentionParams, q_vec: np.ndarray) -> np.ndarray:
-    """Q = q W_Q as the forward computes it, after its parameter and query shape checks."""
-    params.check_shapes()
+def checked_query(params: AttentionParams, q_vec: np.ndarray) -> np.ndarray:
+    """``q_vec`` as the forward reads it, after its shape check."""
     q_vec = np.asarray(q_vec, dtype=np.float64)
     if q_vec.shape != (params.dim,):
         raise ValidationError(f"query vector must have shape ({params.dim},), got {q_vec.shape}")
+    return q_vec
+
+
+def logit_scale(params: AttentionParams) -> float:
+    """2 dh times W_Q's largest column |.|-sum and W_K's largest column norm; half of it,
+    times max|q| and a K/V row's norm, bounds that row's logits. inf for wrong shapes."""
+    try:
+        params.check_shapes()
+    except ValidationError:
+        return math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        return q_vec @ params.w_q
+        w = np.abs(params.w_q).sum(axis=0).max() * np.sqrt(np.square(params.w_k).sum(axis=0)).max()
+        return float(2 * (params.dim // params.heads) * w)
 
 
 def _forward(params: AttentionParams, q_vec: np.ndarray, kgs: np.ndarray) -> dict:
@@ -126,7 +136,8 @@ def _forward(params: AttentionParams, q_vec: np.ndarray, kgs: np.ndarray) -> dic
     reward logit is not finite, which also catches parameters made
     non-finite after their validation.
     """
-    q = query_projection(params, q_vec)
+    params.check_shapes()
+    q_vec = checked_query(params, q_vec)
     d = params.dim
     h = params.heads
     dh = d // h
@@ -134,7 +145,7 @@ def _forward(params: AttentionParams, q_vec: np.ndarray, kgs: np.ndarray) -> dic
     if kgs.shape[-1] != d:
         raise ValidationError(f"subgraph vectors must have last dim {d}, got {kgs.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        q = q.reshape(h, dh)
+        q = (q_vec @ params.w_q).reshape(h, dh)
         k = (kgs @ params.w_k).reshape(-1, h, dh)
         v = (kgs @ params.w_v).reshape(-1, h, dh)
         logits = (k * q).sum(axis=2) / np.sqrt(dh)

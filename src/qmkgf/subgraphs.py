@@ -13,6 +13,7 @@ import json
 import math
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,13 @@ class Subgraph:
     path_kind: str
 
     def __post_init__(self) -> None:
-        self.triples = sorted(self.triples, key=lambda t: t.key)
+        self.triples = sorted(self.triples, key=Triple.key.fget)
+
+    @cached_property
+    def serialized(self) -> str:
+        """Each triple's "h r t" in key order, joined by "; "; built on first use,
+        so the triples must not change after it."""
+        return "; ".join(t.text() for t in self.triples)
 
     def validate(self) -> None:
         """Check structural invariants; raises ValidationError on breach."""
@@ -127,7 +134,8 @@ def ranked_neighbors(
 ) -> list[str]:
     """Distinct neighbors of center (both directions, self excluded),
     sorted by similarity to center descending, ties by id."""
-    ids = {n for n, _ in g.neighbors(center) if n != center}
+    out_ids = {g.triples[i].tail for i in g.out_adj.get(center, ())}
+    ids = out_ids.union(g.triples[i].head for i in g.in_adj.get(center, ())) - {center}
     return sorted(ids, key=lambda e: (-sim(center, e), e))
 
 
@@ -331,6 +339,6 @@ def similarity_from_index(index) -> SimilarityProvider:
         return hit
 
     def sim(a: str, b: str) -> float:
-        return cosine_from_norms(*normed(a), *normed(b))
+        return cosine_from_norms(*(memo.get(a) or normed(a)), *(memo.get(b) or normed(b)))
 
     return sim

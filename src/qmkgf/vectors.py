@@ -146,7 +146,7 @@ def cosine_from_norms(va: np.ndarray, na: np.float64, vb: np.ndarray, nb: np.flo
     if na == 0.0 or nb == 0.0:
         raise UndefinedSimilarityError("cosine undefined for a zero vector")
     # Same value as np.clip into [-1, 1], at a tenth of its call cost.
-    return float(min(max(np.dot(va, vb) / (na * nb), -1.0), 1.0))
+    return min(max(float(va.dot(vb) / (na * nb)), -1.0), 1.0)
 
 
 def top_k(index: VectorIndex, query, k: int) -> list[tuple[str, float]]:

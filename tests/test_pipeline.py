@@ -39,7 +39,7 @@ from qmkgf.pipeline import (
     retrieve,
     run_qmkgf,
 )
-from qmkgf.reward import init_params, score as rm_score, serialize_subgraph
+from qmkgf.reward import init_params, logit_scale, score as rm_score, serialize_subgraph
 from qmkgf.subgraphs import (
     PageRankConfig,
     Subgraph,
@@ -1059,12 +1059,13 @@ def test_stored_scores_and_mappings_equal_fresh_ones():
         run_qmkgf(query, g, indices, params, cfg, client)
     memo = g.candidate_memo
     assert set(memo.scores) == {"hilltown", "quarry"}
-    for center, (scores, k_max) in memo.scores.items():
+    assert memo.scale == logit_scale(params)
+    for center, (scores, k_norm) in memo.scores.items():
         parts = memo.candidates[center]
         query = next(q for q, names in REPEAT_QUERIES.items() if center in names)
         assert scores == [rm_score(query, sg, params, client.embed) for sg in parts]
-        k_rows = np.array([client.embed(serialize_subgraph(sg)) for sg in parts]) @ params.w_k
-        assert k_max == np.abs(k_rows).max()
+        norms = [np.linalg.norm(client.embed(serialize_subgraph(sg))) for sg in parts]
+        assert type(k_norm) is float and k_norm == max(norms)
     assert memo.mapped == {
         name: map_entity(name, indices.entities, client.embed) for name in ("hilltown", "quarry")
     }
@@ -1072,13 +1073,14 @@ def test_stored_scores_and_mappings_equal_fresh_ones():
 
 def _query_vector(kind: str, params):
     """A query vector that the reward forward rejects, or that only a later stage does;
-    ``params`` has |K| entries up to about 19 on the toy world's candidates."""
+    ``params`` has |K| entries up to about 19 on the toy world's candidates, and a
+    ``logit_scale`` of about 1200."""
     sign = np.sign(params.w_q[:, 0])  # makes Q[0] the sum of column 0's magnitudes, about 3.8
     return {
         "short": np.ones(DIM - 1),
         "nan": np.full(DIM, np.nan),
         "logit_overflow": 1e307 * sign,  # Q is finite, but a logit is not
-        "finite_logits": 1e306 * sign,  # 2 dh max|Q| max|K| overflows, yet every logit is finite
+        "finite_logits": 1e306 * sign,  # the stored scores' bound overflows, yet every logit is finite
     }[kind]
 
 
@@ -1126,6 +1128,19 @@ def test_a_query_vector_on_a_warm_centre_fails_as_on_a_fresh_graph(kind, message
         fresh = _outcome(query, _copy_graph(g), indices, params, cfg, client)
     assert warm == fresh
     assert warm[0] is ValidationError and message in warm[1]
+
+
+def test_a_large_query_vector_reads_the_stored_scores_while_their_bound_is_finite(monkeypatch):
+    g, indices, params, cfg, stub = _repeat_world()
+    query = "which roads leave hilltown"
+    client = _QueryVector(stub, query, 1e150 * np.sign(params.w_q[:, 0]))
+    run_qmkgf("what fish live near hilltown", g, indices, params, cfg, client)  # stores hilltown
+    scored = _count_calls(monkeypatch, "rm_score")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = _trace(query, g, indices, params, cfg, client)
+        assert scored["rm_score"] == 0
+        assert warm == _trace(query, _copy_graph(g), indices, params, cfg, client)
 
 
 BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import math
 import struct
 import warnings
 
@@ -17,6 +18,7 @@ from qmkgf.reward import (
     grad_check,
     init_params,
     load_params,
+    logit_scale,
     max_relative_error,
     numeric_grads,
     rm_example_grads,
@@ -318,6 +320,22 @@ def test_invalid_params_raise_before_any_score_is_returned():
                     bad.validate()
                 with pytest.raises(ValidationError, match="non-finite"):
                     save_params(bad)
+
+
+def test_logit_scale_bounds_every_logit_of_one_kv_row():
+    # Half the scale, times max|q| and the K/V row's norm, bounds each logit, so
+    # a stored score is the forward's while that product is finite.
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        d, h = 8, int(rng.choice([1, 2, 4, 8]))
+        params = init_params(d, heads=h, seed=int(rng.integers(1000)))
+        params.w_q, params.w_k = (w * 10.0 ** rng.uniform(-3, 3) for w in (params.w_q, params.w_k))
+        q, kgs = (rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3) for _ in range(2))
+        cache = _forward(params, q, kgs)
+        logits = (cache["k"] * cache["q"]).sum(axis=2) / np.sqrt(d // h)
+        assert np.abs(logits).max() <= np.abs(q).max() * logit_scale(params) / 2 * np.linalg.norm(kgs)
+    for bad in (dataclasses.replace(params, w_k=np.ones((d, d - 1))), dataclasses.replace(params, heads=3)):
+        assert logit_scale(bad) == math.inf
 
 
 def test_save_params_rejects_entries_too_large_for_float32():
