@@ -34,7 +34,7 @@ class ScoredSubgraph:
     score: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionConfig:
     strategy: str = RM_FUSION
     tau: float | None = None  # a fixed rm_fusion threshold; None derives it per subgraph set
@@ -104,14 +104,14 @@ def fuse(
         threshold = cfg.tau
         if threshold is None:
             threshold = compute_threshold(base.subgraph, q_vec, embedder)
-        to_score = _dedup(t for sg in others for t in sg.triples)
+        to_score = sorted(_dedup(t for sg in others for t in sg.triples), key=Triple.key.fget)
     elif cfg.strategy == TOP5_FUSION:
         to_score = _dedup(t for s in scored for t in s.subgraph.triples)
     q = normed(q_vec) if to_score else None  # all_fusion never reads the query
     sims = {t.key: similarity(t.text(), q, embedder) for t in to_score}
 
     if cfg.strategy == ALL_FUSION:
-        selected = _dedup(t for sg in others for t in sg.triples)
+        selected = sorted(_dedup(t for sg in others for t in sg.triples), key=Triple.key.fget)
     elif cfg.strategy == TOP5_FUSION:
         selected = []
         seen = set()
@@ -136,7 +136,7 @@ def fused_subgraph(center: str, triples, members=()) -> Subgraph:
     """A fused subgraph around ``center``: ``triples`` deduplicated by key
     (the first wins) in key order; its members are the centre, ``members``
     and every triple endpoint."""
-    kept = _dedup(triples)
+    kept = _dedup(triples)  # ``Subgraph`` sorts them
     return Subgraph(
         center=center,
         triples=kept,
@@ -146,7 +146,8 @@ def fused_subgraph(center: str, triples, members=()) -> Subgraph:
 
 
 def _dedup(triples) -> list[Triple]:
+    """``triples`` less each one whose key an earlier one holds."""
     seen: dict[tuple, Triple] = {}
     for t in triples:
         seen.setdefault(t.key, t)
-    return [seen[k] for k in sorted(seen)]
+    return list(seen.values())

@@ -39,15 +39,17 @@ CompiledGraph = tuple[list[str], dict[str, int], np.ndarray, np.ndarray, np.ndar
 # Weights must lie in (0, MAX_WEIGHT]: that rejects inf, nan and ints too
 # large to convert to a float.
 MAX_WEIGHT = sys.float_info.max
+# What ``json.dumps(value, sort_keys=True)`` builds afresh on every call.
+JSON_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     id: str
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """A weighted (head, relation, tail) edge; constructing one raises
     ValidationError for a blank field or a weight outside (0, MAX_WEIGHT]."""
@@ -76,7 +78,7 @@ class Triple:
         row = dict(head=self.head, relation=self.relation, tail=self.tail, weight=self.weight)
         if self.source_chunk is not None:
             row["source_chunk"] = self.source_chunk
-        return json.dumps(row, sort_keys=True)
+        return JSON_ENCODER.encode(row)
 
 
 @dataclass
@@ -94,6 +96,8 @@ class KnowledgeGraph:
 
     Adjacency maps entity id -> list of indices into ``triples``; both
     maps are kept exactly consistent with the triple list at all times.
+    The key -> index map only serves writes: ``load`` drops it, and the
+    first write after that rebuilds it from ``triples``.
     ``compiled()`` caches the graph as arrays for PageRank, and
     ``candidate_memo`` holds what callers derive from the graph (the
     pipeline's ``GraphMemo``); adding an entity or a triple, or merging
@@ -106,7 +110,7 @@ class KnowledgeGraph:
         self.triples: list[Triple] = []
         self.out_adj: dict[str, list[int]] = {}
         self.in_adj: dict[str, list[int]] = {}
-        self._by_key: dict[TripleKey, int] = {}
+        self._by_key: dict[TripleKey, int] | None = {}
         self._compiled: CompiledGraph | None = None
         self.candidate_memo: tuple | None = None
 
@@ -147,6 +151,8 @@ class KnowledgeGraph:
     def _upsert(self, triple: Triple) -> bool:
         """Insert or merge one triple. Returns True if newly added."""
         self._compiled = self.candidate_memo = None
+        if self._by_key is None:
+            self._by_key = {t.key: i for i, t in enumerate(self.triples)}
         existing_idx = self._by_key.get(triple.key)
         if existing_idx is not None:
             old = self.triples[existing_idx]
@@ -210,11 +216,13 @@ def ingest_extraction(
 
     A record needs non-empty string head/relation/tail; weight defaults
     to 1.0 and must be a positive number if present. Bad rows are
-    counted as rejected, never abort the batch.
+    counted as rejected, never abort the batch. The added triples share
+    one string per distinct name with each other and ``g``'s entities.
     """
     report = IngestReport()
+    names = dict(zip(g.entities, g.entities))
     for record in records:
-        triple = _record_to_triple(record)
+        triple = _record_to_triple(record, names)
         if triple is None:
             report.rejected += 1
             continue
@@ -230,9 +238,10 @@ def is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _record_to_triple(record: object) -> Triple | None:
-    """The triple a record describes, fields stripped; None for a record of
-    the wrong JSON types, a weight that overflows a float, or one ``Triple`` rejects."""
+def _record_to_triple(record: object, names: dict[str, str]) -> Triple | None:
+    """The triple a record describes, fields stripped, each string the one
+    ``names`` maps it to (added if new); None for a record of the wrong JSON
+    types, a weight that overflows a float, or one ``Triple`` rejects."""
     if not isinstance(record, dict):
         return None
     head = record.get("head")
@@ -244,28 +253,32 @@ def _record_to_triple(record: object) -> Triple | None:
     source_chunk = record.get("source_chunk")
     if source_chunk is not None and not isinstance(source_chunk, str):
         return None
+    share = names.setdefault
+    head, relation, tail = head.strip(), relation.strip(), tail.strip()
+    head, relation, tail = share(head, head), share(relation, relation), share(tail, tail)
+    if source_chunk is not None:
+        source_chunk = share(source_chunk, source_chunk)
     try:
-        return Triple(head.strip(), relation.strip(), tail.strip(), float(weight), source_chunk)
+        return Triple(head, relation, tail, float(weight), source_chunk)
     except (OverflowError, ValidationError):
         return None
 
 
 def save(g: KnowledgeGraph) -> bytes:
     """Serialize a graph; ``load(save(g)) == g`` for any graph content."""
-    lines = [json.dumps({"format": KG_FORMAT, "version": KG_VERSION}, sort_keys=True)]
+    lines = [JSON_ENCODER.encode({"format": KG_FORMAT, "version": KG_VERSION})]
     referenced = {t.head for t in g.triples} | {t.tail for t in g.triples}
     for entity_id in sorted(g.entities):
         entity = g.entities[entity_id]
         if entity_id not in referenced or entity.name != entity.id:
-            lines.append(
-                json.dumps({"entity": {"id": entity.id, "name": entity.name}}, sort_keys=True)
-            )
+            lines.append(JSON_ENCODER.encode({"entity": {"id": entity.id, "name": entity.name}}))
     lines += [triple.json_line() for triple in sorted(g.triples, key=lambda t: t.key)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def load(data: bytes) -> KnowledgeGraph:
-    """Parse a graph saved by :func:`save`.
+    """Parse a graph saved by :func:`save`; duplicate triple rows merge.
+    Its triples and entities share one string per distinct name.
 
     Raises ParseError naming the offending line on any malformed input.
     """
@@ -279,20 +292,22 @@ def load(data: bytes) -> KnowledgeGraph:
         raise ParseError(f"unsupported version {header.get('version')!r}", line=1)
 
     g = KnowledgeGraph()
+    names: dict[str, str] = {}  # one str per distinct name, for this graph alone
     for lineno, row in rows:
         if "entity" in row:
             ent = row["entity"]
             if not isinstance(ent, dict) or not isinstance(ent.get("id"), str):
                 raise ParseError("malformed entity row", line=lineno)
             try:
-                g.add_entity(ent["id"], ent.get("name"))
+                g.add_entity(names.setdefault(ent["id"], ent["id"]), ent.get("name"))
             except ValidationError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
             continue
-        triple = _record_to_triple(row)
+        triple = _record_to_triple(row, names)
         if triple is None:
             raise ParseError(f"malformed triple row: {json.dumps(row)}", line=lineno)
         g._upsert(triple)
+    g._by_key = None  # most graphs are only read; the first write rebuilds it
     return g
 
 

@@ -102,16 +102,21 @@ class QmkgfResult:
     trace: dict
 
 
+StoredRow = tuple[tuple, int]  # ((vectors, norms), row) of the batch that stored a text
+
+
 class QueryEmbeddings:
     """One query's text -> vector memo, over ``graph``, the graph memo's
-    store of graph-derived texts -> ``normed`` (vector, norm) pairs that
-    outlives the query (``GraphMemo.pairs``).
+    store of graph-derived texts that outlives the query (``GraphMemo.pairs``).
+    The store keeps each text as its row of the ``normed_block`` of the batch
+    that stored it, so ``normed`` reads the vector and norm ``vectors.normed``
+    gives, bit for bit.
 
     ``prefetch``, the store's one writer, checks each text against it once,
     sends the rest, ``stored`` then ``transient``, in one ``embed_many`` call
     and stores ``stored``. A lookup the store misses sends its one text."""
 
-    def __init__(self, client, graph: dict[str, tuple[np.ndarray, np.float64]]):
+    def __init__(self, client, graph: dict[str, StoredRow]):
         self.client = client
         self.vectors: dict[str, np.ndarray] = {}
         self.graph = graph
@@ -124,21 +129,26 @@ class QueryEmbeddings:
             self.vectors.update(zip(missing, self.client.embed_many(missing)))
         if stored:
             vectors = [self.vectors[t] for t in stored]
-            block = normed_block(vectors)  # one at a time, a bad vector raises
-            self.graph.update(zip(stored, zip(*block) if block else map(normed, vectors)))
+            # One at a time, a bad vector raises; good ones that do not stack keep their pairs.
+            block = normed_block(vectors) or tuple(zip(*map(normed, vectors)))
+            self.graph.update((text, (block, row)) for row, text in enumerate(stored))
 
     def __call__(self, text: str) -> np.ndarray:
-        pair = self.graph.get(text)
-        if pair is not None:
-            return pair[0]
+        ref = self.graph.get(text)
+        if ref is not None:
+            (vectors, _), row = ref
+            return vectors[row]
         if text not in self.vectors:
             [self.vectors[text]] = self.client.embed_many([text])
         return self.vectors[text]
 
     def normed(self, text: str) -> tuple[np.ndarray, np.float64]:
-        """``vectors.normed`` of the embedding of ``text``, the store's pair when it holds one."""
-        pair = self.graph.get(text)
-        return pair if pair is not None else normed(self(text))
+        """``vectors.normed`` of the embedding of ``text``, read from the store when it holds it."""
+        ref = self.graph.get(text)
+        if ref is None:
+            return normed(self(text))
+        (vectors, norms), row = ref
+        return vectors[row], norms[row]
 
 
 def load_corpus(path: str) -> dict[str, Chunk]:
@@ -292,7 +302,7 @@ class GraphMemo(NamedTuple):
     candidates: dict[str, list[Subgraph]]
     client: object  # the model client the embeddings came from
     sim: SimilarityProvider  # ``similarity_from_index`` over the snapshot
-    pairs: dict[str, tuple[np.ndarray, np.float64]]  # graph-derived text -> ``normed``
+    pairs: dict[str, StoredRow]  # graph-derived text -> its ``normed`` row
     names: dict[str, str]  # entity name -> the smallest id with it, which a tie maps to
     reward: AttentionParams  # the reward model the scores came from
     scale: float  # its ``logit_scale``: inf re-scores every stored centre

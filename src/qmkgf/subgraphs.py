@@ -9,7 +9,6 @@ than edge orientation here); PageRank follows edge direction and weights.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotFoundError, ValidationError
-from .kg import KnowledgeGraph, Triple
+from .kg import JSON_ENCODER, KnowledgeGraph, Triple
 from .vectors import cosine_from_norms, smallest_first, vector_norm
 
 SimilarityProvider = Callable[[str, str], float]
@@ -82,7 +81,7 @@ class Subgraph:
         return sorted({t.relation for t in self.triples})
 
 
-@dataclass
+@dataclass(frozen=True)
 class PageRankConfig:
     damping: float = 0.85
     max_iters: int = 100
@@ -313,7 +312,7 @@ def dump_subgraph(sg: Subgraph, scores: Mapping[str, float] | None = None) -> st
     }
     if scores is not None:
         header["scores"] = {e: scores[e] for e in sorted(scores)}
-    lines = [json.dumps(header, sort_keys=True)]
+    lines = [JSON_ENCODER.encode(header)]
     lines += [t.json_line() for t in sg.triples]
     return "\n".join(lines) + "\n"
 

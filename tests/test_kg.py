@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -354,3 +356,110 @@ def test_source_chunk_kept_from_first_row():
     g.add_triple(Triple("A", "r", "B", weight=2.0, source_chunk="c2"))
     assert g.triples[0].source_chunk == "c1"
     assert g.triples[0].weight == 2.0
+
+
+def _shared_names(g: KnowledgeGraph) -> dict[str, set[int]]:
+    """Each string value in the graph's triples and entity ids -> the ids of its objects."""
+    objects: dict[str, set[int]] = {}
+    values = [v for t in g.triples for v in (t.head, t.relation, t.tail, t.source_chunk) if v]
+    for value in [*values, *g.entities, *(e.id for e in g.entities.values())]:
+        objects.setdefault(value, set()).add(id(value))
+    return objects
+
+
+# Names longer than one character: CPython shares one-character strings anyway.
+SHARED_ROWS = [
+    {"entity": {"id": "lonely", "name": "lonely"}},
+    {"entity": {"id": "alpha", "name": "Alpha Town"}},
+    {"head": " alpha", "relation": "knows", "tail": "bravo", "source_chunk": "chunk-1"},
+    {"head": "bravo", "relation": "knows ", "tail": "charlie", "source_chunk": "chunk-1"},
+    {"head": "charlie", "relation": "likes", "tail": "alpha", "source_chunk": "chunk-2"},
+    {"head": "alpha", "relation": "likes", "tail": "lonely", "source_chunk": "chunk-2"},
+]
+
+
+def test_load_shares_one_string_per_name_with_the_entity_rows():
+    g = load("\n".join([KG_HEADER, *map(json.dumps, SHARED_ROWS)]).encode())
+    assert len(g) == 4 and g.entities["alpha"].name == "Alpha Town"
+    assert {value: len(ids) for value, ids in _shared_names(g).items()} == dict.fromkeys(
+        ["alpha", "bravo", "charlie", "lonely", "knows", "likes", "chunk-1", "chunk-2"], 1
+    )
+
+
+def test_ingest_shares_one_string_per_name_with_the_graph_entities():
+    g = KnowledgeGraph()
+    g.add_entity(json.loads('"lonely"'))
+    records = [json.loads(json.dumps(row)) for row in SHARED_ROWS[2:]]
+    _, report = ingest_extraction(g, records)
+    assert report.as_dict() == {"added": 4, "merged": 0, "rejected": 0}
+    assert all(len(ids) == 1 for ids in _shared_names(g).values())
+    assert set(_shared_names(g)) == {
+        "alpha", "bravo", "charlie", "lonely", "knows", "likes", "chunk-1", "chunk-2"
+    }
+
+
+def test_triples_and_entities_keep_no_instance_dict():
+    g = load(save(KnowledgeGraph().add_triple(Triple("A", "r", "B", source_chunk="c1"))))
+    for record in [*g.triples, *g.entities.values()]:
+        assert not hasattr(record, "__dict__")
+    assert g.triples[0].key == ("A", "r", "B")
+
+
+def test_a_write_after_load_merges_an_existing_key_and_appends_a_new_one():
+    g = load("\n".join([KG_HEADER, *map(json.dumps, SHARED_ROWS)]).encode())
+    g.add_triple(Triple("alpha", "knows", "bravo", weight=3.0, source_chunk="chunk-9"))
+    g.add_triple(Triple("alpha", "knows", "bravo", weight=0.5))
+    assert len(g) == 4
+    merged = [t for t in g.triples if t.key == ("alpha", "knows", "bravo")]
+    assert [(t.weight, t.source_chunk) for t in merged] == [(3.0, "chunk-1")]
+    g.add_triple(Triple("bravo", "likes", "delta"))
+    assert len(g) == 5 and g.triples[4].key == ("bravo", "likes", "delta")
+    assert g.out_adj["bravo"] == [1, 4] and g.in_adj["delta"] == [4]
+
+
+def test_load_merges_a_duplicate_triple_row():
+    rows = [
+        {"head": "A", "relation": "r", "tail": "B", "weight": 1.0, "source_chunk": "c1"},
+        {"head": "B", "relation": "r", "tail": "C"},
+        {"head": "A", "relation": "r", "tail": "B", "weight": 2.5, "source_chunk": "c2"},
+    ]
+    g = load("\n".join([KG_HEADER, *map(json.dumps, rows)]).encode())
+    assert [(t.key, t.weight, t.source_chunk) for t in g.triples] == [
+        (("A", "r", "B"), 2.5, "c1"), (("B", "r", "C"), 1.0, None)
+    ]
+    assert g.out_adj["A"] == [0] and g.in_adj["B"] == [0]
+
+
+# What a loaded graph keeps per triple, on the graph below: about 230 bytes
+# with one shared string per name, slotted records and no key index, about
+# 590 without them.
+MAX_BYTES_PER_TRIPLE = 350
+
+
+def test_a_loaded_graph_keeps_under_its_memory_budget_per_triple():
+    rng = random.Random(31)
+    records = [
+        {
+            "head": f"entity-{rng.randrange(1250):05d}",
+            "relation": f"relation-{rng.randrange(20):02d}",
+            "tail": f"entity-{rng.randrange(1250):05d}",
+            "weight": round(rng.uniform(0.1, 3.0), 3),
+            "source_chunk": f"chunk-{rng.randrange(200):04d}",
+        }
+        for _ in range(5000)
+    ]
+    data = save(ingest_extraction(KnowledgeGraph(), records)[0])
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = load(data)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(g) == 5000
+    assert kept / len(g) < MAX_BYTES_PER_TRIPLE

@@ -719,7 +719,8 @@ def test_prefetch_sends_a_text_stored_by_another_thread_after_its_check():
     embed = pipeline.QueryEmbeddings(client, store)
     embed.prefetch(["a"], ["q"])
     assert client.batches == [["a", "q"]]
-    assert store["a"][0].tolist() == stub.embed("a").tolist()
+    (vectors, _), row = store["a"]
+    assert vectors[row].tolist() == stub.embed("a").tolist()
     assert embed("q").tolist() == stub.embed("q").tolist()
 
 
@@ -734,6 +735,54 @@ def test_a_lookup_sends_its_text_when_another_thread_stores_it_after_the_miss():
     vector, norm = embed.normed("b")
     assert (vector.tolist(), norm) == (stub.embed("b").tolist(), np.linalg.norm(stub.embed("b")))
     assert client.batches == [["a"], ["b"]] and "b" not in store
+
+
+def _same_bits(got, want) -> bool:
+    """Equal vectors, or norms, bit for bit and of the same type."""
+    return type(got) is type(want) and got.tobytes() == want.tobytes()
+
+
+def test_stored_texts_read_the_vector_and_norm_bits_of_normed():
+    g, indices, params, cfg, stub = _repeat_world()
+    for query in REPEAT_QUERIES:
+        run_qmkgf(query, g, indices, params, cfg, stub)
+    client = _CountingEmbeds(stub)
+    embed = pipeline.QueryEmbeddings(client, g.candidate_memo.pairs)
+    assert embed.graph
+    for text in embed.graph:
+        vector, norm = normed(stub.embed(text))
+        got_vector, got_norm = embed.normed(text)
+        assert _same_bits(got_vector, vector) and _same_bits(embed(text), vector)
+        assert _same_bits(got_norm, norm)
+    assert client.batches == []
+
+
+class _FixedVectors:
+    """Embeds each text as the vector ``table`` gives it."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def embed_many(self, texts):
+        return [self.table[t] for t in texts]
+
+
+def test_prefetch_stores_vectors_that_do_not_stack_one_by_one():
+    table = {"a": [3.0, 4.0], "b": [1.0, 2.0, 2.0]}
+    embed = pipeline.QueryEmbeddings(_FixedVectors(table), {})
+    embed.prefetch(["a", "b"])
+    assert set(embed.graph) == {"a", "b"}
+    for text, values in table.items():
+        vector, norm = embed.normed(text)
+        assert _same_bits(vector, normed(values)[0]) and _same_bits(norm, normed(values)[1])
+
+
+def test_prefetch_raises_for_a_bad_vector_and_stores_none_of_its_batch():
+    table = {"a": [3.0, 4.0], "b": [1.0, np.nan], "c": [1.0, 0.0]}
+    embed = pipeline.QueryEmbeddings(_FixedVectors(table), {})
+    with pytest.raises(ValidationError, match="^vector entries must be finite$"):
+        embed.prefetch(["a", "b", "c"])
+    assert embed.graph == {}
 
 
 def _count_calls(monkeypatch, *names) -> dict:
