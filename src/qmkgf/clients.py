@@ -32,7 +32,6 @@ import hashlib
 import re
 
 import numpy as np
-import requests
 
 from .errors import ModelServiceError
 from .kg import is_number
@@ -147,9 +146,13 @@ class HttpModelClient:
         self.base_url = base_url.rstrip("/")
         self.temperature = temperature
         self.timeout = timeout
+        import requests  # here, so that stub and offline runs never load the HTTP stack
+
         self.session = requests.Session()
 
     def _post(self, path: str, payload: dict) -> dict:
+        import requests
+
         url = f"{self.base_url}{path}"
         try:
             response = self.session.post(url, json=payload, timeout=self.timeout)

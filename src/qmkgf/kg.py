@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -74,11 +75,15 @@ class Triple:
         return f"{self.head} {self.relation} {self.tail}"
 
     def json_line(self) -> str:
-        """The triple's row in a graph file or subgraph dump; ``_record_to_triple`` reads it."""
-        row = dict(head=self.head, relation=self.relation, tail=self.tail, weight=self.weight)
-        if self.source_chunk is not None:
-            row["source_chunk"] = self.source_chunk
-        return JSON_ENCODER.encode(row)
+        """The triple's row in a graph file or subgraph dump, byte for byte
+        what ``JSON_ENCODER`` writes for the row as a dict; ``_record_to_triple``
+        reads it."""
+        q = encode_basestring_ascii  # what ``JSON_ENCODER`` applies to a str
+        weight = self.weight
+        weight = float.__repr__(weight) if type(weight) is float else JSON_ENCODER.encode(weight)
+        chunk = "" if self.source_chunk is None else f'"source_chunk": {q(self.source_chunk)}, '
+        return (f'{{"head": {q(self.head)}, "relation": {q(self.relation)}, '
+                f'{chunk}"tail": {q(self.tail)}, "weight": {weight}}}')
 
 
 @dataclass
@@ -153,7 +158,8 @@ class KnowledgeGraph:
         self._compiled = self.candidate_memo = None
         if self._by_key is None:
             self._by_key = {t.key: i for i, t in enumerate(self.triples)}
-        existing_idx = self._by_key.get(triple.key)
+        key = triple.key
+        existing_idx = self._by_key.get(key)
         if existing_idx is not None:
             old = self.triples[existing_idx]
             self.triples[existing_idx] = replace(
@@ -162,11 +168,12 @@ class KnowledgeGraph:
             )
             return False
 
-        self.add_entity(triple.head)
-        self.add_entity(triple.tail)
+        for endpoint in (triple.head, triple.tail):
+            if endpoint not in self.entities:  # ``Triple`` has checked it is not blank
+                self.add_entity(endpoint)
         idx = len(self.triples)
         self.triples.append(triple)
-        self._by_key[triple.key] = idx
+        self._by_key[key] = idx
         self.out_adj[triple.head].append(idx)
         self.in_adj[triple.tail].append(idx)
         return True
@@ -272,7 +279,7 @@ def save(g: KnowledgeGraph) -> bytes:
         entity = g.entities[entity_id]
         if entity_id not in referenced or entity.name != entity.id:
             lines.append(JSON_ENCODER.encode({"entity": {"id": entity.id, "name": entity.name}}))
-    lines += [triple.json_line() for triple in sorted(g.triples, key=lambda t: t.key)]
+    lines += [triple.json_line() for triple in sorted(g.triples, key=Triple.key.fget)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -7,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+import qmkgf
 from qmkgf.clients import HttpModelClient, StubModelClient
 from qmkgf.errors import ModelServiceError
 from qmkgf.pipeline import Chunk, rerank_chunks, run_qmkgf
@@ -282,6 +286,31 @@ def test_http_unreachable_server_raises():
     client = HttpModelClient("http://127.0.0.1:9", timeout=0.2)
     with pytest.raises(ModelServiceError):
         client.embed("x")
+
+
+def test_a_stub_query_never_imports_the_http_stack():
+    script = """
+import sys
+import qmkgf, qmkgf.cli
+from qmkgf import Chunk, KnowledgeGraph, PipelineConfig, RetrievalIndices, Triple
+from qmkgf import init_params, run_qmkgf
+from qmkgf.clients import StubModelClient
+from qmkgf.pipeline import build_document_index, build_entity_index
+
+g = KnowledgeGraph().add_triple(Triple("hilltown", "overlooks", "greenvalley"))
+client = StubModelClient(dim=64, seed=0)
+chunks = {"c": Chunk("c", "hilltown holds a lantern parade")}
+indices = RetrievalIndices(entities=build_entity_index(g, client.embed, 64),
+                           documents=build_document_index(chunks, client.embed, 64), chunks=chunks)
+cfg = PipelineConfig(stub=True, heads=4, k=1)
+result = run_qmkgf("what is near hilltown", g, indices, init_params(64, heads=4, seed=0), cfg, client)
+print(result.ranked.ids(), "requests" in sys.modules)
+"""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(qmkgf.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": package_root}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['c']", "False"]
 
 
 # ---------------------------------------------------------------------------

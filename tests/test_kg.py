@@ -4,10 +4,12 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qmkgf.errors import NotFoundError, ParseError, ValidationError
 from qmkgf.kg import (
+    JSON_ENCODER,
     KnowledgeGraph,
     Triple,
     ingest_extraction,
@@ -226,6 +228,45 @@ def test_save_load_round_trip_random_graphs():
                 )
             )
         assert load(save(g)) == g
+
+
+def _dict_row(t: Triple) -> str:
+    """Reference writer: the row as a dict through ``JSON_ENCODER``."""
+    row = dict(head=t.head, relation=t.relation, tail=t.tail, weight=t.weight)
+    if t.source_chunk is not None:
+        row["source_chunk"] = t.source_chunk
+    return JSON_ENCODER.encode(row)
+
+
+def _dict_save(g: KnowledgeGraph) -> bytes:
+    """Reference ``save`` built on ``_dict_row``."""
+    lines = [JSON_ENCODER.encode({"format": "qmkgf-kg", "version": 1})]
+    referenced = {t.head for t in g.triples} | {t.tail for t in g.triples}
+    for entity_id in sorted(g.entities):
+        entity = g.entities[entity_id]
+        if entity_id not in referenced or entity.name != entity.id:
+            lines.append(JSON_ENCODER.encode({"entity": {"id": entity.id, "name": entity.name}}))
+    lines += [_dict_row(t) for t in sorted(g.triples, key=lambda t: t.key)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_triple_rows_are_the_bytes_of_the_dict_writer_on_random_graphs():
+    pieces = ["a", "Z", "7", '"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", " ",
+              "\u00e9", "\u4e2d", "\u2028", "\ud7ff", "\U0001f600", "\U0010ffff"]
+    weights = [5e-324, 0.1, 1.7976931348623157e308, 3, True, np.float64(0.1), np.float64(2.5e-7)]
+    rng = random.Random(11)
+    names = [rng.choice(pieces[:3]) + "".join(rng.choices(pieces, k=rng.randint(0, 6)))
+             for _ in range(40)]
+    for _ in range(20):
+        g = KnowledgeGraph()
+        for _ in range(rng.randint(0, 50)):
+            weight = rng.choice(weights + [rng.uniform(1e-3, 1e3)])
+            chunk = rng.choice([None, rng.choice(names)])
+            g.add_triple(Triple(rng.choice(names), rng.choice(names), rng.choice(names),
+                                weight=weight, source_chunk=chunk))
+        g.add_entity(rng.choice(pieces[:3]) + "\U0001f600 lonely", name='"named" \\ \u00e9')
+        assert [t.json_line() for t in g.triples] == [_dict_row(t) for t in g.triples]
+        assert save(g) == _dict_save(g)
 
 
 def test_load_truncated_file_names_line():
