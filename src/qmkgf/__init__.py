@@ -34,7 +34,6 @@ from .reward import (
     grad_check,
     init_params,
     score,
-    serialize_subgraph,
     train_rm,
 )
 from .subgraphs import (

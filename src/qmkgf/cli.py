@@ -293,16 +293,14 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader left, as in `qmkgf ... | head`: exit 1 quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
         return 1
-    except (FileNotFoundError, ParseError, ValidationError, NotFoundError) as exc:
+    except Exception as exc:
+        usage = isinstance(exc, (FileNotFoundError, ParseError, ValidationError, NotFoundError)) or (
+            isinstance(exc, OSError) and exc.filename is not None  # a path that is a directory, say
+        )
+        if not usage and not isinstance(exc, QmkgfError):
+            logger.exception("unhandled failure")
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QmkgfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - defensive
-        logger.exception("unhandled failure")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if usage else 1
 
 
 if __name__ == "__main__":

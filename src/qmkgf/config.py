@@ -40,21 +40,12 @@ class PipelineConfig:
 
     @property
     def pagerank(self) -> PageRankConfig:
-        values = (self.damping, self.pagerank_max_iters, self.pagerank_tolerance)
-        return self._stage("_pagerank", PageRankConfig, *values)
+        return PageRankConfig(self.damping, self.pagerank_max_iters, self.pagerank_tolerance)
 
     @property
     def fusion(self) -> FusionConfig:
         """A fixed threshold when ``tau`` is set, else one derived per subgraph set."""
-        return self._stage("_fusion", FusionConfig, self.strategy, self.tau)
-
-    def _stage(self, name: str, make, *values):
-        """``make(*values)``, kept as attribute ``name`` (not a field) and
-        built, so checked, again only once some value is another object."""
-        built = self.__dict__.get(name)
-        if built is None or any(a is not b for a, b in zip(built[0], values)):
-            built = self.__dict__[name] = (values, make(*values))
-        return built[1]
+        return FusionConfig(self.strategy, self.tau)
 
     def validate(self) -> None:
         for key in ("K", "k", "per_item_k", "heads", "dim"):

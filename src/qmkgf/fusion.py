@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ThresholdError, UndefinedSimilarityError, ValidationError
 from .kg import Triple
-from .reward import Embedder, serialize_subgraph
+from .reward import Embedder
 from .subgraphs import FUSED, MULTIHOP, ONEHOP, PAGERANK, Subgraph
 from .vectors import cosine_from_norms, normed
 
@@ -67,7 +67,7 @@ def select_max(scored: list[ScoredSubgraph]) -> ScoredSubgraph:
 def compute_threshold(max_subgraph: Subgraph, q_vec: np.ndarray, embedder: Embedder) -> float:
     """Cosine between the winning subgraph's serialization and the query."""
     try:
-        return similarity(serialize_subgraph(max_subgraph), normed(q_vec), embedder)
+        return similarity(max_subgraph.serialized, normed(q_vec), embedder)
     except UndefinedSimilarityError as exc:
         raise ThresholdError(f"cannot derive threshold: {exc}") from exc
 
@@ -99,30 +99,19 @@ def fuse(
     base = select_max(scored)
     others = [s.subgraph for s in scored if s.subgraph is not base.subgraph]
     threshold = -1.0
-    to_score = []
-    if cfg.strategy == RM_FUSION:
-        threshold = cfg.tau
-        if threshold is None:
-            threshold = compute_threshold(base.subgraph, q_vec, embedder)
-        to_score = sorted(_dedup(t for sg in others for t in sg.triples), key=Triple.key.fget)
-    elif cfg.strategy == TOP5_FUSION:
-        to_score = _dedup(t for s in scored for t in s.subgraph.triples)
-    q = normed(q_vec) if to_score else None  # all_fusion never reads the query
-    sims = {t.key: similarity(t.text(), q, embedder) for t in to_score}
-
-    if cfg.strategy == ALL_FUSION:
+    if cfg.strategy == TOP5_FUSION:
+        sims = _similarities(_dedup(t for s in scored for t in s.subgraph.triples), q_vec, embedder)
+        ranked = (sorted(_dedup(sg.triples), key=lambda t: (-sims[t.key], t.key))[:5]
+                  for sg in [base.subgraph, *others])
+        selected = _dedup(t for top in ranked for t in top)
+    else:
         selected = sorted(_dedup(t for sg in others for t in sg.triples), key=Triple.key.fget)
-    elif cfg.strategy == TOP5_FUSION:
-        selected = []
-        seen = set()
-        for sg in [base.subgraph, *others]:
-            ranked = sorted(_dedup(sg.triples), key=lambda t: (-sims[t.key], t.key))
-            for t in ranked[:5]:
-                if t.key not in seen:
-                    seen.add(t.key)
-                    selected.append(t)
-    else:  # RM_FUSION
-        selected = [t for t in to_score if sims[t.key] >= threshold]
+        if cfg.strategy == RM_FUSION:
+            threshold = cfg.tau
+            if threshold is None:
+                threshold = compute_threshold(base.subgraph, q_vec, embedder)
+            sims = _similarities(selected, q_vec, embedder)
+            selected = [t for t in selected if sims[t.key] >= threshold]
 
     return FusionResult(
         fused=fused_subgraph(base.subgraph.center, [*base.subgraph.triples, *selected]),
@@ -143,6 +132,13 @@ def fused_subgraph(center: str, triples, members=()) -> Subgraph:
         members={center, *members, *(t.head for t in kept), *(t.tail for t in kept)},
         path_kind=FUSED,
     )
+
+
+def _similarities(triples, q_vec: np.ndarray, embedder: Embedder) -> dict[tuple, float]:
+    """Each triple key's ``similarity`` to the query; the query vector is
+    normed only when there is a triple to score."""
+    q = normed(q_vec) if triples else None
+    return {t.key: similarity(t.text(), q, embedder) for t in triples}
 
 
 def _dedup(triples) -> list[Triple]:

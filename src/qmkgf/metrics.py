@@ -19,7 +19,7 @@ from collections import Counter
 from collections.abc import Container
 from dataclasses import dataclass, fields
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .kg import read_jsonl
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -194,7 +194,7 @@ def retrieval_metrics(
     gold ids first. An empty gold set scores 0 across the board.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValidationError(f"k must be >= 1, got {k}")
     if not gold_ids:
         return (0.0, 0.0, 0.0, 0.0)
     top = ranked_ids[:k]
@@ -260,7 +260,7 @@ def score_example(
 
 def aggregate_reports(reports: list[MetricReport]) -> MetricReport:
     if not reports:
-        raise ValueError("cannot aggregate an empty report list")
+        raise ValidationError("cannot aggregate an empty report list")
     n = len(reports)
     sums = {f.name: sum(getattr(r, f.name) for r in reports) for f in fields(MetricReport)}
     return MetricReport(**{name: total / n for name, total in sums.items()})

@@ -361,9 +361,8 @@ def build_centres(
     new = [sg for parts in built.values() for sg in parts]
     candidates = [built[c] if c in built else memo.candidates[c] for c in centers]
     triples = {id(t): t for sgs in candidates for sg in sgs for t in sg.triples}.values()
-    text = {id(t): t.text() for t in triples}
-    texts = [*(sg.serialized for sg in new), *(text[id(t)] for sg in new for t in sg.triples)]
-    superset = [*centers, *[p for t in triples for p in (t.head, t.tail, t.relation, text[id(t)])]]
+    texts = [*(sg.serialized for sg in new), *(t.text() for sg in new for t in sg.triples)]
+    superset = [*centers, *[p for t in triples for p in (t.head, t.tail, t.relation, t.text())]]
     embed.prefetch(texts, [query, *also, *expansion_items(query, superset)])
     memo.candidates.update(built)
 
@@ -377,12 +376,10 @@ def score_and_fuse(
     A stored score is the forward's while ``max|q|`` times ``memo.scale`` and
     its largest K/V row norm is finite (so is each logit, and each weight is 1);
     otherwise ``rm_score`` runs."""
-    q_vec = np.asarray(embed(query), dtype=np.float64)
-    q_max, scored_parts = None, []  # q_max from the first stored centre on
+    q_vec = checked_query(memo.reward, embed(query))  # raises the forward's shape error
+    q_max, scored_parts = float(abs(q_vec).max()), []
     for center in centers:
         parts, (scores, k_norm) = memo.candidates[center], memo.scores.get(center, (None, 0.0))
-        if scores is not None and q_max is None:  # raises the forward's query error
-            q_max = float(abs(checked_query(memo.reward, q_vec)).max())
         if scores is None or not q_max * memo.scale * k_norm < np.inf:  # NaN fails it too
             scores = [rm_score(query, sg, memo.reward, embed) for sg in parts]
             memo.scores[center] = scores, float(max(embed.normed(sg.serialized)[1] for sg in parts))

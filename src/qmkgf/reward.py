@@ -99,11 +99,6 @@ def init_params(dim: int, heads: int = DEFAULT_HEADS, seed: int = 0) -> Attentio
     return params
 
 
-def serialize_subgraph(sg: Subgraph) -> str:
-    """Deterministic text form: each triple's "h r t" in key order, joined by "; "."""
-    return sg.serialized
-
-
 def checked_query(params: AttentionParams, q_vec: np.ndarray) -> np.ndarray:
     """``q_vec`` as the forward reads it, after its shape check."""
     q_vec = np.asarray(q_vec, dtype=np.float64)
@@ -176,7 +171,7 @@ def score(
     embedder: Embedder,
 ) -> float:
     """Reward in (0, 1): sigmoid(linear(attention(q, kgs)))."""
-    return _forward(params, embedder(query), embedder(serialize_subgraph(sg)))["p"]
+    return _forward(params, embedder(query), embedder(sg.serialized))["p"]
 
 
 def _sigmoid(z: float) -> float:

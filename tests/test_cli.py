@@ -381,6 +381,24 @@ def test_query_into_a_closed_pipe_exits_1_with_nothing_on_stderr(artifacts):
     assert (proc.returncode, err.decode()) == (1, "")
 
 
+@pytest.mark.parametrize("command", [
+    ["query", "q", "--artifacts", "{artifacts}", "--config", "{tmp}"],
+    ["build-kg", "{tmp}/corpus.jsonl", "{tmp}"],
+    ["index", "{tmp}/kg.jsonl", "{tmp}/corpus.jsonl", "{tmp}/corpus.jsonl"],
+], ids=["config-is-a-directory", "graph-out-is-a-directory", "index-out-is-a-file"])
+def test_a_path_of_the_wrong_kind_is_an_input_error(artifacts, tmp_path, command):
+    argv = [a.format(artifacts=artifacts, tmp=tmp_path) for a in command]
+    package_root = str(Path(qmkgf.__file__).resolve().parent.parent)
+    pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmkgf", *argv, "--stub"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and str(tmp_path) in proc.stderr
+
+
 def test_eval_command(artifacts, tmp_path, capsys):
     eval_file = tmp_path / "eval.jsonl"
     rows = [

@@ -1,5 +1,6 @@
 import itertools
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -8,15 +9,16 @@ from qmkgf.clients import StubModelClient
 from qmkgf.errors import ThresholdError, UndefinedSimilarityError, ValidationError
 from qmkgf.fusion import (
     FusionConfig,
+    FusionResult,
     ScoredSubgraph,
     compute_threshold,
     fuse,
+    fused_subgraph,
     select_max,
     similarity,
 )
 from qmkgf.kg import Triple
 from qmkgf.pipeline import QueryEmbeddings
-from qmkgf.reward import serialize_subgraph
 from qmkgf.subgraphs import Subgraph
 from qmkgf.vectors import cosine, normed
 
@@ -76,7 +78,7 @@ def test_select_max_requires_all_three_kinds():
 
 def test_compute_threshold_identical_embeddings():
     sg = _sg("onehop", "c", ("c", "r", "a"))
-    q_vec = EMBED(serialize_subgraph(sg))
+    q_vec = EMBED(sg.serialized)
     assert compute_threshold(sg, q_vec, EMBED) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -345,3 +347,95 @@ def test_fuse_raises_for_a_triple_that_embeds_to_zero_or_overflows(bad, error, m
     embedder = QueryEmbeddings(_TableClient(embed), {}) if stored else embed
     with pytest.raises(error, match=message):
         fuse(scored, EMBED("query"), FusionConfig(strategy="rm_fusion"), embedder)
+
+
+def _reference_fuse(scored, q_vec, cfg, embedder):
+    """``fuse`` as it was written before its one-branch-per-strategy form."""
+
+    def dedup(triples):
+        seen = {}
+        for t in triples:
+            seen.setdefault(t.key, t)
+        return list(seen.values())
+
+    base = select_max(scored)
+    others = [s.subgraph for s in scored if s.subgraph is not base.subgraph]
+    threshold = -1.0
+    to_score = []
+    if cfg.strategy == "rm_fusion":
+        threshold = cfg.tau
+        if threshold is None:
+            threshold = compute_threshold(base.subgraph, q_vec, embedder)
+        to_score = sorted(dedup(t for sg in others for t in sg.triples), key=Triple.key.fget)
+    elif cfg.strategy == "top5_fusion":
+        to_score = dedup(t for s in scored for t in s.subgraph.triples)
+    q = normed(q_vec) if to_score else None
+    sims = {t.key: similarity(t.text(), q, embedder) for t in to_score}
+
+    if cfg.strategy == "all_fusion":
+        selected = sorted(dedup(t for sg in others for t in sg.triples), key=Triple.key.fget)
+    elif cfg.strategy == "top5_fusion":
+        selected = []
+        seen = set()
+        for sg in [base.subgraph, *others]:
+            ranked = sorted(dedup(sg.triples), key=lambda t: (-sims[t.key], t.key))
+            for t in ranked[:5]:
+                if t.key not in seen:
+                    seen.add(t.key)
+                    selected.append(t)
+    else:
+        selected = [t for t in to_score if sims[t.key] >= threshold]
+    return FusionResult(
+        fused=fused_subgraph(base.subgraph.center, [*base.subgraph.triples, *selected]),
+        base_kind=base.subgraph.path_kind,
+        threshold_used=threshold,
+        selected=selected,
+    )
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # both sides must raise the same error
+        return type(exc), str(exc)
+
+
+def _random_subgraph(rng, kind, names, shared):
+    size = rng.choice([0, 0, 1, 4, 12])  # often empty, so losers are empty too
+    keys = [(rng.choice(names), rng.choice("rs"), rng.choice(names)) for _ in range(size)]
+    keys += rng.sample(shared, rng.randint(0, len(shared)) if size else 0)  # in other sources too
+    triples = [Triple(*key, source_chunk=rng.choice([None, "d"])) for key in keys]
+    # Duplicate keys inside one source, told apart by their weight.
+    triples += [Triple(*t.key, weight=3.0) for t in rng.sample(triples, len(triples) // 3)]
+    return Subgraph(center="c", triples=triples, members={"c"}, path_kind=kind)
+
+
+@pytest.mark.parametrize("tau", [None, -1.0, 0.0, 0.3])
+@pytest.mark.parametrize("strategy", ["rm_fusion", "all_fusion", "top5_fusion"])
+def test_fuse_equals_its_reference_on_random_subgraphs(strategy, tau):
+    rng = random.Random(f"{strategy}{tau}")
+    names = [f"n{i}" for i in range(8)]
+    vectors = [EMBED(f"v{i}") for i in range(6)]  # few vectors for many texts, so sims tie
+    cfg = FusionConfig(strategy=strategy, tau=tau)
+    for _ in range(150):
+        shared = [(rng.choice(names), "r", rng.choice(names)) for _ in range(4)]
+        scored = [
+            ScoredSubgraph(_random_subgraph(rng, kind, names, shared), rng.choice([0.2, 0.5, 0.8]))
+            for kind in ("onehop", "multihop", "pagerank")
+        ]
+        # A zero query has no cosine; a NaN one fails ``normed``, which runs only with a triple.
+        q_vec = rng.choice([*vectors, np.zeros(32), np.full(32, np.nan)])
+        calls = {"reference": [], "fuse": []}
+
+        def recording(side):
+            def embed(text):
+                calls[side].append(text)
+                return vectors[zlib.crc32(text.encode()) % len(vectors)]
+            return embed
+
+        want = _outcome(lambda: _reference_fuse(scored, q_vec, cfg, recording("reference")))
+        got = _outcome(lambda: fuse(scored, q_vec, cfg, recording("fuse")))
+        assert got == want
+        assert calls["fuse"] == calls["reference"]
+        if isinstance(want, FusionResult):
+            assert got.threshold_used.hex() == want.threshold_used.hex()

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from qmkgf.config import PipelineConfig
+from qmkgf.errors import ValidationError
 from qmkgf.metrics import (
     ALPHA,
     BETA,
@@ -483,6 +484,15 @@ def test_aggregate_reports_means():
     agg = aggregate_reports([a, b])
     assert agg.rouge1 == 0.5
     assert agg.bleu1 == 0.5
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: retrieval_metrics(["a"], {"a"}, 0), r"^k must be >= 1, got 0$"),
+    (lambda: aggregate_reports([]), r"^cannot aggregate an empty report list$"),
+])
+def test_metric_preconditions_raise_validation_error(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_format_report_table_alignment():

@@ -39,7 +39,7 @@ from qmkgf.pipeline import (
     retrieve,
     run_qmkgf,
 )
-from qmkgf.reward import init_params, logit_scale, score as rm_score, serialize_subgraph
+from qmkgf.reward import init_params, logit_scale, score as rm_score
 from qmkgf.subgraphs import (
     PageRankConfig,
     Subgraph,
@@ -833,7 +833,7 @@ class _CountingEmbeds:
 
 def _centre_texts_are_stored(memo, center) -> bool:
     parts = memo.candidates[center]
-    return all(serialize_subgraph(sg) in memo.pairs for sg in parts) and all(
+    return all(sg.serialized in memo.pairs for sg in parts) and all(
         t.text() in memo.pairs for sg in parts for t in sg.triples
     )
 
@@ -1113,7 +1113,7 @@ def test_stored_scores_and_mappings_equal_fresh_ones():
         parts = memo.candidates[center]
         query = next(q for q, names in REPEAT_QUERIES.items() if center in names)
         assert scores == [rm_score(query, sg, params, client.embed) for sg in parts]
-        norms = [np.linalg.norm(client.embed(serialize_subgraph(sg))) for sg in parts]
+        norms = [np.linalg.norm(client.embed(sg.serialized)) for sg in parts]
         assert type(k_norm) is float and k_norm == max(norms)
     assert memo.mapped == {
         name: map_entity(name, indices.entities, client.embed) for name in ("hilltown", "quarry")

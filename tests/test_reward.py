@@ -25,7 +25,6 @@ from qmkgf.reward import (
     rm_loss_and_grads,
     save_params,
     score,
-    serialize_subgraph,
     train_rm,
 )
 from qmkgf.subgraphs import Subgraph
@@ -71,17 +70,17 @@ def _bag_embedder(dim: int = 8, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 def test_serialize_empty_subgraph():
-    assert serialize_subgraph(_subgraph()) == ""
+    assert _subgraph().serialized == ""
 
 
 def test_serialize_single_triple():
-    assert serialize_subgraph(_subgraph(("A", "knows", "B"))) == "A knows B"
+    assert _subgraph(("A", "knows", "B")).serialized == "A knows B"
 
 
 def test_serialize_is_order_independent():
     a = _subgraph(("A", "r", "B"), ("C", "r", "D"))
     b = _subgraph(("C", "r", "D"), ("A", "r", "B"))
-    assert serialize_subgraph(a) == serialize_subgraph(b) == "A r B; C r D"
+    assert a.serialized == b.serialized == "A r B; C r D"
 
 
 # ---------------------------------------------------------------------------
