@@ -42,6 +42,7 @@ CompiledGraph = tuple[list[str], dict[str, int], np.ndarray, np.ndarray, np.ndar
 MAX_WEIGHT = sys.float_info.max
 # What ``json.dumps(value, sort_keys=True)`` builds afresh on every call.
 JSON_ENCODER = json.JSONEncoder(sort_keys=True)
+_DECODER = json.JSONDecoder()  # ``json.loads``' own decoder settings
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,7 +256,8 @@ def _record_to_triple(record: object, names: dict[str, str]) -> Triple | None:
     relation = record.get("relation")
     tail = record.get("tail")
     weight = record.get("weight", 1.0)
-    if not all(isinstance(v, str) for v in (head, relation, tail)) or not is_number(weight):
+    if not (isinstance(head, str) and isinstance(relation, str) and isinstance(tail, str)
+            and is_number(weight)):
         return None
     source_chunk = record.get("source_chunk")
     if source_chunk is not None and not isinstance(source_chunk, str):
@@ -289,7 +291,10 @@ def load(data: bytes) -> KnowledgeGraph:
 
     Raises ParseError naming the offending line on any malformed input.
     """
-    rows = _jsonl_rows(data.split(b"\n"))
+    try:  # UTF-8 puts no byte 0x0A inside a character, so the lines are the same
+        rows = _jsonl_rows(data.decode("utf-8").split("\n"))
+    except UnicodeDecodeError:  # decode line by line, so the first bad line is named
+        rows = _jsonl_rows(_decoded(data.split(b"\n")))
     lineno, header = next(rows, (None, None))
     if lineno != 1:
         raise ParseError(f"expected the {KG_FORMAT} header", line=1)
@@ -319,32 +324,42 @@ def load(data: bytes) -> KnowledgeGraph:
 
 
 def _parse_json_line(raw: str, lineno: int) -> dict:
+    """The object on one line: parsed once when ``raw_decode`` reads it whole,
+    up to JSON whitespace, else by ``json.loads``, whose value or error it is."""
     try:
-        value = json.loads(raw)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
-        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=lineno) from exc
+        value, end = _DECODER.raw_decode(raw)
+    except ValueError:
+        end = 0  # no value is empty, so the row goes to ``json.loads``
+    if not end or raw[end:].strip(" \t\n\r"):
+        try:
+            value = json.loads(raw)
+        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=lineno) from exc
     if not isinstance(value, dict):
         raise ParseError("expected a JSON object", line=lineno)
     return value
 
 
-def _jsonl_rows(lines: Iterable[bytes]) -> Iterator[tuple[int, dict]]:
-    """Yield (1-based line number, object) for each non-blank line.
-
-    ``lines`` are split at b"\\n" only, so a U+2028 inside a JSON string
-    stays in its row. Raises ParseError naming the line on bytes that are
-    not UTF-8, invalid JSON or a non-object row.
-    """
+def _decoded(lines: Iterable[bytes]) -> Iterator[str]:
+    """Each line decoded from UTF-8; raises ParseError naming the first one
+    that is not UTF-8, when the consumer reaches it."""
     for lineno, data in enumerate(lines, start=1):
         try:
-            raw = data.decode("utf-8")
+            yield data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not valid UTF-8: {exc.reason}", line=lineno) from exc
+
+
+def _jsonl_rows(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, object) for each non-blank line; ``lines``
+    are split at "\\n" only, so a U+2028 inside a JSON string stays in its row.
+    Raises ParseError naming the line on invalid JSON or a non-object row."""
+    for lineno, raw in enumerate(lines, start=1):
         if raw.strip():
             yield lineno, _parse_json_line(raw, lineno)
 
 
 def read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line of a JSONL file; see ``_jsonl_rows``."""
+    """(line number, object) per non-blank line of a file; see ``_decoded``, ``_jsonl_rows``."""
     with open(path, "rb") as fh:
-        yield from _jsonl_rows(fh)
+        yield from _jsonl_rows(_decoded(fh))

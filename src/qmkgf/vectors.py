@@ -269,35 +269,41 @@ def save_index(index: VectorIndex) -> bytes:
 
 def load_index(data: bytes, kind: str = "document") -> VectorIndex:
     """Parse a QVEC file; ParseError names the record that is truncated,
-    has a corrupt or duplicate id or holds a non-finite value."""
+    has a corrupt or duplicate id or holds a non-finite value (the first
+    such record, whatever its fault). Each entry is its row of one matrix."""
     dimension, count = unpack_header(data, QVEC_MAGIC, QVEC_VERSION)
     index = VectorIndex(dimension, kind=kind)
+    width = 4 * dimension
+    starts: dict[str, int] = {}  # id -> offset of its values, in record order
+    fault = cause = None
     offset = 16
     for n in range(count):
-        if offset + 4 > len(data):
-            raise ParseError(f"truncated QVEC file at record {n}")
-        (id_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        end = offset + id_len + 4 * dimension
-        if end > len(data):
-            raise ParseError(f"truncated QVEC file at record {n}")
+        # With no room for the id length, take one that runs past the end.
+        id_len = struct.unpack_from("<I", data, offset)[0] if offset + 4 <= len(data) else len(data)
+        start = offset + 4 + id_len
+        if start + width > len(data):
+            fault = f"truncated QVEC file at record {n}"
+            break
         try:
-            key = data[offset : offset + id_len].decode("utf-8")
+            key = data[offset + 4 : start].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"corrupt id in QVEC record {n}") from exc
-        if not key:
-            raise ParseError(f"empty id in QVEC record {n}")
-        if key in index:
-            raise ParseError(f"duplicate id {key!r} in QVEC record {n}")
-        offset += id_len
-        values = np.frombuffer(data[offset : offset + 4 * dimension], dtype="<f4")
-        offset += 4 * dimension
-        try:  # ``add`` checks the values, so a clean record pays for no second check
-            index.add(key, values.astype(np.float64))
-        except ValidationError:
-            if not np.isfinite(values).all():
-                raise ParseError(f"non-finite value in QVEC record {n} ({key!r})") from None
-            raise
+            fault, cause = f"corrupt id in QVEC record {n}", exc
+            break
+        if not key or key in starts:
+            fault = f"duplicate id {key!r}" if key else "empty id"
+            fault += f" in QVEC record {n}"
+            break
+        starts[key] = start
+        offset = start + width
+    values = b"".join([data[start : start + width] for start in starts.values()])
+    matrix = np.frombuffer(values, dtype="<f4").reshape(len(starts), dimension)
+    finite = np.isfinite(matrix).all(axis=1)  # before the cast, which warns on a signalling NaN
+    if not finite.all():  # a record before any structural fault
+        n = int(np.argmin(finite))
+        raise ParseError(f"non-finite value in QVEC record {n} ({list(starts)[n]!r})")
+    if fault is not None:
+        raise ParseError(fault) from cause
     if offset != len(data):
         raise ParseError(f"{len(data) - offset} unexpected bytes after the last QVEC record")
+    index.entries = dict(zip(starts, matrix.astype(np.float64)))
     return index

@@ -391,6 +391,106 @@ def test_jsonl_readers_name_the_line_of_an_integer_past_the_digit_limit(tmp_path
     assert exc.value.line == 2 + len(header)
 
 
+def _reference_row(raw: str, lineno: int) -> dict:
+    """Reference row parser: ``json.loads`` with the ``ParseError`` wrapping."""
+    try:
+        value = json.loads(raw)
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line=lineno) from exc
+    if not isinstance(value, dict):
+        raise ParseError("expected a JSON object", line=lineno)
+    return value
+
+
+def _outcome(parse, raw: str, lineno: int):
+    """The value ``parse`` returns, or its ParseError's message, line and cause class."""
+    try:
+        return "value", parse(raw, lineno)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, type(exc.__cause__)
+
+
+def _random_json(rng: random.Random, depth: int = 0):
+    leaves = [None, True, False, 0, -7, 10**20, 0.5, -1e-300, 1.7976931348623157e308, "",
+              "café", "\u2028 \t\n\x0b\u00a0", '"\\/', "\U0001f600", "\ud800"]
+    kind = rng.randrange(4 if depth < 3 else 1)
+    if kind == 0:
+        return rng.choice(leaves)
+    if kind == 1:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {rng.choice(["a", "head", "é", "", " k"]) + str(i): _random_json(rng, depth + 1)
+            for i in range(rng.randint(0, 4))}
+
+
+JSON_SPACE = [" ", "\t", "\n", "\r", "\r\n", " \t\r\n"]
+OTHER_SPACE = ["\x0b", "\x0c", "\u00a0", "\u2028", "\ufeff", "\x00"]
+EDGE_ROWS = [
+    *(f'{pad}{{"a": 1}}' for pad in JSON_SPACE),
+    *(f'{{"a": 1}}{pad}' for pad in JSON_SPACE),
+    *(f'{pad}{{"a": 1}}' for pad in OTHER_SPACE),
+    *(f'{{"a": 1}}{pad}' for pad in OTHER_SPACE),
+    '\ufeff{"a": 1}', '\ufeff {"a": 1}', '{"a": 1} {"b": 2}', '{}{}', '{"a": 1}x', '{"a": 1},',
+    '{"a": 1}\n{"b": 2}', "[1, 2]", "[]", "7", "-0.5", '"s"', "true", "null", "",
+    '{"w": NaN}', '{"w": -Infinity}', '{"w": Infinity}\n', "NaN", '{"n": %s}' % ("1" * 5001),
+    "1" * 5001, '{"n": %s} x' % ("1" * 5001), "{broken", '{"a": }', "{'a': 1}", '{"a": 1',
+    '{"a": "\x01"}', '{"a": "\\ud800"}', '{"a": 1}\u2028', ' {"a": 1} x',
+]
+
+
+def test_the_row_parser_gives_what_json_loads_gives_on_edge_and_random_rows():
+    from qmkgf.kg import _parse_json_line
+
+    rng = random.Random(35)
+    rows = list(EDGE_ROWS)
+    for _ in range(400):
+        value = _random_json(rng)
+        row = json.dumps(value if rng.random() < 0.3 else {"v": value},
+                         ensure_ascii=rng.random() < 0.5, indent=rng.choice([None, 0, 2]))
+        before, after = (rng.choice(["", "", *JSON_SPACE, *OTHER_SPACE]) for _ in range(2))
+        rows.append(before + row + after)
+    for lineno, raw in enumerate(rows, start=1):
+        assert _outcome(_parse_json_line, raw, lineno) == _outcome(_reference_row, raw, lineno), raw
+
+
+@pytest.mark.parametrize("lines, message, line", [
+    ([b'{"head": "A", "relation": "r", "tail": "B"}', b"{broken", b"", b'{"id": "caf\xe9"}'],
+     "invalid JSON: Expecting property name enclosed in double quotes", 3),
+    ([b'{"head": "A", "relation": "r", "tail": "B"}', b'{"id": "caf\xe9"}', b"", b"{broken"],
+     "not valid UTF-8: invalid continuation byte", 3),
+    ([b'{"head": "caf\xc3', b'", "relation": "r", "tail": "B"}'],
+     "not valid UTF-8: unexpected end of data", 2),
+], ids=["json-before-utf8", "utf8-before-json", "character-cut-at-a-line-end"])
+def test_load_names_the_first_bad_line_and_its_own_reason(lines, message, line):
+    with pytest.raises(ParseError) as exc:
+        load(b"\n".join([KG_HEADER.encode(), *lines]) + b"\n")
+    assert str(exc.value) == f"line {line}: {message}" and exc.value.line == line
+
+
+def test_valid_rows_are_read_without_json_loads(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a valid row went to json.loads")
+
+    pieces = ["a", "Z", '"', "\\", "\x00", "\n", "\t", " ", "é", "\u2028", "\U0001f600"]
+    rng = random.Random(5)
+    g = KnowledgeGraph()
+    for _ in range(60):
+        # Stripped on load, so no name starts or ends in whitespace.
+        g.add_triple(Triple(*(f"n{''.join(rng.choices(pieces, k=3))}z" for _ in range(3)),
+                            weight=rng.choice([0.25, 3, rng.uniform(0.1, 3.0)]),
+                            source_chunk=rng.choice([None, "cé"])))
+    g.add_entity("lonely", name="Lone é")
+    data = save(g)
+    path = tmp_path / "rows.jsonl"
+    monkeypatch.setattr("qmkgf.kg.json.loads", refuse)
+    assert load(data) == g
+    for reader, row in _jsonl_readers():
+        header = [KG_HEADER] if reader is kg_load else []
+        lines = [*header, *(json.dumps(row(i), ensure_ascii=False) for i in (1, 2))]
+        for end in ("\n", "\r\n"):
+            path.write_bytes("".join(line + end for line in lines).encode())
+            assert len(reader(str(path))) == 2
+
+
 def test_source_chunk_kept_from_first_row():
     g = KnowledgeGraph()
     g.add_triple(Triple("A", "r", "B", weight=1.0, source_chunk="c1"))

@@ -424,6 +424,133 @@ def test_qvec_names_the_record_holding_a_non_finite_value(value):
     assert str(exc.value) == "non-finite value in QVEC record 1 ('b')"
 
 
+def _reference_load_index(data: bytes, kind: str = "document") -> VectorIndex:
+    """Reference reader: one record at a time, each vector checked as it is added."""
+    dimension, count = vectors.unpack_header(data, vectors.QVEC_MAGIC, vectors.QVEC_VERSION)
+    index = VectorIndex(dimension, kind=kind)
+    offset = 16
+    for n in range(count):
+        if offset + 4 > len(data):
+            raise ParseError(f"truncated QVEC file at record {n}")
+        (id_len,) = struct.unpack_from("<I", data, offset)
+        offset += 4
+        end = offset + id_len + 4 * dimension
+        if end > len(data):
+            raise ParseError(f"truncated QVEC file at record {n}")
+        try:
+            key = data[offset : offset + id_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"corrupt id in QVEC record {n}") from exc
+        if not key:
+            raise ParseError(f"empty id in QVEC record {n}")
+        if key in index:
+            raise ParseError(f"duplicate id {key!r} in QVEC record {n}")
+        offset += id_len
+        values = np.frombuffer(data[offset : offset + 4 * dimension], dtype="<f4")
+        offset += 4 * dimension
+        try:
+            with np.errstate(invalid="ignore"):  # a signalling NaN warns in the cast
+                index.add(key, values.astype(np.float64))
+        except ValidationError:
+            if not np.isfinite(values).all():
+                raise ParseError(f"non-finite value in QVEC record {n} ({key!r})") from None
+            raise
+    if offset != len(data):
+        raise ParseError(f"{len(data) - offset} unexpected bytes after the last QVEC record")
+    return index
+
+
+def _load_outcome(load, data: bytes):
+    """The loaded index as (kind, dimension, ids, entries, file bytes), or the error's
+    class, message and cause class."""
+    try:
+        index = load(data, kind="entity")
+    except ParseError as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+    entries = [(key, value.dtype, value.tobytes()) for key, value in index.entries.items()]
+    return index.kind, index.dimension, index.ids(), sorted(entries), save_index(index)
+
+
+NON_FINITE_F4 = [0x7FC00000, 0x7F800000, 0xFF800000, 0x7F800001]  # NaN, inf, -inf, signalling NaN
+
+
+def _corrupted(rng: np.random.Generator, index: VectorIndex) -> bytes:
+    """``index``'s QVEC file with up to five faults: records repeated or given
+    a non-finite value, then bytes cut, appended or flipped, the count
+    overwritten, the first id's length changed or its first byte broken."""
+    records = [struct.pack("<I", len(key.encode())) + key.encode()
+               + index.entries[key].astype("<f4").tobytes() for key in index.ids()]
+    for _ in range(rng.integers(0, 3) if records else 0):
+        n = int(rng.integers(len(records)))
+        if rng.random() < 0.5:
+            records.insert(int(rng.integers(len(records) + 1)), records[n])
+        else:
+            record = bytearray(records[n])
+            at = len(record) - 4 * int(rng.integers(1, index.dimension + 1))
+            struct.pack_into("<I", record, at, int(rng.choice(NON_FINITE_F4)))
+            records[n] = bytes(record)
+    data = bytearray(vectors.pack_header(b"QVEC", 1, index.dimension, len(records)))
+    data += b"".join(records)
+    for _ in range(rng.integers(0, 3)):
+        op = rng.integers(6)
+        if op == 0 and len(data) > 16:
+            data = data[: rng.integers(16, len(data))]
+        elif op == 1:
+            data += rng.bytes(int(rng.integers(1, 12)))
+        elif op == 2 and len(data) > 16:
+            data[rng.integers(16, len(data))] = rng.integers(256)
+        elif op == 3:
+            struct.pack_into("<I", data, 12, int(rng.integers(0, 9)))
+        elif op == 4 and len(data) >= 20:
+            struct.pack_into("<I", data, 16, int(rng.choice([0, 1, 2, 2**31])))
+        elif op == 5 and len(data) > 20:
+            data[20] = 0xFF  # not UTF-8 as an id's first byte
+    return bytes(data)
+
+
+QVEC_FAULTS = (
+    "truncated", "corrupt id", "empty id", "duplicate id", "non-finite", "unexpected bytes"
+)
+
+
+def test_load_index_gives_what_the_per_record_reader_gives_on_corrupted_files():
+    rng = np.random.default_rng(35)
+    kinds = set()
+    for trial in range(3000):
+        dim = int(rng.integers(1, 5))
+        ids = ["a", "b", "é", "x" * int(rng.integers(1, 4)), f"id-{trial}", "\U0001f600"]
+        index = VectorIndex(dim)
+        for key in rng.choice(ids, size=int(rng.integers(0, 6))):
+            index.add(str(key), rng.standard_normal(dim) * rng.choice([1e-30, 1.0, 1e30]))
+        data = _corrupted(rng, index)
+        expected = _load_outcome(_reference_load_index, data)
+        assert _load_outcome(load_index, data) == expected, data
+        fault = "loaded" if len(expected) == 5 else next(f for f in QVEC_FAULTS if f in expected[1])
+        kinds.add(fault)
+    assert kinds == {"loaded", *QVEC_FAULTS}
+
+
+def test_load_index_names_the_first_faulty_record_whatever_its_fault():
+    index = index_from({"a": [1.0, 2.0], "b": [3.0, 4.0], "c": [5.0, 6.0]})
+    data = save_index(index)
+    size = 4 + 1 + 2 * 4  # every record: id length, a one-byte id, two float32 values
+    records = [data[16 + size * n : 16 + size * (n + 1)] for n in range(3)]
+    nan_b = records[1][:5] + struct.pack("<ff", 3.0, float("nan"))
+    dup_a_as_c = records[2][:4] + b"a" + records[2][5:]
+    with pytest.raises(ParseError) as exc:
+        load_index(data[:16] + records[0] + nan_b + dup_a_as_c)
+    assert str(exc.value) == "non-finite value in QVEC record 1 ('b')"
+    dup_a_as_b = records[1][:4] + b"a" + records[1][5:]
+    nan_c = records[2][:5] + struct.pack("<ff", float("inf"), 6.0)
+    with pytest.raises(ParseError) as exc:
+        load_index(data[:16] + records[0] + dup_a_as_b + nan_c)
+    assert str(exc.value) == "duplicate id 'a' in QVEC record 1"
+    with pytest.raises(ParseError) as exc:
+        load_index(data[:16] + records[0] + records[1][:4] + b"\xff" + records[1][5:])
+    assert str(exc.value) == "corrupt id in QVEC record 1"
+    assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+
 def test_index_validates_dimension_and_finiteness():
     index = VectorIndex(3)
     with pytest.raises(ValidationError):
